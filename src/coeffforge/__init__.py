@@ -10,17 +10,17 @@ from .series import (DEFAULT_ORDER, NormalizedSeries, TruncatedSeries,
 from .schwarz import (BOUNDARY_TOL, JetConstraintProfile, SchwarzJet,
                       is_admissible, is_schur_admissible, jet_constraint_profile,
                       rationalize, sample_jet_arrays, sample_jets)
-from .ulambda import (ClosedForm, CoefficientBounds, DirectTriple,
-                      FeketeSzegoQuery, InverseTriple, MembershipVerdict,
-                      ULambdaParams, corner_jet, defect, direct_coeffs,
-                      extremal_function, extremal_inverse, fekete_szego,
-                      fekete_szego_bound, fekete_szego_regrouped, inverse_coeffs,
-                      inverse_coeffs_by_reversion, membership_profile,
+from .ulambda import (ClosedForm, CoefficientBounds, DirectTriple, InverseTriple,
+                      MembershipVerdict, ULambdaParams, corner_jet, defect,
+                      direct_coeffs, extremal_function, extremal_inverse,
+                      fekete_szego, fekete_szego_bound, fekete_szego_regrouped,
+                      inverse_coeffs, inverse_coeffs_by_reversion, inverse_from_jet,
+                      inverse_weights, membership_profile,
                       membership_scan, omega_series, series_from_schwarz, sigma,
                       subordination_witness, theoretical_bounds)
 from .verifier import (A4CaseAnalysis, BoundReport, SearchConfig, a4_case_bound,
-                       a4_global_bound, case_one_cap, case_threshold, h_function,
-                       h_vertex, reports_to_csv, reports_to_json, scan_lambda,
+                       a4_global_bound, case_one_cap, case_threshold, gap_certificate,
+                       h_function, h_vertex, reports_to_csv, reports_to_json, scan_lambda,
                        sharpness_claimed, verify_bound, verify_gap_inequality)
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ from .ulambda import (ClosedForm, ULambdaParams, direct_coeffs, fekete_szego,
 from .verifier import (ATTAINMENT_TOL, FUNCTIONALS, SearchConfig, a4_global_bound,
                        reports_to_csv, reports_to_json, scan_lambda,
                        sharpness_claimed, verify_gap_inequality)
-from .ulambda import _bound_values
 
 DEFAULT_VERIFY_CONFIG = {
     "lambda_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
@@ -36,8 +35,6 @@ DEFAULT_VERIFY_CONFIG = {
     "mu_grid": [0.5],
     "search": {},
     "attainment_tol": ATTAINMENT_TOL,
-    "gap_grid_points": 1000,
-    "h_reduction": True,
 }
 
 
@@ -97,7 +94,7 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _load_function_input(name, order, mode, lam_text):
+def _load_function_input(name, mode, lam_text):
     """Resolve a function alias or a serialized-series path."""
     if os.path.exists(name):
         try:
@@ -124,8 +121,7 @@ def _load_function_input(name, order, mode, lam_text):
 # -- commands -----------------------------------------------------------------
 
 def cmd_revert(args):
-    series, closed = _load_function_input(args.input, args.order, args.mode,
-                                          getattr(args, "lam", None))
+    series, closed = _load_function_input(args.input, args.mode, args.lam)
     if closed is not None:
         series = closed.f_series(args.order)
     try:
@@ -144,21 +140,20 @@ def cmd_bounds(args):
     lam = _parse_lambda(args.lam, mode)
     params = ULambdaParams(lam, mode)
     bounds = theoretical_bounds(params)
+    fs = None if args.mu is None else fekete_szego_bound(params, _parse_complex(args.mu, mode))
     if args.format == "json":
         payload = {"lambda": float(lam), "B2": float(bounds.b2),
                    "B3": float(bounds.b3), "B4": float(bounds.b4)}
-        if args.mu is not None:
-            mu = _parse_complex(args.mu, mode)
-            payload["FS"] = float(fekete_szego_bound(params, mu))
+        if fs is not None:
+            payload["FS"] = float(fs)
         print(json.dumps(payload, sort_keys=True))
         return 0
     print(f"lambda = {_show(lam)}")
     print(f"|A2| <= {_show(bounds.b2)}")
     print(f"|A3| <= {_show(bounds.b3)}")
     print(f"|A4| <= {_show(bounds.b4)}")
-    if args.mu is not None:
-        mu = _parse_complex(args.mu, mode)
-        print(f"|A3 - mu A2^2| <= {_show(fekete_szego_bound(params, mu))} (mu = {args.mu})")
+    if fs is not None:
+        print(f"|A3 - mu A2^2| <= {_show(fs)} (mu = {args.mu})")
     return 0
 
 
@@ -226,9 +221,9 @@ def cmd_fekete_szego(args):
     lam = _parse_lambda(args.lam, mode)
     params = ULambdaParams(lam, mode)
     mu = _parse_complex(args.mu, mode)
+    jet = _jet_from_args(args, mode)
     bound = fekete_szego_bound(params, mu)
     print(f"bound: {_show(bound)}")
-    jet = _jet_from_args(args, mode)
     if jet is not None:
         value = fekete_szego(params, jet, mu)
         print(f"value: {_show(value)}")
@@ -238,8 +233,7 @@ def cmd_fekete_szego(args):
 
 def cmd_membership(args):
     lam = float(_parse_lambda(args.lam, FLOAT))
-    series, closed = _load_function_input(args.input, args.order, FLOAT,
-                                          getattr(args, "lam", None))
+    series, closed = _load_function_input(args.input, FLOAT, args.lam)
     target = closed if closed is not None else series
     if target is series and series is not None and series.mode == EXACT:
         target = series.to_float()
@@ -278,17 +272,7 @@ def _load_verify_config(args):
         config.update(user)
     if args.lam is not None:
         config["lambda_grid"] = [float(_parse_lambda(args.lam, FLOAT))]
-    search = dict(config["search"])
-    if args.samples is not None:
-        search["samples"] = args.samples
-    if args.seed is not None:
-        search["seed"] = args.seed
-    if args.strategy is not None:
-        search["strategy"] = args.strategy
-    try:
-        config["search"] = SearchConfig.from_json(search)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid search config: {exc}") from exc
+    config["search"] = _search_config(config["search"], args)
     grid = config["lambda_grid"]
     if not grid or not all(0 < float(x) <= 1 for x in grid):
         raise CliError("lambda_grid values must lie in (0, 1]")
@@ -300,6 +284,19 @@ def _load_verify_config(args):
     if "FS" in config["functionals"] and not config["mu_grid"]:
         raise CliError("FS verification needs a nonempty mu_grid")
     return config
+
+
+def _search_config(search, args):
+    """SearchConfig from a config's ``search`` object and the command-line
+    overrides --samples, --seed and --strategy."""
+    search = dict(search)
+    for name in ("samples", "seed", "strategy"):
+        if getattr(args, name) is not None:
+            search[name] = getattr(args, name)
+    try:
+        return SearchConfig.from_json(search)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid search config: {exc}") from exc
 
 
 def cmd_verify(args):
@@ -323,19 +320,12 @@ def cmd_verify(args):
               f"theoretical={report.theoretical!r} empirical={report.empirical_max!r} "
               f"gap={report.gap!r} {status}")
 
-    n_gap = int(config["gap_grid_points"])
-    gap_ok = verify_gap_inequality([(k + 1) / n_gap for k in range(n_gap)])
-    print(f"gap-inequality over {n_gap} points: {'OK' if gap_ok else 'FAIL'}")
+    gap_ok = verify_gap_inequality()
+    print(f"gap-inequality (exact, L in (0, 1]): {'OK' if gap_ok else 'FAIL'}")
 
-    h_ok = True
-    if config["h_reduction"]:
-        for lam in config["lambda_grid"]:
-            lam = float(lam)
-            reduction = a4_global_bound(lam, search.grid)
-            _, _, b4 = _bound_values(lam)
-            if abs(reduction - b4) > 1e-9:
-                h_ok = False
-        print(f"h-reduction agreement: {'OK' if h_ok else 'FAIL'}")
+    h_ok = all(a4_global_bound(lam) == theoretical_bounds(ULambdaParams(lam)).b4
+               for lam in config["lambda_grid"])
+    print(f"h-reduction agreement: {'OK' if h_ok else 'FAIL'}")
 
     passed = sound and attained and gap_ok and h_ok
     extra = {
@@ -345,8 +335,6 @@ def cmd_verify(args):
             "mu_grid": [float(m) for m in config["mu_grid"]],
             "search": search.to_json(),
             "attainment_tol": attain_tol,
-            "gap_grid_points": n_gap,
-            "h_reduction": bool(config["h_reduction"]),
         },
         "checks": {"sound": sound, "attained": attained,
                    "gap_inequality": gap_ok, "h_reduction": h_ok},
@@ -369,11 +357,7 @@ def cmd_scan(args):
         raise CliError("scan needs at least one --functional")
     lambda_grid = _parse_grid(args.lambda_grid)
     mu_grid = _parse_grid(args.mu_grid) if args.mu_grid else None
-    search = SearchConfig(
-        samples=args.samples if args.samples is not None else 20000,
-        seed=args.seed if args.seed is not None else 20250810,
-        strategy=args.strategy or "boundary-biased",
-    )
+    search = _search_config({}, args)
     try:
         reports = scan_lambda(args.functional, lambda_grid, mu_grid, search)
     except ValueError as exc:
@@ -468,7 +452,6 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--radius", type=float, default=0.9)
     p.add_argument("--samples", type=int, default=360)
-    p.add_argument("--order", type=int, default=10)
     p.add_argument("--out", help="write (theta, |defect|) CSV profile")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_membership)

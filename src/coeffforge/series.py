@@ -178,11 +178,6 @@ class TruncatedSeries:
             return self
         return TruncatedSeries([c.to_complex() for c in self._coeffs], FLOAT)
 
-    def to_exact(self):
-        if self._mode == EXACT:
-            return self
-        return TruncatedSeries(list(self._coeffs), EXACT)
-
     def to_json(self):
         """Wire format: [re_num, re_den, im_num, im_den] per coefficient in
         exact mode, [re, im] doubles in float mode, lowest order first."""

@@ -10,16 +10,16 @@ of w, so exact mode gives literal equalities.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from .scalars import (EXACT, FLOAT, MODES, QComplex, as_real, as_scalar,
-                      maybe_exact_abs, scalar_is_zero, to_complex)
-from .series import (NormalizedSeries, TruncatedSeries, inverse_coeffs_closed,
-                     require_normalized, revert)
+                      maybe_exact_abs, scalar_is_zero)
+from .series import NormalizedSeries, TruncatedSeries, require_normalized, revert
 from .schwarz import SchwarzJet
+
+_DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,6 @@ class InverseTriple:
     A3: object
     A4: object
     source: str = "closed-form"  # closed-form | reversion
-
-
-@dataclass(frozen=True)
-class FeketeSzegoQuery:
-    mu: object
-    lam: object
 
 
 @dataclass(frozen=True)
@@ -98,18 +92,35 @@ def direct_coeffs(params, jet):
     return DirectTriple(a2, a3, a4)
 
 
-def inverse_coeffs(params, jet):
-    """Inverse-function coefficients A2, A3, A4 straight from the jet."""
-    lam = params.lam
-    c1, c2, c3 = _jet_scalars(params, jet)
+def inverse_weights(lam):
+    """The weights (q1, q2, q3, q4) of the inverse coefficients in L.
+
+    (q1, q2, q4) = (1+L, 1+3L+L^2, (1+L)(1+5L+L^2)) are the sharp bounds
+    on |A2|, |A3|, |A4|. L may be a Fraction, a float or a polynomial.
+    """
     q1 = 1 + lam
     q2 = 1 + 3 * lam + lam * lam
     q3 = 3 + 8 * lam + 3 * lam * lam
     q4 = (1 + lam) * (1 + 5 * lam + lam * lam)
+    return q1, q2, q3, q4
+
+
+def inverse_from_jet(lam, c1, c2, c3):
+    """(A2, A3, A4) of the function generated by the jet (c1, c2, c3).
+
+    The same expression serves QComplex, complex and numpy arrays.
+    """
+    q1, q2, q3, q4 = inverse_weights(lam)
     A2 = -q1 * c1
-    A3 = -q1 * c2 + q2 * c1 * c1
-    A4 = -q1 * c3 + q3 * c1 * c2 - q4 * c1 * c1 * c1
-    return InverseTriple(A2, A3, A4, source="closed-form")
+    A3 = -q1 * c2 + q2 * (c1 * c1)
+    A4 = -q1 * c3 + q3 * (c1 * c2) - q4 * (c1 * c1 * c1)
+    return A2, A3, A4
+
+
+def inverse_coeffs(params, jet):
+    """Inverse-function coefficients A2, A3, A4 straight from the jet."""
+    return InverseTriple(*inverse_from_jet(params.lam, *_jet_scalars(params, jet)),
+                         source="closed-form")
 
 
 def inverse_coeffs_by_reversion(params, jet, order=4):
@@ -174,9 +185,7 @@ def extremal_inverse(params, N):
     """
     if N < 1:
         raise ValueError("need N >= 1")
-    lam = params.lam
-    closed = [1, -(1 + lam), 1 + 3 * lam + lam * lam,
-              -(1 + lam) * (1 + 5 * lam + lam * lam)]
+    closed = [1, *inverse_from_jet(params.lam, 1, 0, 0)]
     coeffs = list(revert(extremal_function(params, N)).coeffs)
     for n in range(1, min(N, 4) + 1):
         coeffs[n] = as_scalar(closed[n - 1], params.mode)
@@ -209,24 +218,18 @@ def fekete_szego_regrouped(params, jet, mu):
     return maybe_exact_abs(value)
 
 
-def _bound_values(lam):
-    b2 = 1 + lam
-    b3 = 1 + 3 * lam + lam * lam
-    b4 = (1 + lam) * (1 + 5 * lam + lam * lam)
-    return b2, b3, b4
-
-
 def theoretical_bounds(params):
     """Sharp bounds for |A2|, |A3|, |A4|: 1+L, 1+3L+L^2, (1+L)(1+5L+L^2)."""
-    return CoefficientBounds(*_bound_values(params.lam))
+    q1, q2, _, q4 = inverse_weights(params.lam)
+    return CoefficientBounds(q1, q2, q4)
 
 
 def fekete_szego_bound(params, mu):
     """Sharp bound L + |1-mu| (1+L)^2 (sharp at least for real mu in [0,1])."""
-    lam = params.lam
+    q1 = inverse_weights(params.lam)[0]
     mu = as_scalar(mu, params.mode)
     one = as_scalar(1, params.mode)
-    return lam + maybe_exact_abs(one - mu) * (1 + lam) * (1 + lam)
+    return params.lam + maybe_exact_abs(one - mu) * q1 * q1
 
 
 # -- membership -------------------------------------------------------------
@@ -322,6 +325,27 @@ class MembershipVerdict:
         }
 
 
+def _defect_chunks(f, radius, samples):
+    """|defect| at z = radius e^{2 pi i k / samples}, k = 0..samples-1, as
+    (first k, theta, values) with arrays of at most 8192 points each.
+
+    With g = z/f the defect g - z g' - 1 is the polynomial
+    sum (1-k) g_k z^k - 1, evaluated by Horner in float. Raises ValueError
+    when a value is not finite, since no verdict can be read from it.
+    """
+    g = f.zf_poly() if isinstance(f, ClosedForm) else _zf_jet(f)
+    coeffs = [(1 - k) * c for k, c in enumerate(g.to_float().coeffs)]
+    coeffs[0] -= 1
+    coeffs.reverse()
+    for start in range(0, samples, _DEFECT_CHUNK):
+        theta = 2.0 * np.pi * np.arange(start, min(start + _DEFECT_CHUNK, samples)) / samples
+        values = np.abs(np.polyval(coeffs, radius * np.exp(1j * theta)))
+        if not np.isfinite(values).all():
+            raise ValueError("the defect is not finite on the circle; "
+                             "the series overflows float arithmetic")
+        yield start, theta, values
+
+
 def membership_scan(f, lam, radius, samples, label=None):
     """Max |defect| over equispaced points on |z| = radius.
 
@@ -336,41 +360,21 @@ def membership_scan(f, lam, radius, samples, label=None):
         raise ValueError("radius must lie in (0, 1)")
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    if isinstance(f, ClosedForm):
-        g = f.zf_poly().to_float()
-        approximate = False
-        label = label or f.label
-    else:
-        g = _zf_jet(f).to_float()
-        approximate = True
-        label = label or "series"
-    gp = g.derivative()
-    best = -1.0
-    best_idx = 0
-    best_theta = 0.0
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        z = radius * cmath.exp(1j * theta)
-        d = abs(g.evaluate(z) - z * gp.evaluate(z) - 1.0)
-        if d > best:
-            best, best_idx, best_theta = d, k, theta
+    approximate = not isinstance(f, ClosedForm)
+    label = label or ("series" if approximate else f.label)
+    best, best_idx, best_theta = -1.0, 0, 0.0
+    for start, theta, values in _defect_chunks(f, radius, samples):
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, best_idx, best_theta = float(values[k]), start + k, float(theta[k])
     return MembershipVerdict(label, lam, radius, samples, best, best_theta,
                              best_idx, best < lam, approximate)
 
 
 def membership_profile(f, lam, radius, samples):
     """(theta, |defect|) rows for external plotting."""
-    if isinstance(f, ClosedForm):
-        g = f.zf_poly().to_float()
-    else:
-        g = _zf_jet(f).to_float()
-    gp = g.derivative()
-    rows = []
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        z = radius * cmath.exp(1j * theta)
-        rows.append((theta, abs(g.evaluate(z) - z * gp.evaluate(z) - 1.0)))
-    return rows
+    return [row for _, theta, values in _defect_chunks(f, radius, samples)
+            for row in zip(theta.tolist(), values.tolist())]
 
 
 def subordination_witness(params, f):

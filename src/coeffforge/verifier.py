@@ -12,18 +12,18 @@ worker count.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import schwarz
-from .scalars import as_real
+from .scalars import FLOAT
 from .schwarz import SchwarzJet
-from .ulambda import ULambdaParams, _bound_values, corner_jet, fekete_szego_bound
+from .ulambda import (ULambdaParams, corner_jet, fekete_szego_bound, inverse_from_jet,
+                      inverse_weights, theoretical_bounds)
 
 FUNCTIONALS = ("A2", "A3", "A4", "FS")
 SOUNDNESS_TOL = 1e-9
@@ -54,9 +54,7 @@ def h_vertex(lam, c1_abs):
 
 def case_threshold(lam):
     """|c1| value where the vertex hits t = L: 1 / (3 (1+L))."""
-    if isinstance(lam, Fraction):
-        return 1 / (3 * (1 + lam))
-    return 1.0 / (3.0 * (1.0 + lam))
+    return 1 / (3 * (1 + lam))
 
 
 @dataclass(frozen=True)
@@ -92,77 +90,41 @@ def a4_case_bound(lam, c1_abs):
                           h_function(lam, c1_abs, t_star))
 
 
-def _golden_max(func, lo, hi, iters=80):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = func(x1), func(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = func(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = func(x1)
-    xm = (a + b) / 2.0
-    return max(func(xm), func(lo), func(hi))
+def a4_global_bound(lam):
+    """Exact max of the |A4| candidate h/2 over |c1| in [0, 1], t in [0, L].
 
-
-def a4_global_bound(lam, grid=201):
-    """Max of the |A4| candidate over |c1| in [0, 1].
-
-    Grid scan refined by a golden-section polish over the bracketing grid
-    cells; the maximum sits at |c1| = 1 where the candidate equals the
-    theorem bound.
+    For t >= 0, h is nondecreasing in |c1|, and at |c1| = 1 the vertex
+    3L(1+L) lies beyond L, so the max is h(1, L)/2 = (1+L)(1+5L+L^2).
     """
-    lam = float(lam)
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-
-    def candidate(c):
-        return a4_case_bound(lam, c).h_max / 2.0
-
-    cs = np.linspace(0.0, 1.0, grid)
-    vals = [candidate(c) for c in cs]
-    i = int(np.argmax(vals))
-    lo = cs[max(i - 1, 0)]
-    hi = cs[min(i + 1, grid - 1)]
-    return max(vals[i], _golden_max(candidate, lo, hi))
+    lam = Fraction(lam)
+    return h_function(lam, 1, lam) / 2
 
 
-def case_one_cap(lam, grid=201):
-    """Max of the |A4| candidate restricted to the case-one region."""
-    lam = float(lam)
+def case_one_cap(lam):
+    """Exact max of the |A4| candidate on the case-one region.
 
-    def candidate(c):
-        return a4_case_bound(lam, c).h_max / 2.0
-
-    edge = case_threshold(lam)
-    cs = np.linspace(0.0, edge, grid)
-    vals = [candidate(c) for c in cs]
-    i = int(np.argmax(vals))
-    lo = cs[max(i - 1, 0)]
-    hi = cs[min(i + 1, grid - 1)]
-    return max(vals[i], _golden_max(candidate, lo, hi))
+    On case one h peaks at its vertex, and that peak increases with |c1|,
+    so the cap is its value at the threshold 1/(3(1+L)): L + 1/27.
+    """
+    lam = Fraction(lam)
+    return a4_case_bound(lam, case_threshold(lam)).a4_candidate
 
 
-def verify_gap_inequality(lambda_grid):
-    """Check (1+L)(1+5L+L^2) > 2L + 1/27 on the grid, plus the exact
-    positivity of the difference polynomial's constant term (its value as
-    L -> 0+, namely 1 - 1/27)."""
-    if Fraction(1) - Fraction(1, 27) <= 0:
-        return False
-    for lam in lambda_grid:
-        lam = float(lam)
-        if not 0 < lam <= 1:
-            raise ValueError("grid points must lie in (0, 1]")
-        _, _, b4 = _bound_values(lam)
-        if not b4 > 2.0 * lam + 1.0 / 27.0:
-            return False
-    return True
+def gap_certificate():
+    """Coefficients, lowest degree first, of B4 - 2L - 1/27 as a polynomial
+    in L, computed exactly from the shared weight table."""
+    from numpy.polynomial import Polynomial
+    L = Polynomial(np.array([Fraction(0), Fraction(1)], dtype=object))
+    return list((inverse_weights(L)[3] - 2 * L - Fraction(1, 27)).coef)
+
+
+def verify_gap_inequality():
+    """Certify (1+L)(1+5L+L^2) > 2L + 1/27 on (0, 1] exactly.
+
+    The difference is 26/27 + 4L + 6L^2 + L^3; every coefficient is
+    positive, so it is positive for every L > 0.
+    """
+    return all(c > 0 for c in gap_certificate())
 
 
 # -- search -------------------------------------------------------------------
@@ -172,7 +134,6 @@ class SearchConfig:
     samples: int = 20000
     seed: int = 20250810
     strategy: str = "boundary-biased"
-    grid: int = 201
     tolerance: float = SOUNDNESS_TOL
 
     def __post_init__(self):
@@ -182,23 +143,19 @@ class SearchConfig:
             raise ValueError("seed must be >= 0")
         if self.strategy not in schwarz.STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
     @classmethod
     def from_json(cls, data):
-        known = {f: data[f] for f in ("samples", "seed", "strategy", "grid", "tolerance")
-                 if f in data}
-        unknown = set(data) - {"samples", "seed", "strategy", "grid", "tolerance"}
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown search config fields: {sorted(unknown)}")
-        return cls(**known)
+        return cls(**data)
 
     def to_json(self):
         return {"samples": self.samples, "seed": self.seed, "strategy": self.strategy,
-                "grid": self.grid, "tolerance": self.tolerance}
+                "tolerance": self.tolerance}
 
 
 @dataclass(frozen=True)
@@ -264,36 +221,19 @@ def worker_count():
     return max(1, n)
 
 
-def _functional_values(name, mu, lam, c1, c2, c3):
-    b2, b3, b4 = _bound_values(lam)
-    if name == "A2":
-        return b2 * np.abs(c1)
-    if name == "A3":
-        return np.abs(-b2 * c2 + b3 * (c1 * c1))
-    if name == "A4":
-        q3 = 3 + 8 * lam + 3 * lam * lam
-        return np.abs(-b2 * c3 + q3 * (c1 * c2) - b4 * (c1 * c1 * c1))
+def _functional_values(name, mu, coeffs):
+    """Values of one functional on a block, from its (A2, A3, A4) arrays."""
     if name == "FS":
-        A2 = -b2 * c1
-        A3 = -b2 * c2 + b3 * (c1 * c1)
+        A2, A3, _ = coeffs
         return np.abs(A3 - mu * (A2 * A2))
-    raise ValueError(f"unknown functional {name!r}")
+    return np.abs(coeffs[FUNCTIONALS.index(name)])
 
 
 def _theoretical(name, mu, lam):
-    params = ULambdaParams(lam, "float")
-    b2, b3, b4 = _bound_values(lam)
-    if name == "A2":
-        return b2
-    if name == "A3":
-        return b3
-    if name == "A4":
-        return b4
+    params = ULambdaParams(lam, FLOAT)
     if name == "FS":
-        if mu is None:
-            raise ValueError("the Fekete-Szego functional needs mu")
         return float(fekete_szego_bound(params, mu))
-    raise ValueError(f"unknown functional {name!r}")
+    return theoretical_bounds(params).as_tuple()[FUNCTIONALS.index(name)]
 
 
 def _requested(functionals, mus):
@@ -321,14 +261,12 @@ def _search_lambda(lam, tasks, search):
     sample (the corner, whenever it is extremal).
     """
     lam = float(lam)
-    corner = corner_jet("float")
-    cc1 = np.array([corner.c1])
-    cc2 = np.array([corner.c2])
-    cc3 = np.array([corner.c3])
+    corner = corner_jet(FLOAT)
+    coeffs = inverse_from_jet(lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3)))
 
     best = {}
     for name, mu in tasks:
-        val = float(_functional_values(name, mu, lam, cc1, cc2, cc3)[0])
+        val = float(_functional_values(name, mu, coeffs)[0])
         best[(name, mu)] = (val, 0, corner)
 
     remaining = search.samples - 1
@@ -340,9 +278,10 @@ def _search_lambda(lam, tasks, search):
                                                      search.strategy)
             take = min(schwarz.block_size(), remaining - b * schwarz.block_size())
             c1, c2, c3 = c1[:take], c2[:take], c3[:take]
+            coeffs = inverse_from_jet(lam, c1, c2, c3)
             out = {}
             for name, mu in tasks:
-                vals = _functional_values(name, mu, lam, c1, c2, c3)
+                vals = _functional_values(name, mu, coeffs)
                 k = int(np.argmax(vals))
                 out[(name, mu)] = (float(vals[k]), k,
                                    SchwarzJet(complex(c1[k]), complex(c2[k]),

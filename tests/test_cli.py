@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+import coeffforge
 from coeffforge.cli import main
+
+# the child interpreter imports the same package the tests import
+SRC = os.path.dirname(os.path.dirname(coeffforge.__file__))
 
 
 def run(capsys, *argv):
@@ -109,6 +113,13 @@ def test_bounds_json(capsys):
     assert payload["FS"] == pytest.approx(2.75)
 
 
+def test_bounds_bad_mu_prints_nothing(capsys):
+    code, out, err = run(capsys, "bounds", "--lambda", "0.5", "--mu", "nan")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "\n" not in err.strip()
+
+
 # -- coeffs / fekete-szego ----------------------------------------------------------
 
 def test_coeffs_corner(capsys):
@@ -148,6 +159,14 @@ def test_fekete_szego_complex_mu(capsys):
                        "--mode", "float")
     assert code == 0
     assert "bound: 5.0" in out
+
+
+def test_fekete_szego_bad_jet_prints_nothing(capsys):
+    code, out, err = run(capsys, "fekete-szego", "--lambda", "1/2", "--mu", "0",
+                         "--c1", "abc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "\n" not in err.strip()
 
 
 # -- membership ---------------------------------------------------------------------
@@ -200,6 +219,22 @@ def test_membership_series_file_jet_approximate(capsys, tmp_path):
     assert json.loads(out)["approximate"] is True
 
 
+def test_membership_non_finite_defect(capsys, tmp_path):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps([[0, 0], [1, 0]] + [[1e308, 0]] * 6))
+    code, out, err = run(capsys, "membership", str(path), "--lambda", "0.5",
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "\n" not in err.strip()
+
+
+def test_membership_order_flag_removed(capsys):
+    code, _, err = run(capsys, "membership", "koebe", "--lambda", "0.5", "--order", "10")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # -- verify / scan ---------------------------------------------------------------------
 
 def test_verify_default_small(capsys, tmp_path):
@@ -243,6 +278,30 @@ def test_verify_rejects_unknown_field(capsys, tmp_path):
     assert "unknown config fields" in err
 
 
+@pytest.mark.parametrize("field", ["gap_grid_points", "h_reduction"])
+def test_verify_rejects_removed_fields(capsys, tmp_path, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: 1000}))
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config fields" in err
+
+
+def test_verify_gap_and_h_reduction_lines(capsys):
+    code, out, _ = run(capsys, "verify", "--lambda", "1/3", "--samples", "200")
+    assert code == 0
+    assert "gap-inequality (exact, L in (0, 1]): OK" in out.splitlines()
+    assert "h-reduction agreement: OK" in out.splitlines()
+
+
+def test_scan_rejects_zero_samples(capsys):
+    code, out, err = run(capsys, "scan", "--functional", "A2", "--lambda-grid", "0.5",
+                         "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "samples" in err
+
+
 def test_scan_fs_values(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, _, _ = run(capsys, "scan", "--functional", "FS", "--lambda-grid", "1",
@@ -271,7 +330,8 @@ def test_scan_grid_syntax(capsys):
 # -- determinism across workers (subprocess, env-controlled) --------------------------
 
 def _run_verify_subprocess(tmp_path, threads, name):
-    env = dict(os.environ, COEFFFORGE_THREADS=str(threads))
+    env = dict(os.environ, COEFFFORGE_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     base = str(tmp_path / name)
     proc = subprocess.run(
         [sys.executable, "-m", "coeffforge", "verify", "--lambda", "0.7",

@@ -1,19 +1,23 @@
 """Coefficient formulas, extremal series, functional bounds, membership."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coeffforge import (EXACT, FLOAT, ClosedForm, NormalizedSeries, QComplex,
                         SchwarzJet, TruncatedSeries, ULambdaParams, corner_jet,
                         defect, direct_coeffs, extremal_function, extremal_inverse,
                         fekete_szego, fekete_szego_bound, fekete_szego_regrouped,
                         inverse_coeffs, inverse_coeffs_by_reversion,
-                        inverse_coeffs_closed, membership_scan, omega_series,
-                        rationalize, revert, sample_jets, series_from_schwarz,
-                        sigma, subordination_witness, theoretical_bounds)
+                        inverse_coeffs_closed, inverse_from_jet, membership_scan,
+                        omega_series, rationalize, revert, sample_jets,
+                        series_from_schwarz, sigma, subordination_witness,
+                        theoretical_bounds)
 from helpers import assert_series_close, assert_series_exact, exact_jet, floats, q
 
 F = Fraction
@@ -99,6 +103,24 @@ def test_three_path_agreement_random_jets():
         assert via_formula.A3 == via_revert.A3, i
         assert via_formula.A4 == via_revert.A4, i
         assert via_revert.source == "reversion"
+
+
+_rationals = st.fractions(min_value=-1, max_value=1, max_denominator=60)
+_exact_scalars = st.builds(QComplex, _rationals, _rationals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool),
+       jet=st.tuples(_exact_scalars, _exact_scalars, _exact_scalars))
+def test_inverse_table_on_every_scalar_type(lam, jet):
+    exact = inverse_from_jet(lam, *jet)
+    reverted = inverse_coeffs_by_reversion(params(lam), SchwarzJet(*jet))
+    assert exact == (reverted.A2, reverted.A3, reverted.A4)
+    floats = inverse_from_jet(float(lam), *(c.to_complex() for c in jet))
+    arrays = inverse_from_jet(float(lam), *(np.array([c.to_complex()]) for c in jet))
+    for e, x, a in zip(exact, floats, arrays):
+        assert abs(x - e.to_complex()) <= 1e-12
+        assert abs(a[0] - e.to_complex()) <= 1e-12
 
 
 # -- series from a Schwarz function -------------------------------------------------
@@ -295,6 +317,21 @@ def test_membership_scan_series_flagged_approximate():
     verdict = membership_scan(f, 0.5, 0.9, 32)
     assert verdict.approximate
     assert verdict.member_at_radius
+
+
+def test_membership_scan_matches_pointwise_defect_across_chunks():
+    # the maximum lies in the third 8192-point chunk
+    tail = [0.3, -0.2 + 0.1j, 0.15j, 0.05]
+    f = NormalizedSeries([0j, 1 + 0j] + [c * cmath.exp(3j * (n + 1))
+                                         for n, c in enumerate(tail)], FLOAT)
+    samples = 3 * 8192 + 5
+    verdict = membership_scan(f, 0.5, 0.9, samples)
+    values = [abs(defect(f, 0.9 * cmath.exp(2j * math.pi * k / samples)))
+              for k in range(samples)]
+    k = max(range(samples), key=values.__getitem__)
+    assert verdict.argmax_index == k > 2 * 8192
+    assert verdict.max_defect == pytest.approx(values[k], rel=0, abs=1e-12)
+    assert verdict.argmax_theta == 2.0 * math.pi * k / samples
 
 
 def test_membership_scan_validation():

@@ -8,9 +8,10 @@ import pytest
 
 from coeffforge import (BoundReport, SchwarzJet, SearchConfig, ULambdaParams,
                         a4_case_bound, a4_global_bound, case_one_cap,
-                        case_threshold, h_function, h_vertex, reports_to_csv,
-                        reports_to_json, scan_lambda, sharpness_claimed,
-                        verify_bound, verify_gap_inequality)
+                        case_threshold, gap_certificate, h_function, h_vertex,
+                        reports_to_csv, reports_to_json, scan_lambda,
+                        sharpness_claimed, theoretical_bounds, verify_bound,
+                        verify_gap_inequality)
 from coeffforge.verifier import CSV_HEADER, worker_count
 
 F = Fraction
@@ -104,29 +105,36 @@ def test_exact_vertex_identity():
 
 
 def test_global_bound_koebe():
-    assert a4_global_bound(1.0) == pytest.approx(14.0, abs=1e-9)
+    assert a4_global_bound(F(1)) == 14
 
 
 def test_global_bound_half():
-    assert a4_global_bound(0.5) == pytest.approx(45.0 / 8.0, abs=1e-9)
+    assert a4_global_bound(F(1, 2)) == F(45, 8)
 
 
-def test_global_bound_grid_validation():
-    with pytest.raises(ValueError):
-        a4_global_bound(0.5, grid=1)
+def test_global_bound_equals_b4_at_random_rationals():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        den = int(rng.integers(1, 1000))
+        lam = F(int(rng.integers(1, den + 1)), den)
+        assert a4_global_bound(lam) == theoretical_bounds(ULambdaParams(lam)).b4
+
+
+def test_global_bound_lambda_validation():
+    for bad in (0, F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError):
+            a4_global_bound(bad)
 
 
 def test_case_one_cap():
-    for lam in np.linspace(0.05, 1.0, 20):
-        assert case_one_cap(float(lam)) <= 2.0 * lam + 1.0 / 27.0 + 1e-12
+    rng = np.random.default_rng(13)
+    for lam in [F(1), F(1, 2)] + [F(int(rng.integers(1, 101)), 100) for _ in range(18)]:
+        assert case_one_cap(lam) == lam + F(1, 27)
 
 
 def test_gap_inequality():
-    assert verify_gap_inequality([1.0])
-    assert verify_gap_inequality([0.01])
-    assert verify_gap_inequality([k / 1000 for k in range(1, 1001)])
-    with pytest.raises(ValueError):
-        verify_gap_inequality([0.0, 0.5])
+    assert gap_certificate() == [F(26, 27), 4, 6, 1]
+    assert verify_gap_inequality()
 
 
 # -- search ---------------------------------------------------------------------
@@ -190,7 +198,7 @@ def test_scan_lambda_validation():
 
 
 def test_search_config_json_roundtrip():
-    cfg = SearchConfig(samples=123, seed=9, strategy="grid", grid=11, tolerance=1e-8)
+    cfg = SearchConfig(samples=123, seed=9, strategy="grid", tolerance=1e-8)
     assert SearchConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -203,6 +211,8 @@ def test_search_config_validation():
         SearchConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SearchConfig.from_json({"samples": 10, "threads": 4})
+    with pytest.raises(ValueError):
+        SearchConfig.from_json({"samples": 10, "grid": 201})
 
 
 def test_report_serialization():
