@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 
 from .scalars import EXACT, FLOAT, MODES, QComplex
 from .series import TruncatedSeries, revert
-from .schwarz import STRATEGIES, SchwarzJet
+from .schwarz import STRATEGIES, SchwarzJet, is_admissible
 from .ulambda import (ClosedForm, ULambdaParams, direct_coeffs, fekete_szego,
                       fekete_szego_bound, inverse_coeffs,
                       inverse_coeffs_by_reversion, membership_profile,
@@ -187,6 +188,13 @@ def _jet_from_args(args, mode):
                       _parse_complex(c3, mode))
 
 
+def _warn_outside_class(lam, jet):
+    """Warn on stderr, exactly for exact jets, if the class excludes the jet."""
+    if jet is not None and not is_admissible(lam, jet):
+        print(f"warning: jet is outside the class for lambda={_show(lam)}",
+              file=sys.stderr)
+
+
 def cmd_coeffs(args):
     mode = args.mode
     lam = _parse_lambda(args.lam, mode)
@@ -194,6 +202,7 @@ def cmd_coeffs(args):
     jet = _jet_from_args(args, mode)
     if jet is None:
         raise CliError("coeffs needs a jet: --c1 [--c2 --c3] or --jet FILE")
+    _warn_outside_class(lam, jet)
     direct = direct_coeffs(params, jet)
     inverse = inverse_coeffs(params, jet)
     reverted = inverse_coeffs_by_reversion(params, jet)
@@ -222,6 +231,7 @@ def cmd_fekete_szego(args):
     params = ULambdaParams(lam, mode)
     mu = _parse_complex(args.mu, mode)
     jet = _jet_from_args(args, mode)
+    _warn_outside_class(lam, jet)
     bound = fekete_szego_bound(params, mu)
     print(f"bound: {_show(bound)}")
     if jet is not None:
@@ -266,24 +276,40 @@ def _load_verify_config(args):
                 user = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise CliError("config must be a JSON object")
         unknown = set(user) - set(DEFAULT_VERIFY_CONFIG)
         if unknown:
             raise CliError(f"unknown config fields: {sorted(unknown)}")
         config.update(user)
     if args.lam is not None:
         config["lambda_grid"] = [float(_parse_lambda(args.lam, FLOAT))]
+    for name in ("lambda_grid", "mu_grid"):
+        if not (isinstance(config[name], list) and all(map(_is_real, config[name]))):
+            raise CliError(f"{name} must be a list of real numbers")
+    names = config["functionals"]
+    if not (isinstance(names, list) and names and all(isinstance(f, str) for f in names)):
+        raise CliError("functionals must be a nonempty list of strings")
+    if not _is_real(config["attainment_tol"]):
+        raise CliError("attainment_tol must be a real number")
+    if not isinstance(config["search"], dict):
+        raise CliError("search must be a JSON object")
     config["search"] = _search_config(config["search"], args)
     grid = config["lambda_grid"]
-    if not grid or not all(0 < float(x) <= 1 for x in grid):
+    if not grid or not all(0 < x <= 1 for x in grid):
         raise CliError("lambda_grid values must lie in (0, 1]")
-    if not config["functionals"]:
-        raise CliError("functionals must be a nonempty list")
-    for name in config["functionals"]:
+    for name in names:
         if name not in FUNCTIONALS:
             raise CliError(f"unknown functional {name!r}")
-    if "FS" in config["functionals"] and not config["mu_grid"]:
+    if "FS" in names and not config["mu_grid"]:
         raise CliError("FS verification needs a nonempty mu_grid")
     return config
+
+
+def _is_real(value):
+    """A finite JSON number; bool is excluded although it subclasses int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _search_config(search, args):

@@ -8,10 +8,11 @@ function in the lambda-class imposes, beyond the classical constraints
     t := |(1+L)c2 - L c1^2| <= L,
     |2(1+L)c3 - 4L c1 c2|   <= L - t^2/L,
 
-with L the class parameter. The samplers emit only jets satisfying all of
-these; extremal configurations sit on the boundary, so float admissibility
-tests allow a 1e-12 band while exact jets are compared exactly (via
-squared moduli, which stay rational).
+with L the class parameter. The sampler emits only jets satisfying all of
+these, in aligned blocks of 8192 (sample_block_arrays) under one of two
+strategies, "uniform" or "boundary-biased". Extremal configurations sit
+on the boundary, so float admissibility tests allow a 1e-12 band while
+exact jets are compared exactly (via squared moduli, which stay rational).
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import (EXACT, FLOAT, QComplex, as_scalar, maybe_exact_abs,
-                      rational_sqrt, to_complex)
+from .scalars import EXACT, FLOAT, QComplex, as_scalar, rational_sqrt, to_complex
 
 BOUNDARY_TOL = 1e-12
-STRATEGIES = ("uniform", "boundary-biased", "grid")
+STRATEGIES = ("uniform", "boundary-biased")
 _BLOCK = 8192
-_CANDIDATES = 8  # per-slot candidates in one rejection round
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,10 @@ def jet_constraint_profile(lam, jet, tol=BOUNDARY_TOL):
     return JetConstraintProfile(lam, t, t * t, slack, first, second)
 
 
-def is_admissible(lam, jet, tol=BOUNDARY_TOL, constraint="eq3"):
-    """Full admissibility: Schur-Carlson plus (unless relaxed) the class pair.
-
-    constraint="schur" drops the class-specific pair; the relaxation is
-    only sound for functionals not involving c3.
-    """
-    if not is_schur_admissible(jet.c1, jet.c2, tol):
-        return False
-    if constraint == "schur":
-        return True
-    return jet_constraint_profile(lam, jet, tol).satisfied
+def is_admissible(lam, jet, tol=BOUNDARY_TOL):
+    """Full admissibility: Schur-Carlson plus the class pair."""
+    return (is_schur_admissible(jet.c1, jet.c2, tol)
+            and jet_constraint_profile(lam, jet, tol).satisfied)
 
 
 def rationalize(jet, max_denominator=None):
@@ -157,92 +149,62 @@ def rationalize(jet, max_denominator=None):
 
 # -- sampling ---------------------------------------------------------------
 
-def sample_jets(lam, count, seed=0, strategy="uniform", rotation_reduce=False,
-                constraint="eq3"):
+def sample_jets(lam, count, seed=0, strategy="uniform"):
     """Deterministic sequence of admissible jets.
 
     uniform          draws area-uniform in each feasible disk;
     boundary-biased  concentrates near |c1| = 1 and the saturated
-                     constraints, where the extremal values live;
-    grid             a regular lattice over the feasible region, with the
-                     corner jet (1, 0, 0) always included first.
+                     constraints, where the extremal values live.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    c1, c2, c3 = sample_jet_arrays(lam, count, seed, strategy, rotation_reduce,
-                                   constraint)
+    c1, c2, c3 = sample_jet_arrays(lam, count, seed, strategy)
     return [SchwarzJet(complex(c1[i]), complex(c2[i]), complex(c3[i]))
             for i in range(count)]
 
 
-def sample_jet_arrays(lam, count, seed=0, strategy="uniform",
-                      rotation_reduce=False, constraint="eq3"):
-    """Vectorized sampler returning (c1, c2, c3) complex arrays.
-
-    Random strategies generate in fixed blocks of 8192 indices; block b is
-    driven by default_rng([seed, b]), so any partition of the index range
-    across workers reproduces the sequential output.
-    """
-    lam = float(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("class parameter must lie in (0, 1]")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "grid":
-        return _grid_arrays(lam, np.arange(count), count, rotation_reduce)
-    blocks = []
-    for b in range((count + _BLOCK - 1) // _BLOCK):
-        blocks.append(_random_block(lam, seed, b, strategy, rotation_reduce,
-                                    constraint))
-    c1 = np.concatenate([blk[0] for blk in blocks])[:count]
-    c2 = np.concatenate([blk[1] for blk in blocks])[:count]
-    c3 = np.concatenate([blk[2] for blk in blocks])[:count]
-    return c1, c2, c3
-
-
-def sample_block_arrays(lam, seed, block_index, strategy="uniform",
-                        rotation_reduce=False, constraint="eq3"):
-    """One aligned block of samples (the parallel work unit)."""
-    return _random_block(float(lam), seed, block_index, strategy,
-                         rotation_reduce, constraint)
+def sample_jet_arrays(lam, count, seed=0, strategy="uniform"):
+    """The first count jets of the block sequence, as (c1, c2, c3) arrays."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    blocks = [sample_block_arrays(lam, seed, b, strategy)
+              for b in range((count + _BLOCK - 1) // _BLOCK)]
+    return tuple(np.concatenate(part)[:count] for part in zip(*blocks))
 
 
 def block_size():
     return _BLOCK
 
 
-def _random_block(lam, seed, block_index, strategy, rotation_reduce, constraint):
+def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
+    """One aligned block of 8192 jets as (c1, c2, c3) complex arrays.
+
+    Block b is driven by default_rng([seed, b]) alone, so any partition of
+    the block range across workers reproduces the sequential output.
+    """
+    lam = float(lam)
+    if not 0 < lam <= 1:
+        raise ValueError("class parameter must lie in (0, 1]")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng([seed, block_index])
     n = _BLOCK
     biased = strategy == "boundary-biased"
 
-    if biased:
-        r1 = rng.random(n) ** 0.125
-    else:
-        r1 = np.sqrt(rng.random(n))
-    theta = np.zeros(n) if rotation_reduce else 2.0 * np.pi * rng.random(n)
-    c1 = r1 * np.exp(1j * theta)
+    r1 = rng.random(n) ** 0.125 if biased else np.sqrt(rng.random(n))
+    c1 = r1 * np.exp(2j * np.pi * rng.random(n))
     schur = np.clip(1.0 - r1 * r1, 0.0, None)
 
-    # Feasible c2 set: |c2| <= schur intersected (unless relaxed) with the
-    # disk |c2 - m2| <= R2 equivalent to the first class constraint.
+    # Feasible c2 set: |c2| <= schur intersected with the disk
+    # |c2 - m2| <= R2 equivalent to the first class constraint.
     m2 = lam * c1 * c1 / (1.0 + lam)
     R2 = lam / (1.0 + lam)
-
-    if constraint == "schur":
-        u, v = rng.random(n), rng.random(n)
-        c2 = schur * np.sqrt(u) * np.exp(2j * np.pi * v)
-        return c1, c2, np.zeros(n, complex)
-
     if biased:
-        on_boundary = rng.random(n) < 0.5
-        phi = 2.0 * np.pi * rng.random(n)
-        ray = np.exp(1j * phi)
+        # half the slots sit on the outer rim of the set, along a random ray
+        ray = np.exp(2j * np.pi * rng.random(n))
         proj = m2 * np.conj(ray)
         reach = proj.real + np.sqrt(np.clip(R2 * R2 - proj.imag ** 2, 0.0, None))
-        c2_boundary = np.minimum(schur, reach) * ray
-        c2_interior = _fill_c2(rng, schur, m2, R2)
-        c2 = np.where(on_boundary, c2_boundary, c2_interior)
+        c2 = np.minimum(schur, reach) * ray
+        inner = rng.random(n) < 0.5
+        c2[inner] = _fill_c2(rng, schur[inner], m2[inner], R2)
     else:
         c2 = _fill_c2(rng, schur, m2, R2)
 
@@ -250,83 +212,32 @@ def _random_block(lam, seed, block_index, strategy, rotation_reduce, constraint)
     slack = np.clip(lam - t * t / lam, 0.0, None)
     m3 = 2.0 * lam * c1 * c2 / (1.0 + lam)
     R3 = slack / (2.0 * (1.0 + lam))
+    radial = np.sqrt(rng.random(n))
     if biased:
-        rim = rng.random(n) < 0.5
-        u, v = rng.random(n), rng.random(n)
-        radial = np.where(rim, 1.0, np.sqrt(u))
-    else:
-        u, v = rng.random(n), rng.random(n)
-        radial = np.sqrt(u)
-    c3 = m3 + R3 * radial * np.exp(2j * np.pi * v)
+        radial[rng.random(n) < 0.5] = 1.0
+    c3 = m3 + R3 * radial * np.exp(2j * np.pi * rng.random(n))
     return c1, c2, c3
 
 
 def _fill_c2(rng, schur, m2, R2):
     """Area-uniform draw from the feasible c2 region by rejection.
 
-    The region always contains 0, so acceptance never degenerates; each
-    round proposes a fixed number of candidates per unfilled slot to keep
-    the round count low at small class parameters.
+    The region is the intersection of the Schur disk |c2| <= schur and the
+    class disk |c2 - m2| <= R2. Each round proposes one point per unfilled
+    slot, area-uniform in the smaller of the two disks, and keeps it if it
+    lies in both; a kept point is area-uniform on the intersection. Both
+    disks contain 0, and the lens area then keeps the acceptance of each
+    proposal above 0.39 for every L in (0, 1] and |c1| < 1.
     """
-    n = len(schur)
-    out = np.zeros(n, complex)
-    pending = np.arange(n)
+    centre = np.where(schur <= R2, 0.0, m2)
+    radius = np.minimum(schur, R2)
+    out = np.empty(len(schur), complex)
+    pending = np.arange(len(schur))
     while pending.size:
         k = pending.size
-        u = rng.random((k, _CANDIDATES))
-        v = rng.random((k, _CANDIDATES))
-        cand = (schur[pending, None] * np.sqrt(u)) * np.exp(2j * np.pi * v)
-        ok = np.abs(cand - m2[pending, None]) <= R2
-        hit = ok.any(axis=1)
-        first = ok.argmax(axis=1)
-        idx = pending[hit]
-        out[idx] = cand[hit, first[hit]]
-        pending = pending[~hit]
+        cand = centre[pending] + radius[pending] * np.sqrt(rng.random(k)) \
+            * np.exp(2j * np.pi * rng.random(k))
+        ok = (np.abs(cand) <= schur[pending]) & (np.abs(cand - m2[pending]) <= R2)
+        out[pending[ok]] = cand[ok]
+        pending = pending[~ok]
     return out
-
-
-def _grid_arrays(lam, indices, count, rotation_reduce):
-    """Lattice points decoded from flat indices; index 0 is the corner jet."""
-    indices = np.asarray(indices)
-    c1 = np.zeros(indices.shape, complex)
-    c2 = np.zeros(indices.shape, complex)
-    c3 = np.zeros(indices.shape, complex)
-
-    corner = indices == 0
-    c1[corner] = 1.0 + 0.0j
-
-    lattice = ~corner
-    if not lattice.any():
-        return c1, c2, c3
-    k = max(2, math.ceil((max(count - 1, 1)) ** (1.0 / 6.0)))
-    flat = indices[lattice] - 1
-    digits = []
-    for _ in range(6):
-        digits.append(flat % k)
-        flat = flat // k
-    i_r1, i_th, i_f2, i_p2, i_f3, i_p3 = digits
-
-    frac = np.linspace(0.0, 1.0, k)
-    r1 = frac[i_r1]
-    theta = np.zeros(r1.shape) if rotation_reduce else 2.0 * np.pi * i_th / k
-    g1 = r1 * np.exp(1j * theta)
-    schur = np.clip(1.0 - r1 * r1, 0.0, None)
-
-    m2 = lam * g1 * g1 / (1.0 + lam)
-    R2 = lam / (1.0 + lam)
-    phi = 2.0 * np.pi * i_p2 / k
-    ray = np.exp(1j * phi)
-    proj = m2 * np.conj(ray)
-    reach = proj.real + np.sqrt(np.clip(R2 * R2 - proj.imag ** 2, 0.0, None))
-    g2 = frac[i_f2] * np.minimum(schur, reach) * ray
-
-    t = (1.0 + lam) * np.abs(g2 - m2)
-    slack = np.clip(lam - t * t / lam, 0.0, None)
-    m3 = 2.0 * lam * g1 * g2 / (1.0 + lam)
-    R3 = slack / (2.0 * (1.0 + lam))
-    g3 = m3 + frac[i_f3] * R3 * np.exp(2j * np.pi * i_p3 / k)
-
-    c1[lattice] = g1
-    c2[lattice] = g2
-    c3[lattice] = g3
-    return c1, c2, c3

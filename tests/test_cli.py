@@ -169,6 +169,33 @@ def test_fekete_szego_bad_jet_prints_nothing(capsys):
     assert err.startswith("error:") and "\n" not in err.strip()
 
 
+OUTSIDE_WARNING = "warning: jet is outside the class for lambda=1/2\n"
+
+
+def test_coeffs_warns_outside_class(capsys):
+    code, out, err = run(capsys, "coeffs", "--lambda", "1/2", "--c1", "2")
+    assert code == 0
+    assert out == ("a2 = 3   a3 = 7   a4 = 15\n"
+                   "A2 = -3   A3 = 11   A4 = -45\n"
+                   "reversion cross-check: agrees\n")
+    assert err == OUTSIDE_WARNING
+
+
+def test_fekete_szego_warns_outside_class(capsys):
+    code, out, err = run(capsys, "fekete-szego", "--lambda", "1/2", "--mu", "0",
+                         "--c1", "5")
+    assert code == 0
+    assert out == "bound: 11/4\nvalue: 275/4\nmargin: -66\n"
+    assert err == OUTSIDE_WARNING
+
+
+def test_corner_jet_gives_no_warning(capsys):
+    for argv in (["coeffs", "--lambda", "1/2", "--c1", "1"],
+                 ["fekete-szego", "--lambda", "1/2", "--mu", "0", "--c1", "1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
+
 # -- membership ---------------------------------------------------------------------
 
 def test_membership_extremal(capsys):
@@ -276,6 +303,38 @@ def test_verify_rejects_unknown_field(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert "unknown config fields" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"mu_grid": ["abc"]}, {"mu_grid": [None]}, {"mu_grid": [[0.5, 0.1]]},
+    {"mu_grid": [True]}, {"lambda_grid": 0.5}, {"lambda_grid": ["0.5"]},
+    {"functionals": "A2"}, {"attainment_tol": None}, {"search": 5}, 5,
+])
+def test_verify_rejects_mistyped_config(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "\n" not in err.strip()
+
+
+def test_verify_rejects_grid_strategy_in_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"search": {"strategy": "grid"}}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid search config")
+
+
+@pytest.mark.parametrize("argv", [["verify"],
+                                  ["scan", "--functional", "A2", "--lambda-grid", "0.5"]])
+def test_grid_strategy_flag_removed(capsys, argv):
+    code, out, err = run(capsys, *argv, "--strategy", "grid")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "grid" in err
 
 
 @pytest.mark.parametrize("field", ["gap_grid_points", "h_reduction"])

@@ -198,7 +198,7 @@ def test_scan_lambda_validation():
 
 
 def test_search_config_json_roundtrip():
-    cfg = SearchConfig(samples=123, seed=9, strategy="grid", tolerance=1e-8)
+    cfg = SearchConfig(samples=123, seed=9, strategy="uniform", tolerance=1e-8)
     assert SearchConfig.from_json(cfg.to_json()) == cfg
 
 
