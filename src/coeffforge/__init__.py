@@ -5,8 +5,8 @@ independent verification of the sharp bounds on the first inverse
 coefficients and the Fekete-Szego functional."""
 
 from .scalars import EXACT, FLOAT, QComplex
-from .series import (DEFAULT_ORDER, NormalizedSeries, TruncatedSeries,
-                     inverse_coeffs_closed, require_normalized, revert)
+from .series import (NormalizedSeries, TruncatedSeries, inverse_coeffs_closed,
+                     require_normalized, revert, zf_jet)
 from .schwarz import (BOUNDARY_TOL, JetConstraintProfile, SchwarzJet,
                       is_admissible, is_schur_admissible, jet_constraint_profile,
                       rationalize, sample_jet_arrays, sample_jets)

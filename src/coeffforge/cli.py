@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, FLOAT, MODES, QComplex
+from .scalars import EXACT, FLOAT, MODES, QComplex, is_finite_real
 from .series import TruncatedSeries, revert
 from .schwarz import STRATEGIES, SchwarzJet, is_admissible
 from .ulambda import (ClosedForm, ULambdaParams, direct_coeffs, fekete_szego,
@@ -205,9 +204,12 @@ def cmd_coeffs(args):
     _warn_outside_class(lam, jet)
     direct = direct_coeffs(params, jet)
     inverse = inverse_coeffs(params, jet)
-    reverted = inverse_coeffs_by_reversion(params, jet)
-    agree = (inverse.A2 == reverted.A2 and inverse.A3 == reverted.A3
-             and inverse.A4 == reverted.A4)
+    # The cross-check runs exactly, on the exact value of the (possibly float)
+    # jet and lambda, so float rounding cannot make the two routes disagree.
+    exact_params, exact_jet = ULambdaParams(lam, EXACT), jet.as_exact()
+    closed = inverse_coeffs(exact_params, exact_jet)
+    reverted = inverse_coeffs_by_reversion(exact_params, exact_jet)
+    agree = (closed.A2, closed.A3, closed.A4) == (reverted.A2, reverted.A3, reverted.A4)
     if args.format == "json":
         def pair(x):
             c = complex(x.to_complex()) if isinstance(x, QComplex) else complex(x)
@@ -285,12 +287,12 @@ def _load_verify_config(args):
     if args.lam is not None:
         config["lambda_grid"] = [float(_parse_lambda(args.lam, FLOAT))]
     for name in ("lambda_grid", "mu_grid"):
-        if not (isinstance(config[name], list) and all(map(_is_real, config[name]))):
+        if not (isinstance(config[name], list) and all(map(is_finite_real, config[name]))):
             raise CliError(f"{name} must be a list of real numbers")
     names = config["functionals"]
     if not (isinstance(names, list) and names and all(isinstance(f, str) for f in names)):
         raise CliError("functionals must be a nonempty list of strings")
-    if not _is_real(config["attainment_tol"]):
+    if not is_finite_real(config["attainment_tol"]):
         raise CliError("attainment_tol must be a real number")
     if not isinstance(config["search"], dict):
         raise CliError("search must be a JSON object")
@@ -304,12 +306,6 @@ def _load_verify_config(args):
     if "FS" in names and not config["mu_grid"]:
         raise CliError("FS verification needs a nonempty mu_grid")
     return config
-
-
-def _is_real(value):
-    """A finite JSON number; bool is excluded although it subclasses int."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _search_config(search, args):

@@ -163,6 +163,16 @@ def as_real(value, mode):
     raise TypeError(f"cannot use {type(value).__name__} as an exact real")
 
 
+def is_finite_real(value):
+    """A finite int or float; bool is excluded although it subclasses int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def scalar_zero(mode):
     return QComplex(0) if mode == EXACT else 0j
 

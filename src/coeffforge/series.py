@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import (EXACT, FLOAT, MODES, QComplex, as_scalar, scalar_is_zero,
-                      scalar_one, scalar_zero, to_complex)
-
-DEFAULT_ORDER = 10
+from .scalars import (EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real,
+                      scalar_is_zero, scalar_one, scalar_zero)
 
 
 class TruncatedSeries:
@@ -188,16 +186,23 @@ class TruncatedSeries:
 
     @classmethod
     def from_json(cls, data):
-        if not data:
-            raise ValueError("empty series payload")
+        """Inverse of ``to_json``; raises ValueError on any malformed payload."""
+        if not (isinstance(data, list) and data and all(isinstance(item, list) for item in data)):
+            raise ValueError("series payload must be a nonempty list of coefficient lists")
         width = len(data[0])
         if any(len(item) != width for item in data):
             raise ValueError("mixed coefficient encodings in series payload")
         if width == 4:
-            coeffs = [QComplex(Fraction(int(rn), int(rd)), Fraction(int(jn), int(jd)))
-                      for rn, rd, jn, jd in data]
-            return cls(coeffs, EXACT)
+            parts = [x for item in data for x in item]
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in parts):
+                raise ValueError("exact coefficients must be integer quadruples")
+            if any(rd == 0 or jd == 0 for _, rd, _, jd in data):
+                raise ValueError("exact coefficient with zero denominator")
+            return cls([QComplex(Fraction(rn, rd), Fraction(jn, jd))
+                        for rn, rd, jn, jd in data], EXACT)
         if width == 2:
+            if not all(is_finite_real(x) for item in data for x in item):
+                raise ValueError("float coefficients must be finite real pairs")
             return cls([complex(re, im) for re, im in data], FLOAT)
         raise ValueError("coefficients must be [re,im] or [re_num,re_den,im_num,im_den]")
 
@@ -269,19 +274,26 @@ def require_normalized(series):
         raise ValueError("series is not normalized (needs c0 = 0, c1 = 1)")
 
 
-def revert(f):
-    """Compositional inverse jet of a normalized series.
+def zf_jet(f):
+    """Jet of z/f, order one less than f: the reciprocal of f/z. Needs a
+    nonzero linear coefficient."""
+    return TruncatedSeries(f.coeffs[1:], f.mode).reciprocal()
 
-    Solved triangularly: with F(1..n-1) fixed, the coefficient of w^n in
-    f(F(w)) is F_n plus terms in lower coefficients, so each order is a
-    single linear correction. Exact in exact mode.
+
+def revert(f):
+    """Compositional inverse jet of a normalized series, by Lagrange
+    inversion: [w^n] F = [z^(n-1)] (z/f)^n / n.
+
+    One reciprocal (the z/f jet) and N-1 truncated products of a running
+    power, so O(N^3) ring operations. Exact in exact mode.
     """
     require_normalized(f)
-    N = f.order
-    coeffs = list(TruncatedSeries.identity(N, f.mode).coeffs)
-    for n in range(2, N + 1):
-        resid = f.compose(TruncatedSeries(coeffs, f.mode))
-        coeffs[n] = coeffs[n] - resid[n]
+    g = zf_jet(f)
+    power = g
+    coeffs = [scalar_zero(f.mode), g[0]]
+    for n in range(2, f.order + 1):
+        power = power * g
+        coeffs.append(power[n - 1] / n)
     return NormalizedSeries(coeffs, f.mode)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scalars import (EXACT, FLOAT, MODES, QComplex, as_real, as_scalar,
-                      maybe_exact_abs, scalar_is_zero)
-from .series import NormalizedSeries, TruncatedSeries, require_normalized, revert
+                      maybe_exact_abs)
+from .series import NormalizedSeries, TruncatedSeries, require_normalized, revert, zf_jet
 from .schwarz import SchwarzJet
 
 _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
@@ -123,13 +123,9 @@ def inverse_coeffs(params, jet):
                          source="closed-form")
 
 
-def inverse_coeffs_by_reversion(params, jet, order=4):
+def inverse_coeffs_by_reversion(params, jet):
     """Same triple, but through series reversion (the independent route)."""
-    if order < 4:
-        raise ValueError("need order >= 4 to read off the first three inverse coefficients")
-    omega = omega_series(params, jet, order - 1)
-    f = series_from_schwarz(params, omega, order)
-    inv = revert(f)
+    inv = revert(series_from_schwarz(params, omega_series(params, jet), 4))
     return InverseTriple(inv[2], inv[3], inv[4], source="reversion")
 
 
@@ -143,29 +139,17 @@ def omega_series(params, jet, order=3):
 
 
 def series_from_schwarz(params, omega, N):
-    """Jet of f given omega: f(z)/z equals the sigma-weighted power sum of
-    omega, truncated at order N."""
+    """Jet of f given omega, to order N: f(z)/z = sum_n sigma(n) omega^n,
+    that is the polynomial with coefficients sigma(0..N-1) composed with
+    omega."""
     if N < 1:
         raise ValueError("need N >= 1")
-    if omega.mode != params.mode:
-        raise ValueError(f"mode mismatch: params {params.mode} vs omega {omega.mode}")
-    if not scalar_is_zero(omega[0]):
-        raise ValueError("omega must vanish at the origin")
     M = N - 1
     if omega.order < M:
         raise ValueError(f"omega jet of order {omega.order} cannot determine f to order {N}")
-    w = omega.truncate(M) if omega.order > M else omega
-    if M == 0:
-        ratio = TruncatedSeries.constant(as_scalar(1, params.mode), 0, params.mode)
-    else:
-        acc = TruncatedSeries.constant(as_scalar(sigma(params, M), params.mode), M, params.mode)
-        for n in range(M - 1, -1, -1):
-            acc = acc * w
-            acc = acc + TruncatedSeries.constant(as_scalar(sigma(params, n), params.mode),
-                                                 M, params.mode)
-        ratio = acc
-    coeffs = [as_scalar(0, params.mode)] + list(ratio.coeffs)
-    return NormalizedSeries(coeffs, params.mode)
+    weights = TruncatedSeries([sigma(params, n) for n in range(M + 1)], params.mode)
+    ratio = weights.compose(omega)
+    return NormalizedSeries([as_scalar(0, params.mode), *ratio.coeffs], params.mode)
 
 
 def extremal_function(params, N):
@@ -178,18 +162,9 @@ def extremal_function(params, N):
 
 
 def extremal_inverse(params, N):
-    """Inverse jet of the extremal function.
-
-    Orders 1..4 come from the closed forms; any higher orders from
-    reversion (identical in exact mode, better conditioned in float).
-    """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    closed = [1, *inverse_from_jet(params.lam, 1, 0, 0)]
-    coeffs = list(revert(extremal_function(params, N)).coeffs)
-    for n in range(1, min(N, 4) + 1):
-        coeffs[n] = as_scalar(closed[n - 1], params.mode)
-    return NormalizedSeries(coeffs, params.mode)
+    """Inverse jet of the extremal function, by reversion. Its orders 2..4
+    equal the closed forms -(1+L), 1+3L+L^2, -(1+L)(1+5L+L^2)."""
+    return revert(extremal_function(params, N))
 
 
 def corner_jet(mode=EXACT):
@@ -281,19 +256,10 @@ class ClosedForm:
         return extremal_function(ULambdaParams(self.lam, self.mode), N)
 
 
-def _zf_jet(f):
-    """Jet of z/f for a normalized series f (reciprocal of f/z)."""
-    ratio = TruncatedSeries(f.coeffs[1:], f.mode)
-    return ratio.reciprocal()
-
-
 def defect(f, z):
     """The membership defect g(z) - z g'(z) - 1 with g = z/f, equal to
     (z/f)^2 f' - 1. Exact for closed forms and exact rational points."""
-    if isinstance(f, ClosedForm):
-        g = f.zf_poly()
-    else:
-        g = _zf_jet(f)
+    g = f.zf_poly() if isinstance(f, ClosedForm) else zf_jet(f)
     z = as_scalar(z, g.mode)
     one = as_scalar(1, g.mode)
     return g.evaluate(z) - z * g.derivative().evaluate(z) - one
@@ -333,7 +299,7 @@ def _defect_chunks(f, radius, samples):
     sum (1-k) g_k z^k - 1, evaluated by Horner in float. Raises ValueError
     when a value is not finite, since no verdict can be read from it.
     """
-    g = f.zf_poly() if isinstance(f, ClosedForm) else _zf_jet(f)
+    g = f.zf_poly() if isinstance(f, ClosedForm) else zf_jet(f)
     coeffs = [(1 - k) * c for k, c in enumerate(g.to_float().coeffs)]
     coeffs[0] -= 1
     coeffs.reverse()
@@ -388,7 +354,7 @@ def subordination_witness(params, f):
         raise ValueError(f"mode mismatch: params {params.mode} vs series {f.mode}")
     require_normalized(f)
     lam = params.lam
-    q = _zf_jet(f)  # order N-1, q = 1 - (1+L) w + L w^2
+    q = zf_jet(f)  # order N-1, q = 1 - (1+L) w + L w^2
     M = q.order
     zero = as_scalar(0, params.mode)
     w = [zero] * (M + 1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import schwarz
-from .scalars import FLOAT
+from .scalars import FLOAT, is_finite_real
 from .schwarz import SchwarzJet
 from .ulambda import (ULambdaParams, corner_jet, fekete_szego_bound, inverse_from_jet,
                       inverse_weights, theoretical_bounds)
@@ -137,14 +137,18 @@ class SearchConfig:
     tolerance: float = SOUNDNESS_TOL
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.strategy not in schwarz.STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (is_finite_real(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be a finite positive number, got {self.tolerance!r}")
 
     @classmethod
     def from_json(cls, data):

@@ -43,6 +43,17 @@ def truncated(coeffs, order):
     return coeffs[:order + 1]
 
 
+def revert_oracle(f):
+    """Compositional inverse of a normalized coefficient list by the
+    triangular solve: with F_1..F_(n-1) fixed, [w^n] f(F(w)) is F_n plus
+    terms in lower coefficients, so each order is one linear correction.
+    Only f and F up to order n reach [w^n], so each step composes those."""
+    F = [0, 1] + [0] * (len(f) - 2)
+    for n in range(2, len(f)):
+        F[n] -= poly_compose_full(f[:n + 1], F[:n + 1])[n]
+    return F
+
+
 def floats(series):
     """Coefficients of a series as complex numbers."""
     return [complex(c.to_complex()) if isinstance(c, QComplex) else complex(c)

@@ -66,6 +66,21 @@ def test_revert_non_normalized_series(capsys, tmp_path):
     assert err.startswith("error:") and "normalized" in err
 
 
+@pytest.mark.parametrize("payload", [
+    '{"a": 1}', "[1, 2]", '[["a", "b"]]', "[[1, 0, 0, 0]]",
+    "[[0, 1, 0, 1], [1, 1, 0, 1], [1.5, 1, 0, 1]]",
+    "[[0.0, 0.0], [1.0, 0.0], [NaN, 0.0]]",
+])
+@pytest.mark.parametrize("command", ["revert", "membership"])
+def test_malformed_series_payload_exits_2(capsys, tmp_path, command, payload):
+    path = tmp_path / "series.json"
+    path.write_text(payload)
+    code, out, err = run(capsys, command, str(path), "--lambda", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "\n" not in err.strip()
+
+
 def test_revert_json_format(capsys):
     code, out, _ = run(capsys, "revert", "koebe", "--format", "json")
     assert code == 0
@@ -138,6 +153,17 @@ def test_coeffs_jet_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["reversion_agrees"] is True
     assert payload["A"][0] == [-0.75, 0.0]
+
+
+def test_coeffs_float_cross_check_is_exact(capsys):
+    argv = ("coeffs", "--lambda", "1/2", "--mode", "float", "--c1", "0.3,0.4",
+            "--c2", "0.1,-0.05", "--c3", "0.02")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "reversion cross-check: agrees" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["reversion_agrees"] is True
 
 
 def test_coeffs_requires_jet(capsys):
@@ -309,6 +335,9 @@ def test_verify_rejects_unknown_field(capsys, tmp_path):
     {"mu_grid": ["abc"]}, {"mu_grid": [None]}, {"mu_grid": [[0.5, 0.1]]},
     {"mu_grid": [True]}, {"lambda_grid": 0.5}, {"lambda_grid": ["0.5"]},
     {"functionals": "A2"}, {"attainment_tol": None}, {"search": 5}, 5,
+    {"search": {"samples": 1.5}}, {"search": {"seed": 1.5}},
+    {"search": {"samples": True}}, {"search": {"seed": True}},
+    {"search": {"tolerance": True}}, {"search": {"tolerance": float("inf")}},
 ])
 def test_verify_rejects_mistyped_config(capsys, tmp_path, config):
     cfg = tmp_path / "cfg.json"

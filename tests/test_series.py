@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coeffforge import (EXACT, FLOAT, NormalizedSeries, QComplex, TruncatedSeries,
-                        inverse_coeffs_closed, revert)
+                        inverse_coeffs_closed, revert, zf_jet)
 from helpers import (assert_series_close, assert_series_exact, floats,
                      poly_compose_full, poly_mul_full, q, random_exact_normalized,
-                     random_float_normalized, truncated)
+                     random_float_normalized, revert_oracle, truncated)
 
 F = Fraction
 
@@ -238,6 +240,34 @@ def test_revert_exact_and_float_agree():
             assert abs(a - b) / scale < 1e-12
 
 
+_EXACT_COEFF = st.builds(QComplex, st.fractions(-3, 3, max_denominator=4),
+                        st.fractions(-3, 3, max_denominator=4))
+# coefficient lists [0, 1, c2, ..., cN] of exact normalized series, N = 1..9
+_NORMALIZED = st.integers(1, 9).flatmap(
+    lambda order: st.lists(_EXACT_COEFF, min_size=order - 1, max_size=order - 1)
+    .map(lambda tail: [q(0), q(1), *tail]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_NORMALIZED)
+def test_revert_matches_triangular_oracle(coeffs):
+    assert_series_exact(revert(NormalizedSeries(coeffs, EXACT)), revert_oracle(coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_NORMALIZED)
+def test_revert_full_composition_is_identity(coeffs):
+    order = len(coeffs) - 1
+    inverse = list(revert(NormalizedSeries(coeffs, EXACT)).coeffs)
+    assert truncated(poly_compose_full(coeffs, inverse), order) == [0, 1] + [0] * (order - 1)
+
+
+def test_zf_jet_of_koebe():
+    # z / (z/(1-z)^2) = (1-z)^2
+    f = NormalizedSeries([0, 1, 2, 3, 4], EXACT)
+    assert_series_exact(zf_jet(f), [1, -2, 1, 0])
+
+
 # -- closed-form inverse coefficients ----------------------------------------------
 
 def test_inverse_coeffs_closed_identity_function():
@@ -327,12 +357,13 @@ def test_json_roundtrip_float():
 
 
 def test_json_malformed():
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_json([])
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_json([[1, 2, 3]])
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_json([[1.0, 2.0], [1, 1, 0, 1]])
+    for payload in ([], [[1, 2, 3]], [[1.0, 2.0], [1, 1, 0, 1]], {"a": 1}, [1, 2],
+                    [["a", "b"]], [[1, 0, 0, 0]], [[0, 1, 0, 0]],
+                    [[0, 1, 0, 1], [1, 1, 0, 1], [1.5, 1, 0, 1]], [[True, 1, 0, 1]],
+                    [[0.0, 0.0], [1.0, 0.0], [float("nan"), 0.0]], [[float("inf"), 0.0]],
+                    [[True, 0.0]], [[10 ** 400, 0]], [[]], "0"):
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_json(payload)
 
 
 def test_pretty():

@@ -15,7 +15,7 @@ from coeffforge import (EXACT, FLOAT, ClosedForm, NormalizedSeries, QComplex,
                         fekete_szego, fekete_szego_bound, fekete_szego_regrouped,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_coeffs_closed, inverse_from_jet, membership_scan,
-                        omega_series, rationalize, revert, sample_jets,
+                        omega_series, rationalize, sample_jets,
                         series_from_schwarz, sigma, subordination_witness,
                         theoretical_bounds)
 from helpers import assert_series_close, assert_series_exact, exact_jet, floats, q
@@ -152,6 +152,11 @@ def test_series_from_schwarz_matches_direct_coeffs():
         assert f[2] == d.a2 and f[3] == d.a3 and f[4] == d.a4
 
 
+def test_series_from_schwarz_order_one():
+    f = series_from_schwarz(params(F(1, 2)), TruncatedSeries([0, F(1, 3)], EXACT), 1)
+    assert_series_exact(f, [0, 1])
+
+
 def test_series_from_schwarz_rejects_nonzero_constant():
     with pytest.raises(ValueError, match="origin"):
         series_from_schwarz(params(F(1, 2)), TruncatedSeries([1, 1, 0, 0], EXACT), 4)
@@ -188,11 +193,6 @@ def test_extremal_inverse_half():
 
 def test_extremal_inverse_order_one():
     assert_series_exact(extremal_inverse(params(F(2, 3)), 1), [0, 1])
-
-
-def test_extremal_inverse_matches_full_reversion():
-    p = params(F(1, 3))
-    assert extremal_inverse(p, 7) == revert(extremal_function(p, 7))
 
 
 def test_extremal_saturation():

@@ -209,6 +209,10 @@ def test_search_config_validation():
         SearchConfig(strategy="annealing")
     with pytest.raises(ValueError):
         SearchConfig(tolerance=0.0)
+    for bad in ({"samples": 1.5}, {"seed": 1.5}, {"samples": True}, {"seed": False},
+                {"tolerance": True}, {"tolerance": float("nan")}, {"tolerance": "1e-9"}):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
     with pytest.raises(ValueError):
         SearchConfig.from_json({"samples": 10, "threads": 4})
     with pytest.raises(ValueError):
