@@ -16,8 +16,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .scalars import EXACT, FLOAT, MODES, QComplex, is_finite_real
 from .series import TruncatedSeries, revert
 from .schwarz import STRATEGIES, SchwarzJet, is_admissible
@@ -74,6 +72,7 @@ def _parse_complex(text, mode):
 
 def _parse_grid(text):
     """Comma list ``a,b,c`` or linspace form ``lo:hi:count``."""
+    import numpy as np
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:

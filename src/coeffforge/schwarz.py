@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .scalars import EXACT, FLOAT, QComplex, as_scalar, rational_sqrt, to_complex
 
 BOUNDARY_TOL = 1e-12
@@ -163,6 +161,7 @@ def sample_jets(lam, count, seed=0, strategy="uniform"):
 
 def sample_jet_arrays(lam, count, seed=0, strategy="uniform"):
     """The first count jets of the block sequence, as (c1, c2, c3) arrays."""
+    import numpy as np
     if count < 1:
         raise ValueError("count must be >= 1")
     blocks = [sample_block_arrays(lam, seed, b, strategy)
@@ -180,6 +179,7 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     Block b is driven by default_rng([seed, b]) alone, so any partition of
     the block range across workers reproduces the sequential output.
     """
+    import numpy as np
     lam = float(lam)
     if not 0 < lam <= 1:
         raise ValueError("class parameter must lie in (0, 1]")
@@ -229,6 +229,7 @@ def _fill_c2(rng, schur, m2, R2):
     disks contain 0, and the lens area then keeps the acceptance of each
     proposal above 0.39 for every L in (0, 1] and |c1| < 1.
     """
+    import numpy as np
     centre = np.where(schur <= R2, 0.0, m2)
     radius = np.minimum(schur, R2)
     out = np.empty(len(schur), complex)

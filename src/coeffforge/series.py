@@ -5,10 +5,19 @@ two jets first truncates both to the smaller order, so every operation is
 well defined at jet level; nothing here knows about convergence. Exact
 mode keeps coefficients as rational complex pairs, float mode as complex
 doubles.
+
+A product of two exact jets does not multiply rational pairs term by term.
+Each operand is written once as integer jets (re, im) over one common
+denominator D, the lcm of all its real and imaginary denominators. The
+truncated convolution then runs on plain ints, one real convolution per
+pair of parts that are not all zero (one to four), and each output
+coefficient is divided by Da*Db once, where Fraction reduces it. Float
+products run the same convolution on the complex coefficients as they are.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import (EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real,
@@ -106,13 +115,9 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_mode(other)
             n = min(self.order, other.order)
-            out = []
-            for k in range(n + 1):
-                acc = scalar_zero(self._mode)
-                for j in range(k + 1):
-                    acc = acc + self._coeffs[j] * other._coeffs[k - j]
-                out.append(acc)
-            return TruncatedSeries(out, self._mode)
+            if self._mode == FLOAT:
+                return TruncatedSeries(_convolve(self._coeffs, other._coeffs, n, 0j), FLOAT)
+            return TruncatedSeries(_exact_product(self._coeffs, other._coeffs, n), EXACT)
         scale = as_scalar(other, self._mode)
         return TruncatedSeries([c * scale for c in self._coeffs], self._mode)
 
@@ -228,6 +233,44 @@ class TruncatedSeries:
         return " ".join(pieces) if pieces else "0"
 
 
+def _convolve(a, b, n, zero):
+    """Truncated product of two coefficient lists: entry k is the sum of
+    a[j] * b[k-j] over j = 0..k, added left to right onto ``zero``."""
+    out = []
+    for k in range(n + 1):
+        acc = zero
+        for j in range(k + 1):
+            acc = acc + a[j] * b[k - j]
+        out.append(acc)
+    return out
+
+
+def _integer_parts(coeffs):
+    """(re, im, D): the coefficients times their common denominator D, as
+    int lists; im is None when every imaginary part is zero."""
+    d = math.lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    re = [c.re.numerator * (d // c.re.denominator) for c in coeffs]
+    im = [c.im.numerator * (d // c.im.denominator) for c in coeffs]
+    return re, (im if any(im) else None), d
+
+
+def _exact_product(a, b, n):
+    """Coefficients 0..n of the product of two exact jets, through integer
+    convolutions (see the module docstring)."""
+    ar, ai, da = _integer_parts(a[:n + 1])
+    br, bi, db = _integer_parts(b[:n + 1])
+    re = _convolve(ar, br, n, 0)
+    im = [0] * (n + 1)
+    if ai is not None:
+        im = _convolve(ai, br, n, 0)
+        if bi is not None:
+            re = [x - y for x, y in zip(re, _convolve(ai, bi, n, 0))]
+    if bi is not None:
+        im = [x + y for x, y in zip(im, _convolve(ar, bi, n, 0))]
+    d = da * db
+    return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+
+
 def _format_coeff(c, decimals):
     if isinstance(c, QComplex):
         if c.im == 0:
@@ -275,8 +318,9 @@ def require_normalized(series):
 
 
 def zf_jet(f):
-    """Jet of z/f, order one less than f: the reciprocal of f/z. Needs a
-    nonzero linear coefficient."""
+    """Jet of z/f, order one less than f: the reciprocal of f/z. Raises
+    ValueError unless f is normalized."""
+    require_normalized(f)
     return TruncatedSeries(f.coeffs[1:], f.mode).reciprocal()
 
 
@@ -287,7 +331,6 @@ def revert(f):
     One reciprocal (the z/f jet) and N-1 truncated products of a running
     power, so O(N^3) ring operations. Exact in exact mode.
     """
-    require_normalized(f)
     g = zf_jet(f)
     power = g
     coeffs = [scalar_zero(f.mode), g[0]]

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .scalars import (EXACT, FLOAT, MODES, QComplex, as_real, as_scalar,
                       maybe_exact_abs)
-from .series import NormalizedSeries, TruncatedSeries, require_normalized, revert, zf_jet
+from .series import NormalizedSeries, TruncatedSeries, revert, zf_jet
 from .schwarz import SchwarzJet
 
 _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
@@ -299,6 +297,7 @@ def _defect_chunks(f, radius, samples):
     sum (1-k) g_k z^k - 1, evaluated by Horner in float. Raises ValueError
     when a value is not finite, since no verdict can be read from it.
     """
+    import numpy as np
     g = f.zf_poly() if isinstance(f, ClosedForm) else zf_jet(f)
     coeffs = [(1 - k) * c for k, c in enumerate(g.to_float().coeffs)]
     coeffs[0] -= 1
@@ -330,7 +329,7 @@ def membership_scan(f, lam, radius, samples, label=None):
     label = label or ("series" if approximate else f.label)
     best, best_idx, best_theta = -1.0, 0, 0.0
     for start, theta, values in _defect_chunks(f, radius, samples):
-        k = int(np.argmax(values))
+        k = int(values.argmax())
         if values[k] > best:
             best, best_idx, best_theta = float(values[k]), start + k, float(theta[k])
     return MembershipVerdict(label, lam, radius, samples, best, best_theta,
@@ -352,7 +351,6 @@ def subordination_witness(params, f):
     """
     if f.mode != params.mode:
         raise ValueError(f"mode mismatch: params {params.mode} vs series {f.mode}")
-    require_normalized(f)
     lam = params.lam
     q = zf_jet(f)  # order N-1, q = 1 - (1+L) w + L w^2
     M = q.order

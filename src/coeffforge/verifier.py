@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-import numpy as np
-
 from . import schwarz
 from .scalars import FLOAT, is_finite_real
 from .schwarz import SchwarzJet
@@ -114,7 +112,7 @@ def gap_certificate():
     """Coefficients, lowest degree first, of B4 - 2L - 1/27 as a polynomial
     in L, computed exactly from the shared weight table."""
     from numpy.polynomial import Polynomial
-    L = Polynomial(np.array([Fraction(0), Fraction(1)], dtype=object))
+    L = Polynomial([Fraction(0), Fraction(1)])  # Fraction entries: an object array
     return list((inverse_weights(L)[3] - 2 * L - Fraction(1, 27)).coef)
 
 
@@ -229,8 +227,8 @@ def _functional_values(name, mu, coeffs):
     """Values of one functional on a block, from its (A2, A3, A4) arrays."""
     if name == "FS":
         A2, A3, _ = coeffs
-        return np.abs(A3 - mu * (A2 * A2))
-    return np.abs(coeffs[FUNCTIONALS.index(name)])
+        return abs(A3 - mu * (A2 * A2))
+    return abs(coeffs[FUNCTIONALS.index(name)])
 
 
 def _theoretical(name, mu, lam):
@@ -264,6 +262,7 @@ def _search_lambda(lam, tasks, search):
     strict-max over index order, so ties resolve to the first attaining
     sample (the corner, whenever it is extremal).
     """
+    import numpy as np
     lam = float(lam)
     corner = corner_jet(FLOAT)
     coeffs = inverse_from_jet(lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3)))
@@ -286,7 +285,7 @@ def _search_lambda(lam, tasks, search):
             out = {}
             for name, mu in tasks:
                 vals = _functional_values(name, mu, coeffs)
-                k = int(np.argmax(vals))
+                k = int(vals.argmax())
                 out[(name, mu)] = (float(vals[k]), k,
                                    SchwarzJet(complex(c1[k]), complex(c2[k]),
                                               complex(c3[k])))

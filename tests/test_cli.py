@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,9 @@ def test_revert_non_normalized_series(capsys, tmp_path):
     '{"a": 1}', "[1, 2]", '[["a", "b"]]', "[[1, 0, 0, 0]]",
     "[[0, 1, 0, 1], [1, 1, 0, 1], [1.5, 1, 0, 1]]",
     "[[0.0, 0.0], [1.0, 0.0], [NaN, 0.0]]",
+    # well-formed but not normalized: c0 = 1, c1 = 2, c1 = 1 + i/2
+    "[[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]]", "[[0.0, 0.0], [2.0, 0.0], [0.5, 0.0]]",
+    "[[0, 1, 0, 1], [1, 1, 1, 2], [1, 2, 0, 1]]",
 ])
 @pytest.mark.parametrize("command", ["revert", "membership"])
 def test_malformed_series_payload_exits_2(capsys, tmp_path, command, payload):
@@ -86,6 +90,18 @@ def test_revert_json_format(capsys):
     assert code == 0
     assert json.loads(out) == [[0, 1, 0, 1], [1, 1, 0, 1], [-2, 1, 0, 1],
                                [5, 1, 0, 1], [-14, 1, 0, 1]]
+
+
+# sha256 of the stdout of `revert f_1/3 --order 32 --mode exact --format json`,
+# recorded before exact products moved to integer convolutions.
+REVERT_32_DIGEST = "89162e4ac2f073d185e78dcdeaec44534a077012d0d4d99389a6be1eee701b68"
+
+
+def test_revert_exact_order_32_digest(capsys):
+    code, out, _ = run(capsys, "revert", "f_1/3", "--order", "32", "--mode", "exact",
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REVERT_32_DIGEST
 
 
 def test_revert_unknown_alias(capsys):
@@ -434,3 +450,30 @@ def test_verify_csv_identical_across_worker_counts(tmp_path):
     csv_1 = _run_verify_subprocess(tmp_path, 1, "one")
     csv_8 = _run_verify_subprocess(tmp_path, 8, "eight")
     assert csv_1 == csv_8
+
+
+# -- cold start: the exact subcommands never import numpy --------------------------
+
+_NO_NUMPY_PROBE = """
+import contextlib, io, sys
+import coeffforge.cli as cli
+seen = {"import": "numpy" in sys.modules}
+for argv in (["revert", "f_1/3", "--order", "8", "--mode", "exact"],
+             ["bounds", "--lambda", "1/2", "--mu", "3/2"],
+             ["coeffs", "--lambda", "1/2", "--c1", "1/2,1/3", "--c2", "1/5"],
+             ["fekete-szego", "--lambda", "1/3", "--mu", "2", "--c1", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen[argv[0]] = "numpy" in sys.modules
+print(seen)
+"""
+
+
+def test_exact_subcommands_never_import_numpy():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_PROBE],
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str({"import": False, "revert": False, "bounds": False,
+                                       "coeffs": False, "fekete-szego": False})

@@ -62,6 +62,42 @@ def test_mul_oracle_full_product_then_truncate():
         assert_series_exact(got, want)
 
 
+# Denominators include coprime ones, so the common denominator of an
+# operand is a product rather than one of its entries.
+_PART = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 16]))
+
+
+def _exact_operand(real):
+    coeff = st.builds(QComplex, _PART, st.just(F(0)) if real else _PART)
+    return st.lists(coeff, min_size=1, max_size=13)  # orders 0..12
+
+
+@pytest.mark.parametrize("real_a, real_b", [(True, True), (True, False),
+                                            (False, True), (False, False)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exact_mul_matches_full_product(real_a, real_b, data):
+    # each pair of real-only flags drives a different set of integer convolutions
+    a = data.draw(_exact_operand(real_a))
+    b = data.draw(_exact_operand(real_b))
+    got = TruncatedSeries(a, EXACT) * TruncatedSeries(b, EXACT)
+    assert_series_exact(got, truncated(poly_mul_full(a, b), min(len(a), len(b)) - 1))
+
+
+def test_float_mul_sums_left_to_right_from_complex_zero():
+    # signed zeros and cancellation pin the order of the float additions
+    a = [complex(-0.0, -0.0), complex(1e16, -0.0), complex(1.0, 3.0), complex(-1e16, 0.5)]
+    b = [complex(0.0, -0.0), complex(1.0, 1e-17), complex(-0.0, 1e16), complex(3.0, -1.0)]
+    want = []
+    for k in range(4):
+        acc = 0j
+        for j in range(k + 1):
+            acc = acc + a[j] * b[k - j]
+        want.append(acc)
+    got = (TruncatedSeries(a, FLOAT) * TruncatedSeries(b, FLOAT)).coeffs
+    assert [repr(c) for c in got] == [repr(c) for c in want]  # repr shows -0.0
+
+
 def test_scalar_mul():
     s = TruncatedSeries([1, F(1, 2)], EXACT)
     assert_series_exact(2 * s, [2, 1])
@@ -266,6 +302,12 @@ def test_zf_jet_of_koebe():
     # z / (z/(1-z)^2) = (1-z)^2
     f = NormalizedSeries([0, 1, 2, 3, 4], EXACT)
     assert_series_exact(zf_jet(f), [1, -2, 1, 0])
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1, 2], [0, 2, 1], [0.5, 1.0, 0.0]])
+def test_zf_jet_requires_normalized(coeffs):
+    with pytest.raises(ValueError, match="normalized"):
+        zf_jet(TruncatedSeries(coeffs))
 
 
 # -- closed-form inverse coefficients ----------------------------------------------

@@ -1,10 +1,14 @@
 """The h(t) case analysis and the empirical bound search."""
 
 import json
+import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coeffforge import (BoundReport, SchwarzJet, SearchConfig, ULambdaParams,
                         a4_case_bound, a4_global_bound, case_one_cap,
@@ -12,6 +16,7 @@ from coeffforge import (BoundReport, SchwarzJet, SearchConfig, ULambdaParams,
                         reports_to_csv, reports_to_json, scan_lambda,
                         sharpness_claimed, theoretical_bounds, verify_bound,
                         verify_gap_inequality)
+from coeffforge.schwarz import STRATEGIES, block_size
 from coeffforge.verifier import CSV_HEADER, worker_count
 
 F = Fraction
@@ -252,6 +257,23 @@ def test_results_independent_of_workers(monkeypatch):
     monkeypatch.setenv("COEFFFORGE_THREADS", "8")
     threaded = reports_to_csv(scan_lambda(["A2", "A3", "A4"], grid, search=cfg))
     assert sequential == threaded
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.01, 1.0),
+       blocks=st.integers(1, 3), offset=st.integers(-2, 1),
+       strategy=st.sampled_from(STRATEGIES))
+def test_csv_identical_for_every_block_partition(seed, lam, blocks, offset, strategy):
+    # index 0 is the corner, so 1 + k*8192 samples fill exactly k blocks; for
+    # mu > 1 the Fekete-Szego maxima come from the random blocks, not the corner
+    search = SearchConfig(samples=1 + blocks * block_size() + offset, seed=seed,
+                          strategy=strategy)
+    csvs = set()
+    for threads in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {"COEFFFORGE_THREADS": threads}):
+            csvs.add(reports_to_csv(scan_lambda(["A2", "A3", "A4", "FS"], [lam],
+                                                [1.5, 2.0, 3.0], search)))
+    assert len(csvs) == 1
 
 
 def test_soundness_sweep_small():
