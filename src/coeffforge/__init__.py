@@ -7,9 +7,8 @@ coefficients and the Fekete-Szego functional."""
 from .scalars import EXACT, FLOAT, QComplex
 from .series import (NormalizedSeries, TruncatedSeries, inverse_coeffs_closed,
                      require_normalized, revert, zf_jet)
-from .schwarz import (BOUNDARY_TOL, JetConstraintProfile, SchwarzJet,
-                      is_admissible, is_schur_admissible, jet_constraint_profile,
-                      rationalize, sample_jet_arrays, sample_jets)
+from .schwarz import (BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible,
+                      sample_jet_arrays, sample_jets)
 from .ulambda import (ClosedForm, CoefficientBounds, DirectTriple, InverseTriple,
                       MembershipVerdict, ULambdaParams, corner_jet, defect,
                       direct_coeffs, extremal_function, extremal_inverse,

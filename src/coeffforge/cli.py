@@ -485,14 +485,12 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (ValueError, OSError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ModuleNotFoundError as exc:  # numpy, for the sampling subcommands
+        print(f"error: this subcommand needs {exc.name}, which is not installed",
+              file=sys.stderr)
         return 2
 
 

@@ -152,13 +152,7 @@ def as_real(value, mode):
     """Coerce a real parameter (rates, radii, the class parameter)."""
     if mode == FLOAT:
         return float(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact real")
 
@@ -210,6 +204,4 @@ def maybe_exact_abs(value):
         s = value.abs2()
         root = rational_sqrt(s)
         return root if root is not None else math.sqrt(float(s))
-    if isinstance(value, (int, Fraction)):
-        return abs(value)
     return abs(value)

@@ -1,18 +1,29 @@
 """Admissible initial coefficients of analytic self-maps of the disk.
 
 A jet is the triple (c1, c2, c3) of leading coefficients of a function
-omega with omega(0) = 0 and |omega| < 1. Membership of the generated
-function in the lambda-class imposes, beyond the classical constraints
-|c1| <= 1 and |c2| <= 1 - |c1|^2, the pair
+omega with omega(0) = 0 and |omega| < 1. The admissible region is written
+once, as disks (centre, radius), in c2_disks and c3_disk:
 
-    t := |(1+L)c2 - L c1^2| <= L,
-    |2(1+L)c3 - 4L c1 c2|   <= L - t^2/L,
+    c1 in the unit disk (0, 1),
+    c2 in the Schur disk (0, 1 - |c1|^2),
+    c2 in the class disk (L c1^2/(1+L), L/(1+L)),
+    c3 in the class disk (2L c1 c2/(1+L), (L - t^2/L)/(2(1+L))),
 
-with L the class parameter. The sampler emits only jets satisfying all of
-these, in aligned blocks of 8192 (sample_block_arrays) under one of two
-strategies, "uniform" or "boundary-biased". Extremal configurations sit
-on the boundary, so float admissibility tests allow a 1e-12 band while
-exact jets are compared exactly (via squared moduli, which stay rational).
+with L the class parameter and t = |(1+L)c2 - L c1^2|. The two class
+disks say that the generated function lies in the lambda-class. Each
+expression serves exact scalars, complex numbers and numpy arrays alike.
+
+The set is not complete: it omits the Schur condition on c3 (Carlson
+1940), |c3(1-|c1|^2) + conj(c1) c2^2| <= (1-|c1|^2)^2 - |c2|^2, so it
+holds jets of no Schwarz function, e.g. (4/5, 9/25, 36/125) at L = 1,
+where Carlson forces c3 = -36/125. The bounds searched over it stay sound,
+since it is a superset of the true set.
+
+The sampler emits only jets in every disk, in aligned blocks of 8192
+(sample_block_arrays) under one of two strategies, "uniform" or
+"boundary-biased". Extremal configurations sit on the boundary, so float
+admissibility tests allow a 1e-12 band while exact jets are compared
+exactly (via squared moduli, which stay rational).
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, QComplex, as_scalar, rational_sqrt, to_complex
+from .scalars import EXACT, FLOAT, QComplex, as_scalar, to_complex
 
 BOUNDARY_TOL = 1e-12
 STRATEGIES = ("uniform", "boundary-biased")
@@ -37,9 +48,6 @@ class SchwarzJet:
     @property
     def mode(self):
         return EXACT if isinstance(self.c1, QComplex) else FLOAT
-
-    def as_float(self):
-        return SchwarzJet(to_complex(self.c1), to_complex(self.c2), to_complex(self.c3))
 
     def as_exact(self):
         """Exact jet with the same value (floats convert by binary value)."""
@@ -64,85 +72,46 @@ class SchwarzJet:
             raise ValueError(f"malformed jet record: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class JetConstraintProfile:
-    """Derived quantities of the class constraints for one jet.
+# -- the disks ----------------------------------------------------------------
 
-    t is the modulus |(1+L)c2 - L c1^2| (exact whenever its square is a
-    perfect rational square, e.g. for the extremal corner), c3_slack is
-    L - t^2/L, and the two flags report the first and second constraint.
-    """
-    lam: object
-    t: object
-    t_sq: object
-    c3_slack: object
-    first_ok: bool
-    second_ok: bool
-
-    @property
-    def satisfied(self):
-        return self.first_ok and self.second_ok
+def c2_disks(lam, c1, c1_sq):
+    """The Schur disk and the class disk that hold c2, given c1 and |c1|^2."""
+    return (0, 1 - c1_sq), (lam * c1 * c1 / (1 + lam), lam / (1 + lam))
 
 
-def is_schur_admissible(c1, c2, tol=BOUNDARY_TOL):
-    """|c1| <= 1 and |c2| <= 1 - |c1|^2, exact for exact scalars."""
-    if isinstance(c1, QComplex) or isinstance(c2, QComplex):
-        c1 = as_scalar(c1, EXACT)
-        c2 = as_scalar(c2, EXACT)
-        s = 1 - c1.abs2()
-        return s >= 0 and c2.abs2() <= s * s
-    a1 = abs(complex(c1))
-    if a1 > 1.0 + tol:
-        return False
-    return abs(complex(c2)) <= max(1.0 - a1 * a1, 0.0) + tol
+def c3_disk(lam, c1, c2, t_sq):
+    """The class disk that holds c3, given t^2 = |(1+L)c2 - L c1^2|^2.
 
-
-def jet_constraint_profile(lam, jet, tol=BOUNDARY_TOL):
-    """Evaluate both class constraints; exact comparisons for exact jets."""
-    exact = isinstance(lam, (int, Fraction)) and jet.mode == EXACT
-    if exact:
-        lam = Fraction(lam)
-        if not 0 < lam <= 1:
-            raise ValueError("class parameter must lie in (0, 1]")
-        c1, c2, c3 = jet.c1, jet.c2, jet.c3
-        expr = (1 + lam) * c2 - lam * c1 * c1
-        t_sq = expr.abs2()
-        slack = lam - t_sq / lam
-        root = rational_sqrt(t_sq)
-        t = root if root is not None else math.sqrt(float(t_sq))
-        first = t_sq <= lam * lam
-        lhs = 2 * (1 + lam) * c3 - 4 * lam * c1 * c2
-        second = slack >= 0 and lhs.abs2() <= slack * slack
-        return JetConstraintProfile(lam, t, t_sq, slack, first, second)
-    lam = float(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("class parameter must lie in (0, 1]")
-    c1, c2, c3 = to_complex(jet.c1), to_complex(jet.c2), to_complex(jet.c3)
-    t = abs((1 + lam) * c2 - lam * c1 * c1)
-    slack = lam - t * t / lam
-    first = t <= lam + tol
-    lhs = abs(2 * (1 + lam) * c3 - 4 * lam * c1 * c2)
-    second = lhs <= max(slack, 0.0) + tol
-    return JetConstraintProfile(lam, t, t * t, slack, first, second)
+    Its radius is negative when t > L, where no c3 is admissible."""
+    return 2 * lam * c1 * c2 / (1 + lam), (lam - t_sq / lam) / (2 * (1 + lam))
 
 
 def is_admissible(lam, jet, tol=BOUNDARY_TOL):
-    """Full admissibility: Schur-Carlson plus the class pair."""
-    return (is_schur_admissible(jet.c1, jet.c2, tol)
-            and jet_constraint_profile(lam, jet, tol).satisfied)
+    """Whether the jet lies in every disk: exact for an exact jet and a
+    rational L, otherwise in floats with a band of tol."""
+    if isinstance(lam, (int, Fraction)) and jet.mode == EXACT:
+        lam, c1, c2, c3 = Fraction(lam), jet.c1, jet.c2, jet.c3
+        abs2 = QComplex.abs2
+    else:
+        lam, abs2 = float(lam), lambda z: abs(z) ** 2
+        c1, c2, c3 = to_complex(jet.c1), to_complex(jet.c2), to_complex(jet.c3)
+    if not 0 < lam <= 1:
+        raise ValueError("class parameter must lie in (0, 1]")
+    schur, cls = c2_disks(lam, c1, abs2(c1))
+    if not (_in_disk(c1, (0, 1), tol) and _in_disk(c2, schur, tol)
+            and _in_disk(c2, cls, tol)):
+        return False
+    return _in_disk(c3, c3_disk(lam, c1, c2, (1 + lam) ** 2 * abs2(c2 - cls[0])), tol)
 
 
-def rationalize(jet, max_denominator=None):
-    """Exact jet from a float jet; optionally cap denominators."""
-    exact = jet.as_exact()
-    if max_denominator is None:
-        return exact
-
-    def cap(q):
-        return QComplex(q.re.limit_denominator(max_denominator),
-                        q.im.limit_denominator(max_denominator))
-
-    return SchwarzJet(cap(exact.c1), cap(exact.c2), cap(exact.c3))
+def _in_disk(z, disk, tol):
+    """|z - centre| <= radius: on squared moduli for an exact z, else on
+    moduli within tol, where a negative radius counts as 0."""
+    centre, radius = disk
+    d = z - centre
+    if isinstance(d, QComplex):
+        return radius >= 0 and d.abs2() <= radius * radius
+    return abs(d) <= max(radius, 0.0) + tol
 
 
 # -- sampling ---------------------------------------------------------------
@@ -191,12 +160,8 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
 
     r1 = rng.random(n) ** 0.125 if biased else np.sqrt(rng.random(n))
     c1 = r1 * np.exp(2j * np.pi * rng.random(n))
-    schur = np.clip(1.0 - r1 * r1, 0.0, None)
-
-    # Feasible c2 set: |c2| <= schur intersected with the disk
-    # |c2 - m2| <= R2 equivalent to the first class constraint.
-    m2 = lam * c1 * c1 / (1.0 + lam)
-    R2 = lam / (1.0 + lam)
+    (_, schur), (m2, R2) = c2_disks(lam, c1, r1 * r1)
+    schur = np.clip(schur, 0.0, None)
     if biased:
         # half the slots sit on the outer rim of the set, along a random ray
         ray = np.exp(2j * np.pi * rng.random(n))
@@ -209,9 +174,8 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
         c2 = _fill_c2(rng, schur, m2, R2)
 
     t = (1.0 + lam) * np.abs(c2 - m2)
-    slack = np.clip(lam - t * t / lam, 0.0, None)
-    m3 = 2.0 * lam * c1 * c2 / (1.0 + lam)
-    R3 = slack / (2.0 * (1.0 + lam))
+    m3, R3 = c3_disk(lam, c1, c2, t * t)
+    R3 = np.clip(R3, 0.0, None)
     radial = np.sqrt(rng.random(n))
     if biased:
         radial[rng.random(n) < 0.5] = 1.0

@@ -343,25 +343,18 @@ def membership_profile(f, lam, radius, samples):
 
 
 def subordination_witness(params, f):
-    """Recover the Schwarz jet: solve (1 - w)(1 - L w) = z/f order by order.
+    """Recover the Schwarz jet w from z/f = (1 - w)(1 - L w).
 
-    At order n the unknown coefficient appears linearly with factor
-    -(1+L), nonzero throughout (0, 1], so the triangular solve never
-    branches. Returns the jet of w to order N-1.
+    With h(w) = w - L/(1+L) w^2 this reads h(w) = (1 - z/f)/(1+L), and
+    h'(0) = 1, so w = revert(h) o ((1 - z/f)/(1+L)). Returns the jet of w
+    to order N-1.
     """
     if f.mode != params.mode:
         raise ValueError(f"mode mismatch: params {params.mode} vs series {f.mode}")
-    lam = params.lam
-    q = zf_jet(f)  # order N-1, q = 1 - (1+L) w + L w^2
-    M = q.order
-    zero = as_scalar(0, params.mode)
-    w = [zero] * (M + 1)
-    s1 = as_scalar(1 + lam, params.mode)
-    lam_s = as_scalar(lam, params.mode)
-    for n in range(1, M + 1):
-        sq = zero
-        for j in range(1, n):
-            sq = sq + w[j] * w[n - j]
-        # q_n = -(1+L) w_n + L [w^2]_n
-        w[n] = (lam_s * sq - q[n]) / s1
-    return TruncatedSeries(w, params.mode)
+    lam, mode = params.lam, params.mode
+    q = zf_jet(f)
+    inner = (TruncatedSeries.constant(1, q.order, mode) - q) * (1 / (1 + lam))
+    if q.order == 0:
+        return inner
+    h = [0, 1, -lam / (1 + lam)][:q.order + 1] + [0] * (q.order - 2)
+    return revert(NormalizedSeries(h, mode)).compose(inner)

@@ -1,8 +1,10 @@
 """Independent brute-force oracles and small test utilities.
 
 The oracles work on plain coefficient lists (Fractions or complex) with
-full-degree polynomial arithmetic followed by a single truncation, so they
-share no code path with the library's truncate-at-every-step jets.
+untruncated polynomial arithmetic followed by a single truncation, so they
+share no code path with the library's truncate-at-every-step jets. A caller
+that compares only up to some degree may pass it, and the products then
+skip the terms above it, which cannot reach the compared coefficients.
 """
 
 from fractions import Fraction
@@ -20,20 +22,26 @@ def poly_add(a, b):
     return out
 
 
-def poly_mul_full(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+def poly_mul_full(a, b, degree=None):
+    """The product a*b; with a degree, terms above it are never formed."""
+    top = len(a) + len(b) - 2 if degree is None else min(degree, len(a) + len(b) - 2)
+    out = [0] * (top + 1)
+    terms = [(j, y) for j, y in enumerate(b) if y != 0]
+    for i, x in enumerate(a[:top + 1]):
+        if x != 0:
+            for j, y in terms:
+                if i + j <= top:
+                    out[i + j] += x * y
     return out
 
 
-def poly_compose_full(f, g):
-    """f(g(x)) by explicit power accumulation, no truncation."""
+def poly_compose_full(f, g, degree=None):
+    """f(g(x)) by explicit power accumulation; with a degree, the powers
+    drop their terms above it, so the result is exact up to that degree."""
     out = [f[0]]
     power = [1]
     for coeff in f[1:]:
-        power = poly_mul_full(power, g)
+        power = poly_mul_full(power, g, degree)
         out = poly_add(out, [coeff * c for c in power])
     return out
 
@@ -50,7 +58,7 @@ def revert_oracle(f):
     Only f and F up to order n reach [w^n], so each step composes those."""
     F = [0, 1] + [0] * (len(f) - 2)
     for n in range(2, len(f)):
-        F[n] -= poly_compose_full(f[:n + 1], F[:n + 1])[n]
+        F[n] -= poly_compose_full(f[:n + 1], F[:n + 1], n)[n]
     return F
 
 

@@ -477,3 +477,30 @@ def test_exact_subcommands_never_import_numpy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str({"import": False, "revert": False, "bounds": False,
                                        "coeffs": False, "fekete-szego": False})
+
+
+# -- the sampling subcommands without numpy ----------------------------------------
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any later import of numpy raises ModuleNotFoundError
+from coeffforge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "10"],
+    ["scan", "--functional", "A2", "--lambda-grid", "0.5", "--samples", "10"],
+    ["membership", "series.json", "--lambda", "1/2"],
+])
+def test_sampling_subcommands_without_numpy_exit_2(argv, tmp_path):
+    (tmp_path / "series.json").write_text("[[0, 0], [1, 0], [0.1, 0]]")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv], cwd=tmp_path,
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "numpy" in proc.stderr
+    assert proc.stderr.count("\n") == 1

@@ -1,5 +1,6 @@
-"""Admissibility predicates and the jet samplers."""
+"""The disk table, the admissibility predicate and the jet samplers."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,85 +9,94 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (BOUNDARY_TOL, SchwarzJet, is_admissible, is_schur_admissible,
-                        jet_constraint_profile, rationalize, sample_jet_arrays,
-                        sample_jets)
+from coeffforge import (BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible,
+                        sample_jet_arrays, sample_jets)
+from coeffforge.scalars import QComplex, to_complex
 from coeffforge.schwarz import STRATEGIES, _fill_c2, block_size, sample_block_arrays
 from helpers import exact_jet
 
 F = Fraction
 
 
+def _c3_disk_of(lam, jet):
+    """The c3 disk of an exact jet, with t^2 taken from the class c2 disk."""
+    _, (m2, _) = c2_disks(lam, jet.c1, jet.c1.abs2())
+    return c3_disk(lam, jet.c1, jet.c2, (1 + lam) ** 2 * (jet.c2 - m2).abs2())
+
+
 # -- Schur-Carlson ------------------------------------------------------------
 
 def test_schur_boundary_c1_zero():
-    assert is_schur_admissible(0.0, 1.0)
+    assert c2_disks(F(1, 2), 0, 0)[0] == (0, 1)
 
 
 def test_schur_full_c1_forces_c2_zero():
-    assert not is_schur_admissible(1.0, 0.1)
-    assert is_schur_admissible(1.0, 0.0)
+    # c2 = 0.1 lies in the class disk (1/2, 1/2) but not in the Schur disk (0, 0)
+    assert not is_admissible(1.0, SchwarzJet(1.0 + 0j, 0.1 + 0j, 0j))
+    assert is_admissible(1.0, SchwarzJet(1.0 + 0j, 0j, 0j))
 
 
 def test_schur_derived_boundary():
-    assert is_schur_admissible(0.6, 0.64)
-    assert not is_schur_admissible(0.6, 0.65)
+    # at c1 = 0.6 the Schur radius 0.64 binds before the class disk (0.18, 0.5)
+    assert is_admissible(1.0, SchwarzJet(0.6 + 0j, 0.64 + 0j, 0.384 + 0j))
+    assert not is_admissible(1.0, SchwarzJet(0.6 + 0j, 0.65 + 0j, 0.39 + 0j))
 
 
 def test_schur_exact_comparisons():
-    assert is_schur_admissible(exact_jet(F(3, 5), 0, 0).c1, exact_jet(F(16, 25), 0, 0).c1)
-    over = exact_jet(F(3, 5), F(16, 25) + F(1, 10 ** 9), 0)
-    assert not is_schur_admissible(over.c1, over.c2)
+    rim = exact_jet(F(3, 5), F(16, 25), F(48, 125))
+    assert is_admissible(1, rim)
+    over = exact_jet(F(3, 5), F(16, 25) + F(1, 10 ** 9), F(48, 125))
+    assert not is_admissible(1, over)
 
 
 def test_schur_tolerance_band():
-    assert is_schur_admissible(1.0 + 5e-13, 0.0)
-    assert not is_schur_admissible(1.0 + 1e-9, 0.0)
+    assert is_admissible(0.5, SchwarzJet(1.0 + 5e-13 + 0j, 0j, 0j))
+    assert not is_admissible(0.5, SchwarzJet(1.0 + 1e-9 + 0j, 0j, 0j))
 
 
-# -- constraint profile ---------------------------------------------------------
+# -- the c3 disk ----------------------------------------------------------------
 
 def test_profile_corner_saturates_exactly():
     jet = exact_jet(1, 0, 0)
     for lam in (F(1, 4), F(1, 2), F(9, 10), F(1)):
-        prof = jet_constraint_profile(lam, jet)
-        assert prof.t == lam          # exact equality, rational square root
-        assert prof.c3_slack == 0
-        assert prof.satisfied
+        centre, radius = _c3_disk_of(lam, jet)
+        assert centre == 0 and radius == 0  # t = L exactly
+        assert is_admissible(lam, jet)
 
 
 def test_profile_corner_forces_c3_zero():
     jet = exact_jet(1, 0, F(1, 10 ** 6))
-    prof = jet_constraint_profile(F(1, 2), jet)
-    assert prof.c3_slack == 0
-    assert not prof.second_ok
+    assert _c3_disk_of(F(1, 2), jet)[1] == 0
+    assert not is_admissible(F(1, 2), jet)
 
 
 def test_profile_zero_jet():
-    prof = jet_constraint_profile(F(1, 2), exact_jet(0, 0, 0))
-    assert prof.t == 0
-    assert prof.c3_slack == F(1, 2)
-    assert prof.satisfied
+    jet = exact_jet(0, 0, 0)
+    assert c2_disks(F(1, 2), jet.c1, 0) == ((0, 1), (0, F(1, 3)))
+    assert _c3_disk_of(F(1, 2), jet) == (0, F(1, 6))
+    assert is_admissible(F(1, 2), jet)
 
 
 def test_profile_saturating_c2():
-    # c1 = 0, c2 = 1/2 at the parameter 1: t = 1, slack 0, so |4 c3| <= 0
-    assert jet_constraint_profile(F(1), exact_jet(0, F(1, 2), 0)).satisfied
-    prof = jet_constraint_profile(F(1), exact_jet(0, F(1, 2), F(1, 100)))
-    assert prof.t == 1 and prof.c3_slack == 0
-    assert not prof.second_ok
+    # c1 = 0, c2 = 1/2 at the parameter 1: t = 1, so the c3 disk is the point 0
+    assert is_admissible(F(1), exact_jet(0, F(1, 2), 0))
+    jet = exact_jet(0, F(1, 2), F(1, 100))
+    assert _c3_disk_of(F(1), jet) == (0, 0)
+    assert not is_admissible(F(1), jet)
 
 
 def test_profile_float_mode():
-    prof = jet_constraint_profile(0.5, SchwarzJet(1.0 + 0j, 0j, 0j))
-    assert prof.t == pytest.approx(0.5, abs=1e-15)
-    assert prof.satisfied
+    _, (m2, _) = c2_disks(0.5, 1.0 + 0j, 1.0)
+    t = 1.5 * abs(0j - m2)
+    assert t == pytest.approx(0.5, abs=1e-15)
+    assert c3_disk(0.5, 1.0 + 0j, 0j, t * t)[1] == pytest.approx(0.0, abs=1e-15)
+    assert is_admissible(0.5, SchwarzJet(1.0 + 0j, 0j, 0j))
 
 
 def test_profile_lambda_range():
-    for lam in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            jet_constraint_profile(lam, SchwarzJet(0j, 0j, 0j))
+    for lam in (0.0, -0.5, 1.5, F(0), F(3, 2)):
+        with pytest.raises(ValueError, match="class parameter"):
+            is_admissible(lam, exact_jet(0, 0, 0))
 
 
 def test_slack_nonnegative_when_first_holds():
@@ -94,17 +104,39 @@ def test_slack_nonnegative_when_first_holds():
     for _ in range(200):
         lam = float(rng.uniform(0.05, 1.0))
         jet = sample_jets(lam, 1, seed=int(rng.integers(1 << 30)))[0]
-        prof = jet_constraint_profile(lam, jet)
-        assert prof.first_ok
-        assert prof.c3_slack >= -1e-12
+        assert is_admissible(lam, jet)
+        _, (m2, _) = c2_disks(lam, jet.c1, abs(jet.c1) ** 2)
+        t = (1 + lam) * abs(jet.c2 - m2)
+        assert c3_disk(lam, jet.c1, jet.c2, t * t)[1] >= -1e-12
+
+
+def _table(lam, c1, c2, c1_sq, t_sq):
+    (_, schur), (m2, R2) = c2_disks(lam, c1, c1_sq)
+    return (schur, m2, R2) + c3_disk(lam, c1, c2, t_sq)
+
+
+def test_disk_table_on_every_scalar_type():
+    c1, c2 = QComplex(F(1, 2), F(1, 3)), QComplex(F(-1, 5), F(1, 7))
+    exact = _table(F(2, 5), c1, c2, c1.abs2(), F(1, 9))
+    z1, z2 = c1.to_complex(), c2.to_complex()
+    floats = _table(0.4, z1, z2, abs(z1) ** 2, 1 / 9)
+    arrays = _table(0.4, np.array([z1, 0]), np.array([z2, 0]),
+                    np.array([abs(z1) ** 2, 0]), np.array([1 / 9, 0]))
+    for e, f, a in zip(exact, floats, arrays):
+        assert to_complex(e) == pytest.approx(f, abs=1e-15)
+        assert np.ravel(a)[0] == pytest.approx(f, abs=1e-15)
+
+
+@pytest.mark.xfail(strict=True, reason="the Carlson (1940) condition on c3 is not checked")
+def test_carlson_rejects_c3_off_its_point():
+    # |c2| = 1 - |c1|^2 forces c3 = -conj(c1) c2^2 / (1 - |c1|^2) = -36/125
+    assert not is_admissible(1, exact_jet(F(4, 5), F(9, 25), F(36, 125)))
 
 
 # -- samplers --------------------------------------------------------------------
 
 def test_sampler_single_jet_contract():
-    jet = sample_jets(0.7, 1, seed=42)[0]
-    assert is_schur_admissible(jet.c1, jet.c2)
-    assert jet_constraint_profile(0.7, jet).satisfied
+    assert is_admissible(0.7, sample_jets(0.7, 1, seed=42)[0])
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -118,13 +150,13 @@ def test_sampler_deterministic(strategy):
 @pytest.mark.parametrize("lam", [0.001, 0.02, 0.05, 0.3, 1.0])
 def test_sampler_emits_only_admissible(strategy, lam):
     for jet in sample_jets(lam, 400, seed=1, strategy=strategy):
-        assert is_schur_admissible(jet.c1, jet.c2)
-        assert jet_constraint_profile(lam, jet).satisfied
+        assert is_admissible(lam, jet)
 
 
 def _admissible_arrays(lam, c1, c2, c3, tol=BOUNDARY_TOL):
-    """Both class constraints and Schur-Carlson, elementwise, as defined in
-    the schwarz module docstring."""
+    """Schur-Carlson and both class constraints, elementwise, written apart
+    from the disk table in the pair form t <= L, |2(1+L)c3 - 4L c1 c2| <=
+    L - t^2/L, with t = |(1+L)c2 - L c1^2|."""
     a1 = np.abs(c1)
     t = np.abs((1 + lam) * c2 - lam * c1 * c1)
     slack = np.clip(lam - t * t / lam, 0.0, None)
@@ -206,8 +238,22 @@ def test_rotation_closure():
     for jet in jets:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         rotated = jet.rotated(theta)
-        assert is_schur_admissible(rotated.c1, rotated.c2, tol=1e-10)
-        assert jet_constraint_profile(0.6, rotated, tol=1e-10).satisfied
+        assert is_admissible(0.6, rotated, tol=1e-10)
+
+
+# sha256 of the three arrays of sample_block_arrays(0.5, 1, 0, strategy), as
+# little-endian complex128 bytes: the sample stream must not move by one bit.
+STREAM_DIGESTS = {
+    "uniform": "91d5a2c0fad6141a45f75f96f7da4879645eda96184e33f27eb68fdec68df07e",
+    "boundary-biased": "7095d28303f3e18b438cedabc5f6ce24a105e8cc8875bb46e5528114a7729936",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_sample_stream_is_pinned(strategy):
+    arrays = sample_block_arrays(0.5, 1, 0, strategy)
+    data = b"".join(np.asarray(a, "<c16").tobytes() for a in arrays)
+    assert hashlib.sha256(data).hexdigest() == STREAM_DIGESTS[strategy]
 
 
 def test_block_partition_matches_sequential():
@@ -226,13 +272,11 @@ def test_jet_json_roundtrip():
         SchwarzJet.from_json({"c1": [0, 0]})
 
 
-def test_rationalize_exact_binary():
-    jet = SchwarzJet(0.5 + 0.25j, 0.125j, 0j)
-    exact = rationalize(jet)
+def test_as_exact_binary():
+    exact = SchwarzJet(0.5 + 0.25j, 0.125j, 1 / 3 + 0j).as_exact()
     assert exact.c1.re == F(1, 2) and exact.c1.im == F(1, 4)
     assert exact.c2.im == F(1, 8)
-    capped = rationalize(SchwarzJet(1 / 3 + 0j, 0j, 0j), max_denominator=100)
-    assert capped.c1.re == F(1, 3)
+    assert exact.c3.re == F(1 / 3) != F(1, 3)  # the binary value, not the nearest rational
 
 
 def test_is_admissible_wrapper():

@@ -295,7 +295,7 @@ def test_revert_matches_triangular_oracle(coeffs):
 def test_revert_full_composition_is_identity(coeffs):
     order = len(coeffs) - 1
     inverse = list(revert(NormalizedSeries(coeffs, EXACT)).coeffs)
-    assert truncated(poly_compose_full(coeffs, inverse), order) == [0, 1] + [0] * (order - 1)
+    assert truncated(poly_compose_full(coeffs, inverse, order), order) == [0, 1] + [0] * (order - 1)
 
 
 def test_zf_jet_of_koebe():

@@ -15,9 +15,8 @@ from coeffforge import (EXACT, FLOAT, ClosedForm, NormalizedSeries, QComplex,
                         fekete_szego, fekete_szego_bound, fekete_szego_regrouped,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_coeffs_closed, inverse_from_jet, membership_scan,
-                        omega_series, rationalize, sample_jets,
-                        series_from_schwarz, sigma, subordination_witness,
-                        theoretical_bounds)
+                        omega_series, sample_jets, series_from_schwarz, sigma,
+                        subordination_witness, theoretical_bounds)
 from helpers import assert_series_close, assert_series_exact, exact_jet, floats, q
 
 F = Fraction
@@ -93,7 +92,7 @@ def test_three_path_agreement_random_jets():
     lam = F(1, 3)
     p = params(lam)
     for i, jet in enumerate(sample_jets(float(lam), 40, seed=2024)):
-        exact = rationalize(jet)
+        exact = jet.as_exact()
         via_formula = inverse_coeffs(p, exact)
         d = direct_coeffs(p, exact)
         via_closed = inverse_coeffs_closed(d.a2, d.a3, d.a4)
@@ -352,6 +351,12 @@ def test_witness_extremal_is_z():
     assert_series_exact(omega, [0, 1, 0, 0, 0, 0, 0, 0])
 
 
+def test_witness_low_orders():
+    p = params(F(1, 2))
+    assert_series_exact(subordination_witness(p, extremal_function(p, 1)), [0])
+    assert_series_exact(subordination_witness(p, extremal_function(p, 2)), [0, 1])
+
+
 def test_witness_identity_function():
     p = params(F(1, 2))
     f = NormalizedSeries(TruncatedSeries.identity(6, EXACT).coeffs, EXACT)
@@ -371,7 +376,7 @@ def test_witness_roundtrip_random():
     lam = F(2, 3)
     p = params(lam)
     for jet in sample_jets(float(lam), 15, seed=77):
-        exact = rationalize(jet)
+        exact = jet.as_exact()
         f = series_from_schwarz(p, omega_series(p, exact, 5), 6)
         omega = subordination_witness(p, f)
         assert omega[1] == exact.c1
