@@ -16,12 +16,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, MODES, QComplex, is_finite_real
-from .series import TruncatedSeries, revert
+from .scalars import EXACT, FLOAT, MODES, QComplex, class_parameter, is_finite_real
+from .series import NormalizedSeries, TruncatedSeries, revert, zf_jet
 from .schwarz import STRATEGIES, SchwarzJet, is_admissible
-from .ulambda import (ClosedForm, ULambdaParams, direct_coeffs, fekete_szego,
-                      fekete_szego_bound, inverse_coeffs,
-                      inverse_coeffs_by_reversion, membership_profile,
+from .ulambda import (direct_coeffs, extremal_function, fekete_szego, fekete_szego_bound,
+                      inverse_coeffs, inverse_coeffs_by_reversion, membership_profile,
                       membership_scan, theoretical_bounds)
 from .verifier import (ATTAINMENT_TOL, FUNCTIONALS, SearchConfig, a4_global_bound,
                        reports_to_csv, reports_to_json, scan_lambda,
@@ -94,35 +93,44 @@ def _emit(text, out_path):
 
 
 def _load_function_input(name, mode, lam_text):
-    """Resolve a function alias or a serialized-series path."""
+    """Resolve a serialized-series path or a function alias to (series, L,
+    label): (series, None, "series") for a file, (None, L, label) for an
+    alias, with L None for the identity and otherwise the parameter of the
+    extremal family, typed by mode."""
     if os.path.exists(name):
         try:
             with open(name) as handle:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read series file {name}: {exc}") from exc
-        return TruncatedSeries.from_json(data), None
+        return TruncatedSeries.from_json(data), None, "series"
     alias = name.lower()
     if alias == "identity":
-        return None, ClosedForm.identity(mode)
+        return None, None, "identity"
     if alias == "koebe":
-        return None, ClosedForm.koebe(mode)
-    if alias == "extremal":
+        lam = _parse_lambda("1", mode)
+    elif alias == "extremal":
         if lam_text is None:
             raise CliError("the extremal alias needs --lambda")
-        return None, ClosedForm.extremal(_parse_lambda(lam_text, mode), mode)
-    if alias.startswith("f_"):
-        return None, ClosedForm.extremal(_parse_lambda(name[2:], mode), mode)
-    raise CliError(f"unknown function input {name!r} "
-                   "(expected identity, koebe, extremal, f_<lambda>, or a series file)")
+        lam = _parse_lambda(lam_text, mode)
+    elif alias.startswith("f_"):
+        lam = _parse_lambda(name[2:], mode)
+    else:
+        raise CliError(f"unknown function input {name!r} "
+                       "(expected identity, koebe, extremal, f_<lambda>, or a series file)")
+    class_parameter(lam)  # a rational L can round to float 0
+    return None, lam, "koebe" if lam == 1 else f"extremal({lam})"
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_revert(args):
-    series, closed = _load_function_input(args.input, args.mode, args.lam)
-    if closed is not None:
-        series = closed.f_series(args.order)
+    series, lam, _ = _load_function_input(args.input, args.mode, args.lam)
+    if series is None and lam is None:
+        series = NormalizedSeries(TruncatedSeries.identity(args.order, args.mode).coeffs,
+                                  args.mode)
+    elif series is None:
+        series = extremal_function(lam, args.order)
     try:
         inverse = revert(series)
     except ValueError as exc:
@@ -137,20 +145,17 @@ def cmd_revert(args):
 def cmd_bounds(args):
     mode = args.mode
     lam = _parse_lambda(args.lam, mode)
-    params = ULambdaParams(lam, mode)
-    bounds = theoretical_bounds(params)
-    fs = None if args.mu is None else fekete_szego_bound(params, _parse_complex(args.mu, mode))
+    bounds = theoretical_bounds(lam)
+    fs = None if args.mu is None else fekete_szego_bound(lam, _parse_complex(args.mu, mode))
     if args.format == "json":
-        payload = {"lambda": float(lam), "B2": float(bounds.b2),
-                   "B3": float(bounds.b3), "B4": float(bounds.b4)}
+        payload = {"lambda": float(lam), **{f"B{n}": float(b) for n, b in enumerate(bounds, 2)}}
         if fs is not None:
             payload["FS"] = float(fs)
         print(json.dumps(payload, sort_keys=True))
         return 0
     print(f"lambda = {_show(lam)}")
-    print(f"|A2| <= {_show(bounds.b2)}")
-    print(f"|A3| <= {_show(bounds.b3)}")
-    print(f"|A4| <= {_show(bounds.b4)}")
+    for n, b in enumerate(bounds, 2):
+        print(f"|A{n}| <= {_show(b)}")
     if fs is not None:
         print(f"|A3 - mu A2^2| <= {_show(fs)} (mu = {args.mu})")
     return 0
@@ -196,32 +201,30 @@ def _warn_outside_class(lam, jet):
 def cmd_coeffs(args):
     mode = args.mode
     lam = _parse_lambda(args.lam, mode)
-    params = ULambdaParams(lam, mode)
     jet = _jet_from_args(args, mode)
     if jet is None:
         raise CliError("coeffs needs a jet: --c1 [--c2 --c3] or --jet FILE")
     _warn_outside_class(lam, jet)
-    direct = direct_coeffs(params, jet)
-    inverse = inverse_coeffs(params, jet)
+    direct = direct_coeffs(lam, jet)
+    inverse = inverse_coeffs(lam, jet)
     # The cross-check runs exactly, on the exact value of the (possibly float)
     # jet and lambda, so float rounding cannot make the two routes disagree.
-    exact_params, exact_jet = ULambdaParams(lam, EXACT), jet.as_exact()
-    closed = inverse_coeffs(exact_params, exact_jet)
-    reverted = inverse_coeffs_by_reversion(exact_params, exact_jet)
-    agree = (closed.A2, closed.A3, closed.A4) == (reverted.A2, reverted.A3, reverted.A4)
+    exact_lam, exact_jet = Fraction(lam), jet.as_exact()
+    agree = (inverse_coeffs(exact_lam, exact_jet)
+             == inverse_coeffs_by_reversion(exact_lam, exact_jet))
     if args.format == "json":
         def pair(x):
             c = complex(x.to_complex()) if isinstance(x, QComplex) else complex(x)
             return [c.real, c.imag]
         print(json.dumps({
             "lambda": float(lam),
-            "a": [pair(direct.a2), pair(direct.a3), pair(direct.a4)],
-            "A": [pair(inverse.A2), pair(inverse.A3), pair(inverse.A4)],
+            "a": [pair(a) for a in direct],
+            "A": [pair(A) for A in inverse],
             "reversion_agrees": bool(agree),
         }, sort_keys=True))
         return 0
-    print(f"a2 = {_show(direct.a2)}   a3 = {_show(direct.a3)}   a4 = {_show(direct.a4)}")
-    print(f"A2 = {_show(inverse.A2)}   A3 = {_show(inverse.A3)}   A4 = {_show(inverse.A4)}")
+    for name, triple in (("a", direct), ("A", inverse)):
+        print("   ".join(f"{name}{n} = {_show(c)}" for n, c in enumerate(triple, 2)))
     print(f"reversion cross-check: {'agrees' if agree else 'DISAGREES'}")
     return 0 if agree else 1
 
@@ -229,14 +232,14 @@ def cmd_coeffs(args):
 def cmd_fekete_szego(args):
     mode = args.mode
     lam = _parse_lambda(args.lam, mode)
-    params = ULambdaParams(lam, mode)
     mu = _parse_complex(args.mu, mode)
     jet = _jet_from_args(args, mode)
     _warn_outside_class(lam, jet)
-    bound = fekete_szego_bound(params, mu)
+    bound = fekete_szego_bound(lam, mu)
+    # both values before any output, so an overflow leaves stdout empty
+    value = None if jet is None else fekete_szego(lam, jet, mu)
     print(f"bound: {_show(bound)}")
     if jet is not None:
-        value = fekete_szego(params, jet, mu)
         print(f"value: {_show(value)}")
         print(f"margin: {_show(bound - value)}")
     return 0
@@ -244,16 +247,15 @@ def cmd_fekete_szego(args):
 
 def cmd_membership(args):
     lam = float(_parse_lambda(args.lam, FLOAT))
-    series, closed = _load_function_input(args.input, FLOAT, args.lam)
-    target = closed if closed is not None else series
-    if target is series and series is not None and series.mode == EXACT:
-        target = series.to_float()
-    try:
-        verdict = membership_scan(target, lam, args.radius, args.samples)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    series, family, label = _load_function_input(args.input, FLOAT, args.lam)
+    if series is not None:
+        g = zf_jet(series.to_float())
+    else:  # a closed form: z/f is 1 or (1-z)(1-Lz), a polynomial
+        g = TruncatedSeries([1] if family is None else [1, -(1 + family), family], FLOAT)
+    verdict = membership_scan(g, lam, args.radius, args.samples, label,
+                              approximate=series is not None)
     if args.out:
-        rows = membership_profile(target, lam, args.radius, args.samples)
+        rows = membership_profile(g, args.radius, args.samples)
         text = "theta,abs_defect\n" + "".join(f"{t!r},{d!r}\n" for t, d in rows)
         _emit(text, args.out)
     if args.format == "json":
@@ -336,15 +338,12 @@ def cmd_verify(args):
         sound &= ok_sound
         attained &= ok_attained
         status = "OK" if ok_sound and ok_attained else "VIOLATION" if not ok_sound else "NOT-ATTAINED"
-        mu_text = "" if report.mu is None else f" mu={report.mu}"
-        print(f"{report.functional} lambda={report.lam!r}{mu_text} "
-              f"theoretical={report.theoretical!r} empirical={report.empirical_max!r} "
-              f"gap={report.gap!r} {status}")
+        print(f"{report.text_line()} {status}")
 
     gap_ok = verify_gap_inequality()
     print(f"gap-inequality (exact, L in (0, 1]): {'OK' if gap_ok else 'FAIL'}")
 
-    h_ok = all(a4_global_bound(lam) == theoretical_bounds(ULambdaParams(lam)).b4
+    h_ok = all(a4_global_bound(lam) == theoretical_bounds(Fraction(lam))[2]
                for lam in config["lambda_grid"])
     print(f"h-reduction agreement: {'OK' if h_ok else 'FAIL'}")
 
@@ -388,13 +387,7 @@ def cmd_scan(args):
     elif args.format == "csv":
         _emit(reports_to_csv(reports), args.out)
     else:
-        lines = []
-        for r in reports:
-            mu_text = "" if r.mu is None else f" mu={r.mu}"
-            lines.append(f"{r.functional} lambda={r.lam!r}{mu_text} "
-                         f"theoretical={r.theoretical!r} empirical={r.empirical_max!r} "
-                         f"gap={r.gap!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("".join(r.text_line() + "\n" for r in reports), args.out)
     return 0
 
 
@@ -487,6 +480,9 @@ def main(argv=None):
         return args.func(args)
     except (ValueError, OSError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a rational input beyond the float range
+        print(f"error: a value is out of the float range: {exc}", file=sys.stderr)
         return 2
     except ModuleNotFoundError as exc:  # numpy, for the sampling subcommands
         print(f"error: this subcommand needs {exc.name}, which is not installed",

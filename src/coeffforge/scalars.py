@@ -148,13 +148,18 @@ def as_scalar(value, mode):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def as_real(value, mode):
-    """Coerce a real parameter (rates, radii, the class parameter)."""
-    if mode == FLOAT:
-        return float(value)
-    if isinstance(value, (Fraction, int, float, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as an exact real")
+def class_parameter(lam):
+    """The class parameter L and the mode its type names: an int or a
+    Fraction is exact (returned as a Fraction), a float is float."""
+    if isinstance(lam, float):
+        lam, mode = float(lam), FLOAT
+    elif isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
+        lam, mode = Fraction(lam), EXACT
+    else:
+        raise TypeError(f"cannot use {type(lam).__name__} as the class parameter")
+    if not 0 < lam <= 1:
+        raise ValueError("class parameter must lie in (0, 1]")
+    return lam, mode
 
 
 def is_finite_real(value):

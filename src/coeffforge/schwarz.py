@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, QComplex, as_scalar, to_complex
+from .scalars import (EXACT, FLOAT, QComplex, as_scalar, class_parameter, is_finite_real,
+                      to_complex)
 
 BOUNDARY_TOL = 1e-12
 STRATEGIES = ("uniform", "boundary-biased")
@@ -66,10 +66,18 @@ class SchwarzJet:
 
     @classmethod
     def from_json(cls, data):
+        """Inverse of ``to_json``; each part is [re] or [re, im] with finite
+        real entries, and anything else raises ValueError."""
         try:
-            return cls(complex(*data["c1"]), complex(*data["c2"]), complex(*data["c3"]))
+            parts = [data[name] for name in ("c1", "c2", "c3")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed jet record: {exc}") from exc
+        for name, part in zip(("c1", "c2", "c3"), parts):
+            if not (isinstance(part, list) and 1 <= len(part) <= 2
+                    and all(map(is_finite_real, part))):
+                raise ValueError(f"malformed jet record: {name} must be [re, im] "
+                                 "with finite real parts")
+        return cls(*(complex(*part) for part in parts))
 
 
 # -- the disks ----------------------------------------------------------------
@@ -89,14 +97,12 @@ def c3_disk(lam, c1, c2, t_sq):
 def is_admissible(lam, jet, tol=BOUNDARY_TOL):
     """Whether the jet lies in every disk: exact for an exact jet and a
     rational L, otherwise in floats with a band of tol."""
-    if isinstance(lam, (int, Fraction)) and jet.mode == EXACT:
-        lam, c1, c2, c3 = Fraction(lam), jet.c1, jet.c2, jet.c3
-        abs2 = QComplex.abs2
+    lam, mode = class_parameter(lam)
+    if mode == EXACT and jet.mode == EXACT:
+        c1, c2, c3, abs2 = jet.c1, jet.c2, jet.c3, QComplex.abs2
     else:
         lam, abs2 = float(lam), lambda z: abs(z) ** 2
         c1, c2, c3 = to_complex(jet.c1), to_complex(jet.c2), to_complex(jet.c3)
-    if not 0 < lam <= 1:
-        raise ValueError("class parameter must lie in (0, 1]")
     schur, cls = c2_disks(lam, c1, abs2(c1))
     if not (_in_disk(c1, (0, 1), tol) and _in_disk(c2, schur, tol)
             and _in_disk(c2, cls, tol)):
@@ -149,9 +155,7 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     the block range across workers reproduces the sequential output.
     """
     import numpy as np
-    lam = float(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("class parameter must lie in (0, 1]")
+    lam = float(class_parameter(lam)[0])
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng([seed, block_index])

@@ -6,88 +6,51 @@ one-parameter class of normalized analytic functions
 restricted to functions representable as f(z)/z = 1/((1-w(z))(1-L w(z)))
 with a Schwarz function w. All coefficient maps are polynomial in the jet
 of w, so exact mode gives literal equalities.
+
+Conventions. Every function takes L itself, and the type of L is the
+mode: an int or a Fraction computes exactly (jets and mu are converted to
+QComplex), a float computes in complex doubles (scalars.class_parameter).
+Coefficients and bounds come back as plain tuples. Membership reads the
+jet g of z/f, so a terminating polynomial g (a closed form) is judged
+without truncation error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import (EXACT, FLOAT, MODES, QComplex, as_real, as_scalar,
-                      maybe_exact_abs)
+from .scalars import as_scalar, class_parameter, maybe_exact_abs
 from .series import NormalizedSeries, TruncatedSeries, revert, zf_jet
 from .schwarz import SchwarzJet
 
 _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
 
 
-@dataclass(frozen=True)
-class ULambdaParams:
-    lam: object
-    mode: str = EXACT
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        lam = as_real(self.lam, self.mode)
-        if not 0 < lam <= 1:
-            raise ValueError("class parameter must lie in (0, 1]")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def lam_float(self):
-        return float(self.lam)
+def _operands(lam, jet, *extra):
+    """L, then the jet's parts and any extra scalars in the mode L names."""
+    lam, mode = class_parameter(lam)
+    return (lam, *(as_scalar(c, mode) for c in (jet.c1, jet.c2, jet.c3, *extra)))
 
 
-@dataclass(frozen=True)
-class DirectTriple:
-    a2: object
-    a3: object
-    a4: object
-
-
-@dataclass(frozen=True)
-class InverseTriple:
-    A2: object
-    A3: object
-    A4: object
-    source: str = "closed-form"  # closed-form | reversion
-
-
-@dataclass(frozen=True)
-class CoefficientBounds:
-    b2: object
-    b3: object
-    b4: object
-
-    def as_tuple(self):
-        return (self.b2, self.b3, self.b4)
-
-
-def _jet_scalars(params, jet):
-    return (as_scalar(jet.c1, params.mode), as_scalar(jet.c2, params.mode),
-            as_scalar(jet.c3, params.mode))
-
-
-def sigma(params, n):
+def sigma(lam, n):
     """Coefficient weight: (1 - L^(n+1)) / (1 - L), with value n+1 at L = 1."""
-    lam = params.lam
+    lam, _ = class_parameter(lam)
     if lam == 1:
-        return as_real(n + 1, params.mode)
+        return (n + 1) * lam  # n+1 as a Fraction or a float, like L
     num = 1 - lam ** (n + 1)
     return num / (1 - lam)
 
 
-def direct_coeffs(params, jet):
-    """Taylor coefficients a2, a3, a4 generated by a Schwarz jet."""
-    lam = params.lam
-    c1, c2, c3 = _jet_scalars(params, jet)
+def direct_coeffs(lam, jet):
+    """Taylor coefficients (a2, a3, a4) generated by a Schwarz jet."""
+    lam, c1, c2, c3 = _operands(lam, jet)
     s1 = 1 + lam
     s2 = 1 + lam + lam * lam
     s3 = s2 + lam ** 3
     a2 = s1 * c1
     a3 = s1 * c2 + s2 * c1 * c1
     a4 = s1 * c3 + 2 * s2 * c1 * c2 + s3 * c1 * c1 * c1
-    return DirectTriple(a2, a3, a4)
+    return a2, a3, a4
 
 
 def inverse_weights(lam):
@@ -115,149 +78,95 @@ def inverse_from_jet(lam, c1, c2, c3):
     return A2, A3, A4
 
 
-def inverse_coeffs(params, jet):
-    """Inverse-function coefficients A2, A3, A4 straight from the jet."""
-    return InverseTriple(*inverse_from_jet(params.lam, *_jet_scalars(params, jet)),
-                         source="closed-form")
+def inverse_coeffs(lam, jet):
+    """Inverse-function coefficients (A2, A3, A4) straight from the jet."""
+    return inverse_from_jet(*_operands(lam, jet))
 
 
-def inverse_coeffs_by_reversion(params, jet):
+def inverse_coeffs_by_reversion(lam, jet):
     """Same triple, but through series reversion (the independent route)."""
-    inv = revert(series_from_schwarz(params, omega_series(params, jet), 4))
-    return InverseTriple(inv[2], inv[3], inv[4], source="reversion")
+    inv = revert(series_from_schwarz(lam, omega_series(lam, jet), 4))
+    return inv[2], inv[3], inv[4]
 
 
-def omega_series(params, jet, order=3):
-    """The jet polynomial c1 z + c2 z^2 + c3 z^3 padded to the given order."""
+def omega_series(lam, jet, order=3):
+    """The jet polynomial c1 z + c2 z^2 + c3 z^3 padded to the given order,
+    in the mode L names."""
     if order < 3:
         raise ValueError("omega jet needs order >= 3")
-    zero = as_scalar(0, params.mode)
-    c1, c2, c3 = _jet_scalars(params, jet)
-    return TruncatedSeries([zero, c1, c2, c3] + [zero] * (order - 3), params.mode)
+    _, c1, c2, c3 = _operands(lam, jet)
+    return TruncatedSeries([0, c1, c2, c3] + [0] * (order - 3))
 
 
-def series_from_schwarz(params, omega, N):
+def series_from_schwarz(lam, omega, N):
     """Jet of f given omega, to order N: f(z)/z = sum_n sigma(n) omega^n,
     that is the polynomial with coefficients sigma(0..N-1) composed with
     omega."""
+    lam, mode = class_parameter(lam)
     if N < 1:
         raise ValueError("need N >= 1")
     M = N - 1
     if omega.order < M:
         raise ValueError(f"omega jet of order {omega.order} cannot determine f to order {N}")
-    weights = TruncatedSeries([sigma(params, n) for n in range(M + 1)], params.mode)
+    weights = TruncatedSeries([sigma(lam, n) for n in range(M + 1)], mode)
     ratio = weights.compose(omega)
-    return NormalizedSeries([as_scalar(0, params.mode), *ratio.coeffs], params.mode)
+    return NormalizedSeries([0, *ratio.coeffs], mode)
 
 
-def extremal_function(params, N):
+def extremal_function(lam, N):
     """Jet of z / ((1-z)(1-L z)); the coefficient of z^n is sigma(n-1)."""
+    lam, mode = class_parameter(lam)
     if N < 1:
         raise ValueError("need N >= 1")
-    coeffs = [as_scalar(0, params.mode)]
-    coeffs += [as_scalar(sigma(params, n - 1), params.mode) for n in range(1, N + 1)]
-    return NormalizedSeries(coeffs, params.mode)
+    return NormalizedSeries([0] + [sigma(lam, n - 1) for n in range(1, N + 1)], mode)
 
 
-def extremal_inverse(params, N):
+def extremal_inverse(lam, N):
     """Inverse jet of the extremal function, by reversion. Its orders 2..4
     equal the closed forms -(1+L), 1+3L+L^2, -(1+L)(1+5L+L^2)."""
-    return revert(extremal_function(params, N))
+    return revert(extremal_function(lam, N))
 
 
-def corner_jet(mode=EXACT):
-    """The jet (1, 0, 0) that saturates every bound."""
-    if mode == EXACT:
-        return SchwarzJet(QComplex(1), QComplex(0), QComplex(0))
-    return SchwarzJet(1.0 + 0.0j, 0.0j, 0.0j)
+def corner_jet(lam):
+    """The jet (1, 0, 0) that saturates every bound, in the mode L names."""
+    return SchwarzJet(*_operands(lam, SchwarzJet(1, 0, 0))[1:])
 
 
-def fekete_szego(params, jet, mu):
+def fekete_szego(lam, jet, mu):
     """|A3 - mu A2^2| computed from the inverse coefficients."""
-    mu = as_scalar(mu, params.mode)
-    triple = inverse_coeffs(params, jet)
-    return maybe_exact_abs(triple.A3 - mu * triple.A2 * triple.A2)
+    lam, c1, c2, c3, mu = _operands(lam, jet, mu)
+    A2, A3, _ = inverse_from_jet(lam, c1, c2, c3)
+    return maybe_exact_abs(A3 - mu * A2 * A2)
 
 
-def fekete_szego_regrouped(params, jet, mu):
+def fekete_szego_regrouped(lam, jet, mu):
     """The same functional via the regrouping used in its sharp estimate:
     |-((1+L)c2 - L c1^2) + (1-mu)(1+L)^2 c1^2|."""
-    lam = params.lam
-    mu = as_scalar(mu, params.mode)
-    c1, c2, _ = _jet_scalars(params, jet)
-    one = as_scalar(1, params.mode)
+    lam, c1, c2, _, mu = _operands(lam, jet, mu)
     inner = (1 + lam) * c2 - lam * c1 * c1
-    value = -inner + (one - mu) * ((1 + lam) * (1 + lam)) * c1 * c1
+    value = -inner + (1 - mu) * ((1 + lam) * (1 + lam)) * c1 * c1
     return maybe_exact_abs(value)
 
 
-def theoretical_bounds(params):
-    """Sharp bounds for |A2|, |A3|, |A4|: 1+L, 1+3L+L^2, (1+L)(1+5L+L^2)."""
-    q1, q2, _, q4 = inverse_weights(params.lam)
-    return CoefficientBounds(q1, q2, q4)
+def theoretical_bounds(lam):
+    """Sharp bounds (B2, B3, B4) for |A2|, |A3|, |A4|:
+    1+L, 1+3L+L^2, (1+L)(1+5L+L^2)."""
+    q1, q2, _, q4 = inverse_weights(class_parameter(lam)[0])
+    return q1, q2, q4
 
 
-def fekete_szego_bound(params, mu):
+def fekete_szego_bound(lam, mu):
     """Sharp bound L + |1-mu| (1+L)^2 (sharp at least for real mu in [0,1])."""
-    q1 = inverse_weights(params.lam)[0]
-    mu = as_scalar(mu, params.mode)
-    one = as_scalar(1, params.mode)
-    return params.lam + maybe_exact_abs(one - mu) * q1 * q1
+    lam, mode = class_parameter(lam)
+    q1 = inverse_weights(lam)[0]
+    return lam + maybe_exact_abs(1 - as_scalar(mu, mode)) * q1 * q1
 
 
 # -- membership -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """A built-in function whose z/f is a terminating polynomial, so its
-    defect evaluates without truncation error: the identity (z/f = 1) and
-    the extremal family (z/f = (1-z)(1-L z))."""
-    kind: str  # identity | extremal
-    lam: object = None
-    mode: str = FLOAT
-
-    @classmethod
-    def identity(cls, mode=FLOAT):
-        return cls("identity", None, mode)
-
-    @classmethod
-    def extremal(cls, lam, mode=FLOAT):
-        lam = as_real(lam, mode)
-        if not 0 < lam <= 1:
-            raise ValueError("class parameter must lie in (0, 1]")
-        return cls("extremal", lam, mode)
-
-    @classmethod
-    def koebe(cls, mode=FLOAT):
-        return cls.extremal(1, mode)
-
-    @property
-    def label(self):
-        if self.kind == "identity":
-            return "identity"
-        if self.lam == 1:
-            return "koebe"
-        return f"extremal({self.lam})"
-
-    def zf_poly(self):
-        """Exact jet of z/f."""
-        one = as_scalar(1, self.mode)
-        if self.kind == "identity":
-            return TruncatedSeries([one], self.mode)
-        lam = self.lam
-        return TruncatedSeries([one, as_scalar(-(1 + lam), self.mode),
-                                as_scalar(lam, self.mode)], self.mode)
-
-    def f_series(self, N):
-        if self.kind == "identity":
-            return NormalizedSeries(TruncatedSeries.identity(N, self.mode).coeffs, self.mode)
-        return extremal_function(ULambdaParams(self.lam, self.mode), N)
-
-
-def defect(f, z):
-    """The membership defect g(z) - z g'(z) - 1 with g = z/f, equal to
-    (z/f)^2 f' - 1. Exact for closed forms and exact rational points."""
-    g = f.zf_poly() if isinstance(f, ClosedForm) else zf_jet(f)
+def defect(g, z):
+    """The membership defect g(z) - z g'(z) - 1 of the f with z/f = g, equal
+    to (z/f)^2 f' - 1. Exact for an exact jet g at an exact point."""
     z = as_scalar(z, g.mode)
     one = as_scalar(1, g.mode)
     return g.evaluate(z) - z * g.derivative().evaluate(z) - one
@@ -289,16 +198,15 @@ class MembershipVerdict:
         }
 
 
-def _defect_chunks(f, radius, samples):
+def _defect_chunks(g, radius, samples):
     """|defect| at z = radius e^{2 pi i k / samples}, k = 0..samples-1, as
     (first k, theta, values) with arrays of at most 8192 points each.
 
-    With g = z/f the defect g - z g' - 1 is the polynomial
-    sum (1-k) g_k z^k - 1, evaluated by Horner in float. Raises ValueError
-    when a value is not finite, since no verdict can be read from it.
+    The defect g - z g' - 1 is the polynomial sum (1-k) g_k z^k - 1,
+    evaluated by Horner in float. Raises ValueError when a value is not
+    finite, since no verdict can be read from it.
     """
     import numpy as np
-    g = f.zf_poly() if isinstance(f, ClosedForm) else zf_jet(f)
     coeffs = [(1 - k) * c for k, c in enumerate(g.to_float().coeffs)]
     coeffs[0] -= 1
     coeffs.reverse()
@@ -311,24 +219,22 @@ def _defect_chunks(f, radius, samples):
         yield start, theta, values
 
 
-def membership_scan(f, lam, radius, samples, label=None):
-    """Max |defect| over equispaced points on |z| = radius.
+def membership_scan(g, lam, radius, samples, label="series", approximate=True):
+    """Max |defect| over equispaced points on |z| = radius, for the f whose
+    z/f has the jet g.
 
     The class condition is an open-disk supremum; a scan of a truncated
-    jet only samples it, so series verdicts are flagged approximate. Ties
-    resolve to the smallest sample index.
+    jet only samples it, so verdicts are flagged approximate unless g is
+    all of z/f (approximate=False). Ties resolve to the smallest sample
+    index.
     """
-    lam = float(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("class parameter must lie in (0, 1]")
+    lam = float(class_parameter(lam)[0])
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")
     if samples < 8:
         raise ValueError("need at least 8 samples")
-    approximate = not isinstance(f, ClosedForm)
-    label = label or ("series" if approximate else f.label)
     best, best_idx, best_theta = -1.0, 0, 0.0
-    for start, theta, values in _defect_chunks(f, radius, samples):
+    for start, theta, values in _defect_chunks(g, radius, samples):
         k = int(values.argmax())
         if values[k] > best:
             best, best_idx, best_theta = float(values[k]), start + k, float(theta[k])
@@ -336,22 +242,22 @@ def membership_scan(f, lam, radius, samples, label=None):
                              best_idx, best < lam, approximate)
 
 
-def membership_profile(f, lam, radius, samples):
+def membership_profile(g, radius, samples):
     """(theta, |defect|) rows for external plotting."""
-    return [row for _, theta, values in _defect_chunks(f, radius, samples)
+    return [row for _, theta, values in _defect_chunks(g, radius, samples)
             for row in zip(theta.tolist(), values.tolist())]
 
 
-def subordination_witness(params, f):
+def subordination_witness(lam, f):
     """Recover the Schwarz jet w from z/f = (1 - w)(1 - L w).
 
     With h(w) = w - L/(1+L) w^2 this reads h(w) = (1 - z/f)/(1+L), and
     h'(0) = 1, so w = revert(h) o ((1 - z/f)/(1+L)). Returns the jet of w
     to order N-1.
     """
-    if f.mode != params.mode:
-        raise ValueError(f"mode mismatch: params {params.mode} vs series {f.mode}")
-    lam, mode = params.lam, params.mode
+    lam, mode = class_parameter(lam)
+    if f.mode != mode:
+        raise ValueError(f"mode mismatch: lambda {mode} vs series {f.mode}")
     q = zf_jet(f)
     inner = (TruncatedSeries.constant(1, q.order, mode) - q) * (1 / (1 + lam))
     if q.order == 0:

@@ -18,10 +18,10 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import schwarz
-from .scalars import FLOAT, is_finite_real
+from .scalars import class_parameter, is_finite_real
 from .schwarz import SchwarzJet
-from .ulambda import (ULambdaParams, corner_jet, fekete_szego_bound, inverse_from_jet,
-                      inverse_weights, theoretical_bounds)
+from .ulambda import (corner_jet, fekete_szego_bound, inverse_from_jet, inverse_weights,
+                      theoretical_bounds)
 
 FUNCTIONALS = ("A2", "A3", "A4", "FS")
 SOUNDNESS_TOL = 1e-9
@@ -36,8 +36,7 @@ def h_function(lam, c1_abs, t):
     Twice the |A4| candidate after the triangle-inequality regrouping.
     Accepts floats or Fractions (exact in, exact out).
     """
-    if not 0 < lam <= 1:
-        raise ValueError("class parameter must lie in (0, 1]")
+    lam, _ = class_parameter(lam)
     if not 0 <= c1_abs <= 1:
         raise ValueError("|c1| must lie in [0, 1]")
     if not 0 <= t <= lam:
@@ -73,12 +72,9 @@ def a4_case_bound(lam, c1_abs):
     """Maximize h over t in [0, L] for fixed |c1|.
 
     Case one (vertex inside the interval, |c1| <= 1/(3(1+L))) peaks at the
-    vertex; case two peaks at the endpoint t = L.
+    vertex; case two peaks at the endpoint t = L. h_function checks the
+    arguments.
     """
-    if not 0 < lam <= 1:
-        raise ValueError("class parameter must lie in (0, 1]")
-    if not 0 <= c1_abs <= 1:
-        raise ValueError("|c1| must lie in [0, 1]")
     t0 = h_vertex(lam, c1_abs)
     if t0 <= lam:
         case, t_star = "one", t0
@@ -175,6 +171,12 @@ class BoundReport:
     def sound(self, tol=SOUNDNESS_TOL):
         return self.gap >= -tol
 
+    def text_line(self):
+        """The report as verify and scan print it, without a status."""
+        mu = "" if self.mu is None else f" mu={self.mu}"
+        return (f"{self.functional} lambda={self.lam!r}{mu} theoretical={self.theoretical!r} "
+                f"empirical={self.empirical_max!r} gap={self.gap!r}")
+
     def csv_row(self):
         mu = "" if self.mu is None else repr(float(self.mu)) if isinstance(self.mu, (int, float)) \
             else repr(complex(self.mu))
@@ -232,10 +234,9 @@ def _functional_values(name, mu, coeffs):
 
 
 def _theoretical(name, mu, lam):
-    params = ULambdaParams(lam, FLOAT)
     if name == "FS":
-        return float(fekete_szego_bound(params, mu))
-    return theoretical_bounds(params).as_tuple()[FUNCTIONALS.index(name)]
+        return float(fekete_szego_bound(lam, mu))
+    return theoretical_bounds(lam)[FUNCTIONALS.index(name)]
 
 
 def _requested(functionals, mus):
@@ -264,7 +265,7 @@ def _search_lambda(lam, tasks, search):
     """
     import numpy as np
     lam = float(lam)
-    corner = corner_jet(FLOAT)
+    corner = corner_jet(lam)
     coeffs = inverse_from_jet(lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3)))
 
     best = {}
@@ -311,14 +312,6 @@ def _search_lambda(lam, tasks, search):
         reports.append(BoundReport(name, lam, mu, theo, val, jet, theo - val,
                                    search.samples, search.seed))
     return reports
-
-
-def verify_bound(params, functional, mu=None, search=None):
-    """One empirical BoundReport; the search itself runs in float mode."""
-    search = search or SearchConfig()
-    tasks = _requested([functional], [mu] if mu is not None else None)
-    return _search_lambda(params.lam_float if isinstance(params, ULambdaParams)
-                          else float(params), tasks, search)[0]
 
 
 def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):

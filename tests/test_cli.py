@@ -104,6 +104,41 @@ def test_revert_exact_order_32_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REVERT_32_DIGEST
 
 
+# sha256 of the stdout of closed-form commands, recorded before the closed
+# forms became plain z/f jets; text and json formats.
+CLOSED_FORM_DIGESTS = {
+    ("membership", "koebe", "--lambda", "1/2", "--samples", "997"): (
+        "94e2531818a157a0696f05f1f4f57f7718e98151ea75e62e72c26c12c1467c8e",
+        "6cbfeafda8cb10d930b42abe4ee1473ff47d4e4b5fae5e755516cc22e269c120"),
+    ("membership", "identity", "--lambda", "1/2", "--samples", "997"): (
+        "446b5e1803357215784282e129c6bdd3a4454967d4b8d0d9d747ecd22a27afc8",
+        "f95d22ff62f09b8864a9ec9b4dca7c29592239394f8d5b3c60fda54a56f72b5a"),
+    ("membership", "f_1/3", "--lambda", "1/2", "--samples", "997"): (
+        "6f7667465d8ab7771dec4233f1b22207cf300960838e1463b0de3b4532d3d695",
+        "69c9a801202638902f50de6442844b02ea0d3a060b851959ac5fccebd168f1fb"),
+    ("revert", "f_1/3", "--order", "12", "--mode", "float"): (
+        "4d30ea49cee59811c722b1816330cf3e7d08097d912ddd8b7dd547dd44b0e2e7",
+        "db5bf27bdd48fda60d9c108df8e3a087dcce633a850b5ee4e11d943bf482c167"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLOSED_FORM_DIGESTS))
+def test_closed_form_outputs_are_pinned(capsys, argv):
+    for fmt, digest in zip(("text", "json"), CLOSED_FORM_DIGESTS[argv]):
+        _, out, _ = run(capsys, *argv, "--format", fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("argv", [["membership", "f_1e-400", "--lambda", "1/2"],
+                                  ["membership", "extremal", "--lambda", "1e-400"],
+                                  ["revert", "f_1e-400", "--mode", "float"]])
+def test_alias_lambda_that_rounds_to_zero_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: class parameter must lie in (0, 1]\n"
+
+
 def test_revert_unknown_alias(capsys):
     code, _, err = run(capsys, "revert", "bieberbach")
     assert code == 2
@@ -209,6 +244,42 @@ def test_fekete_szego_bad_jet_prints_nothing(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("part", ["[1e400, 0]", "[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]",
+                                  "[true, false]"])
+@pytest.mark.parametrize("argv", [["coeffs", "--mode", "exact"], ["coeffs", "--mode", "float"],
+                                  ["fekete-szego", "--mu", "1/2", "--mode", "exact"],
+                                  ["fekete-szego", "--mu", "1/2", "--mode", "float"]])
+def test_jet_file_with_non_finite_or_bool_parts_exits_2(capsys, tmp_path, argv, part):
+    path = tmp_path / "jet.json"
+    path.write_text(f'{{"c1": {part}, "c2": [0, 0], "c3": [0, 0]}}')
+    code, out, err = run(capsys, *argv, "--lambda", "1/2", "--jet", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed jet record: c1") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--lambda", "1/2", "--mu", "1e400", "--mode", "float"],
+    ["scan", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "1e400",
+     "--samples", "10"],
+    ["scan", "--functional", "A2", "--lambda-grid", "1e400", "--samples", "10"],
+    ["coeffs", "--lambda", "1/2", "--c1", "1e400", "--mode", "float"],
+    ["fekete-szego", "--lambda", "1/2", "--mu", "1e400,1", "--mode", "float"],
+    # exact mode computes fine, but the json report holds floats
+    ["bounds", "--lambda", "1/2", "--mu", "1e400", "--format", "json"],
+    ["coeffs", "--lambda", "1/2", "--c1", "1e400", "--format", "json"],
+    # the bound reads inf and |A3 - mu A2^2| overflows: nothing is printed
+    ["fekete-szego", "--lambda", "1", "--mu", "4e307,4e307", "--c1", "1", "--mode", "float"],
+])
+def test_rational_beyond_the_float_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()  # coeffs warns first: such a jet is outside the class
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert "float range" in lines[-1]
 
 
 OUTSIDE_WARNING = "warning: jet is outside the class for lambda=1/2\n"

@@ -272,6 +272,21 @@ def test_jet_json_roundtrip():
         SchwarzJet.from_json({"c1": [0, 0]})
 
 
+@pytest.mark.parametrize("part", [[float("inf"), 0], [0, float("nan")], [float("-inf")],
+                                  [10 ** 400, 0], [True, False], [0.5, "0"], [], [1, 2, 3],
+                                  0.5, "0.5", None])
+def test_jet_json_rejects_non_finite_and_non_numeric_parts(part):
+    record = {"c1": [0.5, 0.0], "c2": [0.0, 0.0], "c3": [0.0, 0.0]}
+    for name in ("c1", "c3"):
+        with pytest.raises(ValueError, match=f"malformed jet record: {name}"):
+            SchwarzJet.from_json({**record, name: part})
+
+
+def test_jet_json_accepts_ints_and_a_real_part_alone():
+    jet = SchwarzJet.from_json({"c1": [1, 0], "c2": [0.25], "c3": [0, -1]})
+    assert jet == SchwarzJet(1 + 0j, 0.25 + 0j, -1j)
+
+
 def test_as_exact_binary():
     exact = SchwarzJet(0.5 + 0.25j, 0.125j, 1 / 3 + 0j).as_exact()
     assert exact.c1.re == F(1, 2) and exact.c1.im == F(1, 4)

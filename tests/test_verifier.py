@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (BoundReport, SchwarzJet, SearchConfig, ULambdaParams,
-                        a4_case_bound, a4_global_bound, case_one_cap,
-                        case_threshold, gap_certificate, h_function, h_vertex,
-                        reports_to_csv, reports_to_json, scan_lambda,
-                        sharpness_claimed, theoretical_bounds, verify_bound,
-                        verify_gap_inequality)
+from coeffforge import (BoundReport, SchwarzJet, SearchConfig, a4_case_bound,
+                        a4_global_bound, case_one_cap, case_threshold,
+                        gap_certificate, h_function, h_vertex, reports_to_csv,
+                        reports_to_json, scan_lambda, sharpness_claimed,
+                        theoretical_bounds, verify_gap_inequality)
 from coeffforge.schwarz import STRATEGIES, block_size
 from coeffforge.verifier import CSV_HEADER, worker_count
 
@@ -48,6 +47,14 @@ def test_h_range_validation():
         h_function(0.5, 0.5, 0.6)  # t beyond the parameter
     with pytest.raises(ValueError):
         h_function(0.5, 0.5, -0.1)
+
+
+def test_case_bound_validation():
+    with pytest.raises(ValueError, match=r"class parameter must lie in \(0, 1\]"):
+        a4_case_bound(0, F(1, 2))
+    for bad in (F(3, 2), F(-1, 10)):
+        with pytest.raises(ValueError, match=r"\|c1\| must lie in \[0, 1\]"):
+            a4_case_bound(F(1, 2), bad)
 
 
 def test_vertex_formula():
@@ -122,7 +129,7 @@ def test_global_bound_equals_b4_at_random_rationals():
     for _ in range(20):
         den = int(rng.integers(1, 1000))
         lam = F(int(rng.integers(1, den + 1)), den)
-        assert a4_global_bound(lam) == theoretical_bounds(ULambdaParams(lam)).b4
+        assert a4_global_bound(lam) == theoretical_bounds(lam)[2]
 
 
 def test_global_bound_lambda_validation():
@@ -145,8 +152,7 @@ def test_gap_inequality():
 # -- search ---------------------------------------------------------------------
 
 def test_verify_bound_a2_attains_corner():
-    report = verify_bound(ULambdaParams(1.0, "float"), "A2",
-                          search=SearchConfig(samples=5000, seed=3))
+    (report,) = scan_lambda(["A2"], [1.0], search=SearchConfig(samples=5000, seed=3))
     assert report.empirical_max == 2.0
     assert report.gap == 0.0
     assert report.argmax_jet == SchwarzJet(1.0 + 0.0j, 0.0j, 0.0j)
@@ -154,16 +160,14 @@ def test_verify_bound_a2_attains_corner():
 
 
 def test_verify_bound_a4_half():
-    report = verify_bound(ULambdaParams(0.5, "float"), "A4",
-                          search=SearchConfig(samples=20000, seed=5))
+    (report,) = scan_lambda(["A4"], [0.5], search=SearchConfig(samples=20000, seed=5))
     assert report.empirical_max <= 45.0 / 8.0 + 1e-9
     assert report.gap <= 1e-9  # corner forces attainment
     assert report.sound()
 
 
 def test_verify_bound_fs_outside_sharp_range():
-    report = verify_bound(ULambdaParams(0.5, "float"), "FS", mu=2.0,
-                          search=SearchConfig(samples=20000, seed=5))
+    (report,) = scan_lambda(["FS"], [0.5], [2.0], SearchConfig(samples=20000, seed=5))
     assert report.theoretical == pytest.approx(0.5 + (1.5) ** 2, abs=1e-15)
     assert report.sound()
     assert not sharpness_claimed(report)
