@@ -101,7 +101,8 @@ def is_admissible(lam, jet, tol=BOUNDARY_TOL):
     if mode == EXACT and jet.mode == EXACT:
         c1, c2, c3, abs2 = jet.c1, jet.c2, jet.c3, QComplex.abs2
     else:
-        lam, abs2 = float(lam), lambda z: abs(z) ** 2
+        # a product, not ** 2: a float square beyond the range is inf, not OverflowError
+        lam, abs2 = float(lam), lambda z: abs(z) * abs(z)
         c1, c2, c3 = to_complex(jet.c1), to_complex(jet.c2), to_complex(jet.c3)
     schur, cls = c2_disks(lam, c1, abs2(c1))
     if not (_in_disk(c1, (0, 1), tol) and _in_disk(c2, schur, tol)

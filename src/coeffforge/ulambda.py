@@ -156,7 +156,7 @@ def theoretical_bounds(lam):
 
 
 def fekete_szego_bound(lam, mu):
-    """Sharp bound L + |1-mu| (1+L)^2 (sharp at least for real mu in [0,1])."""
+    """Sharp bound L + |1-mu| (1+L)^2 (sharp for real mu <= 1)."""
     lam, mode = class_parameter(lam)
     q1 = inverse_weights(lam)[0]
     return lam + maybe_exact_abs(1 - as_scalar(mu, mode)) * q1 * q1

@@ -7,6 +7,16 @@ the concave quadratic h(t) whose vertex/case analysis yields the |A4|
 bound analytically. Sample evaluation is block-parallel with a
 deterministic first-max reduction, so reports are identical for any
 worker count.
+
+A block is evaluated for all tasks in one call. When it carries many
+Fekete-Szego (FS) tasks, one ranking pass orders the block for every real
+mu at once through y = |A3|^2 - 2 mu Re(A3 conj P) + mu^2 |P|^2 with
+P = A2^2, a small matrix product. The reference |A3 - mu P| is then
+computed only on the indices whose y lies within a rounding margin,
+64 eps S^2 with S = max|A3| + |mu| max|P|, of the largest y. The margin
+bounds the rounding of both routes (derived in _fs_maxima), so every
+value and every first-maximum index is the one a whole-block pass gives,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -164,6 +174,7 @@ class BoundReport:
     theoretical: float
     empirical_max: float
     argmax_jet: SchwarzJet
+    argmax_index: int  # global sample index; 0 is the corner
     gap: float
     samples: int
     seed: int
@@ -195,6 +206,7 @@ class BoundReport:
             "theoretical": self.theoretical,
             "empirical_max": self.empirical_max,
             "argmax_jet": self.argmax_jet.to_json(),
+            "argmax_index": self.argmax_index,
             "gap": self.gap,
             "samples": self.samples,
             "seed": self.seed,
@@ -225,12 +237,105 @@ def worker_count():
     return max(1, n)
 
 
-def _functional_values(name, mu, coeffs):
-    """Values of one functional on a block, from its (A2, A3, A4) arrays."""
-    if name == "FS":
-        A2, A3, _ = coeffs
-        return abs(A3 - mu * (A2 * A2))
-    return abs(coeffs[FUNCTIONALS.index(name)])
+def _functional_values(tasks, coeffs):
+    """(maximum, first index attaining it) of each task's functional on a
+    block, from the block's (A2, A3, A4) arrays.
+
+    Every value is a reference expression: abs(Ak) for a coefficient and
+    abs(A3 - mu * P) with P = A2 * A2 for FS. With _RANK_MIN_TASKS or more FS
+    tasks, _fs_maxima ranks the block for every real mu at once and
+    evaluates the reference only where a maximum can lie; any other FS task
+    evaluates it on the whole block.
+    """
+    A2, A3, _ = coeffs
+    fs = [i for i, (name, _) in enumerate(tasks) if name == "FS"]
+    P = A2 * A2 if fs else None
+    found = {}
+    if len(fs) >= _RANK_MIN_TASKS:
+        found = dict(zip(fs, _fs_maxima(A3, P, [tasks[i][1] for i in fs])))
+    out = []
+    for i, (name, mu) in enumerate(tasks):
+        hit = found.get(i)
+        if hit is None:
+            values = abs(A3 - mu * P) if name == "FS" else abs(coeffs[FUNCTIONALS.index(name)])
+            k = int(values.argmax())
+            hit = (float(values[k]), k)
+        out.append(hit)
+    return out
+
+
+# On 8192-jet blocks the ranking pass costs about three whole-block
+# evaluations of |A3 - mu P| plus a third of one per mu: it pays from five
+# FS tasks on (measured; four is a tie).
+_RANK_MIN_TASKS = 5
+_RANK_CHUNK = 16  # mu values per (chunk x 3) @ (3 x n) product: 1 MB at n = 8192
+_RANK_MARGIN = 64 * 2.0 ** -52  # times S^2; the derivation is in _fs_maxima
+_RANK_RANGE = (2.0 ** -200, 2.0 ** 200)
+
+
+def _fs_maxima(A3, P, mus):
+    """For each mu, (maximum, first index attaining it) of
+    abs(A3 - mu * P), or None where mu is not ranked.
+
+    For real mu, |A3 - mu P|^2 = y = |A3|^2 - 2 mu Re(A3 conj P) + mu^2 |P|^2,
+    and y for up to _RANK_CHUNK values of mu is one small matrix product.
+    The candidates of mu are the indices with y >= max(y) - margin, where
+    margin = _RANK_MARGIN * S^2 and S = max|A3| + |mu| max|P|. The reference
+    abs(A3[c] - mu * P[c]) is evaluated on the candidates c alone, and its
+    first maximum by index is the block's: numpy rounds each element the
+    same wherever it sits, and a real mu times P rounds each part once
+    whether mu is a scalar or an array entry.
+
+    Why every index attaining the computed maximum of v = abs(A3 - mu * P)
+    is a candidate. Let u = 2^-53, g_k = k u / (1 - k u), a = |A3_j|,
+    p = |P_j|, m = |mu|, S_j = a + m p <= S, x = |A3_j - mu P_j| <= S_j, and
+    take P as exact (both routes use the same array).
+      - Reference: mu * P rounds each part once (error <= u m p); the
+        subtraction rounds each part once (<= u |A3 - fl(mu P)|); numpy's
+        complex abs is a scaled hypot with relative error below 4u (measured
+        under 2.1u). So |v - x| <= 6.1 u S_j and |v^2 - x^2| <= 12.3 u S_j^2.
+      - Ranking: |A3|^2 and |P|^2 carry relative error g_2, Re(A3 conj P)
+        absolute error g_2 a p, mu^2 relative error u, and a three-term dot
+        product in any order adds g_3 of the sum of its term moduli. So
+        |y_computed - x^2| <= g_6 (a + m p)^2 <= 6.1 u S_j^2.
+    Each computed y is thus within E = 18.4 u S^2 of v^2. If j attains the
+    maximum of v, every y_k <= v_k^2 + E <= v_j^2 + E <= y_j + 2E, so j lies
+    within 2E = 36.8 u S^2 of max(y). S from the computed squares is low by
+    at most 5u relative, and forming max(y) - margin rounds by at most
+    1.1 u S^2; the margin 128 u S^2 covers 38 u S^2 with room to spare.
+    Over- and underflow would void these bounds, so mu is ranked only when
+    |mu|, max|A3| and max|P| are at most 2^200 and S is at least 2^-200:
+    then no step overflows and an underflow moves y by under 2^-670, far
+    below u S^2 >= 2^-453. Any other mu, and any mu not an int or float,
+    is not ranked.
+    """
+    import numpy as np
+    rows = np.stack([A3.real * A3.real + A3.imag * A3.imag,
+                     A3.real * P.real + A3.imag * P.imag,
+                     P.real * P.real + P.imag * P.imag])
+    a_top, p_top = (float(np.sqrt(rows[r].max())) for r in (0, 2))
+    lo, hi = _RANK_RANGE
+    out = [None] * len(mus)
+    if max(a_top, p_top) > hi:
+        return out
+    ranked = [i for i, mu in enumerate(mus) if isinstance(mu, (int, float))
+              and abs(mu) <= hi and a_top + abs(mu) * p_top >= lo]
+    n = len(A3)
+    y = np.empty((min(_RANK_CHUNK, len(ranked)), n))
+    for start in range(0, len(ranked), _RANK_CHUNK):
+        chunk = ranked[start:start + _RANK_CHUNK]
+        mu = np.array([float(mus[i]) for i in chunk])
+        yc = np.matmul(np.stack([np.ones_like(mu), -2.0 * mu, mu * mu], axis=1), rows,
+                       out=y[:len(chunk)])
+        S = a_top + np.abs(mu) * p_top
+        floor = yc.max(axis=1) - _RANK_MARGIN * S * S
+        row, c = np.divmod(np.flatnonzero(yc >= floor[:, None]), n)
+        values = abs(A3[c] - mu[row] * P[c])
+        ends = np.searchsorted(row, np.arange(len(chunk) + 1))
+        for r, i in enumerate(chunk):
+            k = ends[r] + int(values[ends[r]:ends[r + 1]].argmax())
+            out[i] = (float(values[k]), int(c[k]))
+    return out
 
 
 def _theoretical(name, mu, lam):
@@ -268,10 +373,7 @@ def _search_lambda(lam, tasks, search):
     corner = corner_jet(lam)
     coeffs = inverse_from_jet(lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3)))
 
-    best = {}
-    for name, mu in tasks:
-        val = float(_functional_values(name, mu, coeffs)[0])
-        best[(name, mu)] = (val, 0, corner)
+    best = [(val, 0, corner) for val, _ in _functional_values(tasks, coeffs)]
 
     remaining = search.samples - 1
     if remaining > 0:
@@ -282,15 +384,10 @@ def _search_lambda(lam, tasks, search):
                                                      search.strategy)
             take = min(schwarz.block_size(), remaining - b * schwarz.block_size())
             c1, c2, c3 = c1[:take], c2[:take], c3[:take]
-            coeffs = inverse_from_jet(lam, c1, c2, c3)
-            out = {}
-            for name, mu in tasks:
-                vals = _functional_values(name, mu, coeffs)
-                k = int(vals.argmax())
-                out[(name, mu)] = (float(vals[k]), k,
-                                   SchwarzJet(complex(c1[k]), complex(c2[k]),
-                                              complex(c3[k])))
-            return out
+            found = _functional_values(tasks, inverse_from_jet(lam, c1, c2, c3))
+            jets = {k: SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
+                    for k in {k for _, k in found}}
+            return [(val, k, jets[k]) for val, k in found]
 
         workers = worker_count()
         if workers > 1 and nblocks > 1:
@@ -301,15 +398,14 @@ def _search_lambda(lam, tasks, search):
 
         for b, result in enumerate(block_results):
             offset = 1 + b * schwarz.block_size()
-            for key, (val, k, jet) in result.items():
-                if val > best[key][0]:
-                    best[key] = (val, offset + k, jet)
+            for t, (val, k, jet) in enumerate(result):
+                if val > best[t][0]:
+                    best[t] = (val, offset + k, jet)
 
     reports = []
-    for name, mu in tasks:
-        val, _, jet = best[(name, mu)]
+    for (name, mu), (val, index, jet) in zip(tasks, best):
         theo = _theoretical(name, mu, lam)
-        reports.append(BoundReport(name, lam, mu, theo, val, jet, theo - val,
+        reports.append(BoundReport(name, lam, mu, theo, val, jet, index, theo - val,
                                    search.samples, search.seed))
     return reports
 
@@ -332,8 +428,9 @@ def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):
 
 def sharpness_claimed(report):
     """Whether the theorem asserts the searched bound is attained: always
-    for the coefficient functionals, for FS only when mu is real in [0,1]."""
+    for the coefficient functionals, for FS when mu is real and at most 1,
+    where the corner's value L + (1-mu)(1+L)^2 is the bound."""
     if report.functional != "FS":
         return True
     mu = complex(report.mu)
-    return mu.imag == 0.0 and 0.0 <= mu.real <= 1.0
+    return mu.imag == 0.0 and mu.real <= 1.0

@@ -114,6 +114,22 @@ def _unit(rng):
     return math.cos(t), math.sin(t)
 
 
+def functional_maxima_oracle(tasks, coeffs):
+    """(maximum, first index attaining it) of each (name, mu) task on a block
+    of (A2, A3, A4) arrays, one whole-block pass per task: the loop the
+    verifier's block evaluator replaced."""
+    A2, A3, A4 = coeffs
+    out = []
+    for name, mu in tasks:
+        if name == "FS":
+            values = abs(A3 - mu * (A2 * A2))
+        else:
+            values = abs({"A2": A2, "A3": A3, "A4": A4}[name])
+        k = int(values.argmax())
+        out.append((float(values[k]), k))
+    return out
+
+
 def exact_jet(c1, c2, c3):
     return SchwarzJet(_as_q(c1), _as_q(c2), _as_q(c3))
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +295,15 @@ def test_coeffs_warns_outside_class(capsys):
     assert err == OUTSIDE_WARNING
 
 
+def test_coeffs_warns_on_a_float_jet_beyond_the_square_range(capsys):
+    # |c1|^2 exceeds the float range; the jet is flagged, not an overflow error
+    code, out, err = run(capsys, "coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float")
+    assert code == 0
+    assert err == "warning: jet is outside the class for lambda=0.5\n"
+    assert out.startswith("a2 = 1.5e+300   a3 = inf")
+    assert out.endswith("reversion cross-check: agrees\n")
+
+
 def test_fekete_szego_warns_outside_class(capsys):
     code, out, err = run(capsys, "fekete-szego", "--lambda", "1/2", "--mu", "0",
                          "--c1", "5")
@@ -382,11 +392,12 @@ def test_verify_default_small(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--samples", "2000", "--out", base)
     assert code == 0
     assert out.strip().endswith("PASS")
-    csv_text = open(base + ".csv").read()
+    csv_text = Path(base + ".csv").read_text()
     assert csv_text.startswith("functional,lambda,mu,")
     assert len(csv_text.strip().split("\n")) == 1 + 5 * 4  # 5 parameters x 4 functionals
-    payload = json.loads(open(base + ".json").read())
+    payload = json.loads(Path(base + ".json").read_text())
     assert payload["passed"] is True
+    assert all(r["argmax_index"] == 0 for r in payload["reports"])  # the corner attains all
     assert payload["checks"]["gap_inequality"] is True
 
 
@@ -487,6 +498,29 @@ def test_scan_fs_values(capsys, tmp_path):
     assert len(lines) == 4
     theoreticals = [float(line.split(",")[3]) for line in lines[1:]]
     assert theoreticals == [5.0, 3.0, 1.0]
+
+
+# sha256 of the CSV of a 201-mu Fekete-Szego scan, recorded while every mu
+# was still evaluated on the whole of every block.
+FS_MU_SCAN_DIGEST = "5d6063314c1f7c961e5f64feceb44d4d544ad48e69e6b0020816b2ba482bafe6"
+
+
+def test_fs_mu_scan_is_pinned(capsys):
+    code, out, _ = run(capsys, "scan", "--functional", "FS", "--lambda-grid", "1",
+                       "--mu-grid=-1:2:201", "--strategy", "uniform", "--samples", "40000",
+                       "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FS_MU_SCAN_DIGEST
+
+
+def test_scan_json_records_the_argmax_index(capsys):
+    code, out, _ = run(capsys, "scan", "--functional", "A2", "--functional", "FS",
+                       "--lambda-grid", "1", "--mu-grid", "0.5,1.5", "--samples", "9000",
+                       "--seed", "4", "--format", "json")
+    assert code == 0
+    a2, fs_half, fs_past_one = json.loads(out)["reports"]
+    assert a2["argmax_index"] == fs_half["argmax_index"] == 0  # the corner
+    assert 0 < fs_past_one["argmax_index"] < 9000
 
 
 def test_scan_needs_functional(capsys):

@@ -54,6 +54,13 @@ def test_schur_tolerance_band():
     assert not is_admissible(0.5, SchwarzJet(1.0 + 1e-9 + 0j, 0j, 0j))
 
 
+@pytest.mark.parametrize("jet", [(1e300, 0, 0), (1e300j, 0, 0), (0.5, 1e300, 0),
+                                 (0.5, 0.1, 1e300), (2e154, 3e154j, 0)])
+def test_float_jet_beyond_the_square_range_is_rejected(jet):
+    # |c|^2 overflows the float range; the verdict is False, not OverflowError
+    assert not is_admissible(0.5, SchwarzJet(*map(complex, jet)))
+
+
 # -- the c3 disk ----------------------------------------------------------------
 
 def test_profile_corner_saturates_exactly():

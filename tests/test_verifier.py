@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffforge import (BoundReport, SchwarzJet, SearchConfig, a4_case_bound,
-                        a4_global_bound, case_one_cap, case_threshold,
-                        gap_certificate, h_function, h_vertex, reports_to_csv,
-                        reports_to_json, scan_lambda, sharpness_claimed,
+                        a4_global_bound, case_one_cap, case_threshold, corner_jet,
+                        fekete_szego, fekete_szego_bound, gap_certificate, h_function,
+                        h_vertex, inverse_from_jet, reports_to_csv, reports_to_json,
+                        sample_jet_arrays, scan_lambda, sharpness_claimed,
                         theoretical_bounds, verify_gap_inequality)
-from coeffforge.schwarz import STRATEGIES, block_size
-from coeffforge.verifier import CSV_HEADER, worker_count
+from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
+from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _fs_maxima,
+                                 _functional_values, worker_count)
+from helpers import functional_maxima_oracle
 
 F = Fraction
 
@@ -156,6 +159,7 @@ def test_verify_bound_a2_attains_corner():
     assert report.empirical_max == 2.0
     assert report.gap == 0.0
     assert report.argmax_jet == SchwarzJet(1.0 + 0.0j, 0.0j, 0.0j)
+    assert report.argmax_index == 0
     assert report.sound()
 
 
@@ -173,6 +177,33 @@ def test_verify_bound_fs_outside_sharp_range():
     assert not sharpness_claimed(report)
     # corner value |A3 - 2 A2^2| = |2.75 - 2*2.25| = 1.75 stays below the bound
     assert report.gap > 0.1
+
+
+def test_argmax_index_selects_the_argmax_jet():
+    # At L = 1, |A3 - 2 A2^2| = |3 c1^2 + 2 c2| <= 3|c1|^2 + 2(1 - |c1|^2) <= 3,
+    # its value at the corner (index 0); |A3 - 1.25 A2^2| = 2|c2| is 0 there.
+    search = SearchConfig(samples=2 * block_size() + 500, seed=8, strategy="boundary-biased")
+    at_two, past_one = scan_lambda(["FS"], [1.0], [2.0, 1.25], search)
+    assert at_two.argmax_index == 0 and at_two.argmax_jet == corner_jet(1.0)
+    assert past_one.argmax_index > 0
+    c1, c2, c3 = sample_jet_arrays(1.0, search.samples - 1, search.seed, search.strategy)
+    k = past_one.argmax_index - 1  # random jets follow the corner at index 0
+    assert past_one.argmax_jet == SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
+
+
+@pytest.mark.parametrize("lam", [F(1), F(1, 3), F(2, 7)])
+def test_fs_corner_attains_the_bound_for_every_real_mu_at_most_one(lam):
+    for mu in (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1)):
+        value = fekete_szego(lam, corner_jet(lam), mu)
+        assert value == fekete_szego_bound(lam, mu) == lam + (1 - mu) * (1 + lam) ** 2
+
+
+def test_sharpness_claimed_for_real_mu_at_most_one():
+    def claimed(mu):
+        return sharpness_claimed(BoundReport("FS", 0.5, mu, 0.0, 0.0, corner_jet(0.5), 0,
+                                             0.0, 1, 0))
+    assert all(map(claimed, (-1e3, -3.0, -0.5, 0.0, 1.0)))
+    assert not any(map(claimed, (1.0 + 1e-12, 2.0, 0.5 + 0.5j)))
 
 
 def test_scan_lambda_a3_gaps():
@@ -285,3 +316,82 @@ def test_soundness_sweep_small():
                           search=SearchConfig(samples=20000, seed=20250810))
     for r in reports:
         assert r.sound(1e-9), f"{r.functional} at {r.lam}: gap {r.gap}"
+
+
+# -- the block evaluator --------------------------------------------------------
+
+def _hexed(found):
+    return [(float(v).hex(), k) for v, k in found]
+
+
+def _block(lam, seed, strategy, take=None):
+    c1, c2, c3 = (c[:take] for c in sample_block_arrays(lam, seed, 0, strategy))
+    return inverse_from_jet(lam, c1, c2, c3)
+
+
+_MU = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e3, -1e3]),
+                st.floats(-1e3, 1e3), st.integers(-5, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       strategy=st.sampled_from(STRATEGIES), take=st.integers(1, block_size()),
+       mus=st.lists(_MU, min_size=1, max_size=40),
+       extra=st.sets(st.sampled_from(["A2", "A3", "A4"])))
+def test_block_evaluator_matches_the_per_task_loop(lam, seed, strategy, take, mus, extra):
+    # unsorted and repeated mu, zeros of both signs, ints, with or without coefficients
+    tasks = [(name, None) for name in sorted(extra)] + [("FS", mu) for mu in mus]
+    coeffs = _block(lam, seed, strategy, take)
+    assert _hexed(_functional_values(tasks, coeffs)) == \
+        _hexed(functional_maxima_oracle(tasks, coeffs))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("lam", [1.0, 0.05, 1e-3])
+def test_ranking_covers_every_mu_of_a_sampled_block(strategy, lam):
+    # the ranked route, not the whole-block fallback, produces these maxima
+    A2, A3, A4 = _block(lam, 3, strategy)
+    mus = [float(m) for m in np.linspace(-1e3, 1e3, 41)] + [float(m) for m in
+                                                            np.linspace(-1, 2, 201)]
+    found = _fs_maxima(A3, A2 * A2, mus)
+    assert None not in found
+    tasks = [("FS", mu) for mu in mus]
+    assert _hexed(found) == _hexed(functional_maxima_oracle(tasks, (A2, A3, A4)))
+
+
+def _duplicated(coeffs, period):
+    """Each of the first `period` jets repeated through the block: exact ties."""
+    return tuple(np.resize(a[:period], block_size()) for a in coeffs)
+
+
+def _near_ties(seed):
+    """One jet's (A2, A3, A4), each part nudged by up to 8 units of 2^-53
+    across the block: the maxima differ by rounding alone."""
+    rng = np.random.default_rng(seed)
+
+    def nudge(z):
+        scale = 1 + rng.integers(-8, 9, (2, block_size())) * 2.0 ** -53
+        return z.real * scale[0] + 1j * z.imag * scale[1]
+    return tuple(nudge(a[7]) for a in _block(1.0, seed, "uniform"))
+
+
+@pytest.mark.parametrize("coeffs", [
+    _duplicated(_block(1.0, 5, "boundary-biased"), 1),
+    _duplicated(_block(1.0, 5, "boundary-biased"), 7),
+    _duplicated(_block(0.3, 6, "uniform"), 100),
+    _near_ties(1),
+    _near_ties(2),
+    tuple(a * 2.0 ** -520 for a in _near_ties(3)),  # squares are subnormal
+    tuple(a * 2.0 ** 252 for a in _near_ties(4)),  # mu^2 |P|^2 overflows
+    tuple(np.zeros(block_size(), complex) for _ in range(3)),
+    tuple(np.concatenate([np.zeros(50, complex), a[50:]]) for a in _block(0.5, 2, "uniform")),
+], ids=["one-jet", "period-7", "period-100", "near-ties-1", "near-ties-2", "near-ties-tiny",
+        "near-ties-huge", "all-zero", "zero-prefix"])
+def test_block_evaluator_on_adversarial_blocks(coeffs):
+    mus = [0.0, 1e3, -1e3, 2.0, 2.0, -0.5, 1.0, 0.999, 1e-300, 3, 0.5 + 0.5j, 1e250,
+           float("inf"), float("nan")] + [float(m) for m in np.linspace(-1, 2, 201)]
+    tasks = [("A3", None)] + [("FS", mu) for mu in mus]
+    assert len(mus) >= _RANK_MIN_TASKS  # the ranked route for every real mu in range
+    with np.errstate(over="ignore", invalid="ignore"):  # in the reference itself
+        assert _hexed(_functional_values(tasks, coeffs)) == \
+            _hexed(functional_maxima_oracle(tasks, coeffs))
