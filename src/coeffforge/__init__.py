@@ -5,8 +5,7 @@ independent verification of the sharp bounds on the first inverse
 coefficients and the Fekete-Szego functional."""
 
 from .scalars import EXACT, FLOAT, QComplex, class_parameter
-from .series import (NormalizedSeries, TruncatedSeries, inverse_coeffs_closed,
-                     require_normalized, revert, zf_jet)
+from .series import TruncatedSeries, inverse_coeffs_closed, require_normalized, revert, zf_jet
 from .schwarz import (BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible,
                       sample_jet_arrays, sample_jets)
 from .ulambda import (MembershipVerdict, corner_jet, defect, direct_coeffs,

@@ -4,6 +4,10 @@ Every coefficient formula in this package is polynomial in the inputs, so
 exact mode (Fraction real part, Fraction imaginary part) is closed under
 all the arithmetic we ever perform and lets identity checks use literal
 equality instead of tolerances. Float mode is plain ``complex``.
+
+A value's type is its mode: a QComplex is exact, a complex is float.
+``as_scalar`` is the one coercion between them; plain 0 and 1 compare
+equal to the zero and the one of either mode.
 """
 
 from __future__ import annotations
@@ -81,39 +85,12 @@ class QComplex:
         return QComplex((self.re * other.re + self.im * other.im) / d,
                         (self.im * other.re - self.re * other.im) / d)
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return QComplex(-self.re, -self.im)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QComplex(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __abs__(self):
-        return math.sqrt(float(self.abs2()))
-
-    def conjugate(self):
-        return QComplex(self.re, -self.im)
 
     def abs2(self):
         """Squared modulus as an exact Fraction."""
         return self.re * self.re + self.im * self.im
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
 
     def to_complex(self):
         return complex(self.re, self.im)
@@ -170,26 +147,6 @@ def is_finite_real(value):
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
-
-
-def scalar_zero(mode):
-    return QComplex(0) if mode == EXACT else 0j
-
-
-def scalar_one(mode):
-    return QComplex(1) if mode == EXACT else complex(1.0)
-
-
-def scalar_is_zero(value):
-    if isinstance(value, QComplex):
-        return value.is_zero()
-    return value == 0
-
-
-def to_complex(value):
-    if isinstance(value, QComplex):
-        return value.to_complex()
-    return complex(value)
 
 
 def rational_sqrt(q):

@@ -28,11 +28,9 @@ exactly (via squared moduli, which stay rational).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .scalars import (EXACT, FLOAT, QComplex, as_scalar, class_parameter, is_finite_real,
-                      to_complex)
+from .scalars import EXACT, FLOAT, QComplex, as_scalar, class_parameter, is_finite_real
 
 BOUNDARY_TOL = 1e-12
 STRATEGIES = ("uniform", "boundary-biased")
@@ -54,14 +52,8 @@ class SchwarzJet:
         return SchwarzJet(as_scalar(self.c1, EXACT), as_scalar(self.c2, EXACT),
                           as_scalar(self.c3, EXACT))
 
-    def rotated(self, theta):
-        """Jet of z -> e^{-i theta} omega(e^{i theta} z)."""
-        w = complex(math.cos(theta), math.sin(theta))
-        c1, c2, c3 = to_complex(self.c1), to_complex(self.c2), to_complex(self.c3)
-        return SchwarzJet(w * c1, w * w * c2, w * w * w * c3)
-
     def to_json(self):
-        c1, c2, c3 = to_complex(self.c1), to_complex(self.c2), to_complex(self.c3)
+        c1, c2, c3 = (as_scalar(c, FLOAT) for c in (self.c1, self.c2, self.c3))
         return {"c1": [c1.real, c1.imag], "c2": [c2.real, c2.imag], "c3": [c3.real, c3.imag]}
 
     @classmethod
@@ -103,7 +95,7 @@ def is_admissible(lam, jet, tol=BOUNDARY_TOL):
     else:
         # a product, not ** 2: a float square beyond the range is inf, not OverflowError
         lam, abs2 = float(lam), lambda z: abs(z) * abs(z)
-        c1, c2, c3 = to_complex(jet.c1), to_complex(jet.c2), to_complex(jet.c3)
+        c1, c2, c3 = (as_scalar(c, FLOAT) for c in (jet.c1, jet.c2, jet.c3))
     schur, cls = c2_disks(lam, c1, abs2(c1))
     if not (_in_disk(c1, (0, 1), tol) and _in_disk(c2, schur, tol)
             and _in_disk(c2, cls, tol)):

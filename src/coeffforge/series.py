@@ -13,6 +13,11 @@ truncated convolution then runs on plain ints, one real convolution per
 pair of parts that are not all zero (one to four), and each output
 coefficient is divided by Da*Db once, where Fraction reduces it. Float
 products run the same convolution on the complex coefficients as they are.
+
+The paper's functions are normalized, f(0) = 0 and f'(0) = 1. Such a jet
+is a plain TruncatedSeries; require_normalized checks the normalization on
+the way into zf_jet, which every reader of f (revert, the membership
+scan, the subordination witness) goes through.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import (EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real,
-                      scalar_is_zero, scalar_one, scalar_zero)
+from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
 
 
 class TruncatedSeries:
@@ -53,9 +57,6 @@ class TruncatedSeries:
     def __getitem__(self, n):
         return self._coeffs[n]
 
-    def __len__(self):
-        return len(self._coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -71,20 +72,14 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, order, mode):
-        coeffs = [value] + [scalar_zero(mode)] * order
-        return cls(coeffs, mode)
-
-    @classmethod
-    def zero(cls, order, mode):
-        return cls.constant(scalar_zero(mode), order, mode)
+        return cls([value] + [0] * order, mode)
 
     @classmethod
     def identity(cls, order, mode):
         """The series z, as a jet of the requested order (order >= 1)."""
         if order < 1:
             raise ValueError("identity jet needs order >= 1")
-        coeffs = [scalar_zero(mode), scalar_one(mode)] + [scalar_zero(mode)] * (order - 1)
-        return cls(coeffs, mode)
+        return cls([0, 1] + [0] * (order - 1), mode)
 
     # -- ring operations ---------------------------------------------------
 
@@ -108,9 +103,6 @@ class TruncatedSeries:
         return TruncatedSeries([self._coeffs[k] - other._coeffs[k] for k in range(n + 1)],
                                self._mode)
 
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self._coeffs], self._mode)
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_mode(other)
@@ -132,13 +124,12 @@ class TruncatedSeries:
     def reciprocal(self):
         """Multiplicative inverse jet; requires a nonzero constant term."""
         c0 = self._coeffs[0]
-        if scalar_is_zero(c0):
+        if c0 == 0:
             raise ValueError("reciprocal of a series with zero constant term")
-        one = scalar_one(self._mode)
-        inv0 = one / c0
+        inv0 = as_scalar(1, self._mode) / c0
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = scalar_zero(self._mode)
+            acc = as_scalar(0, self._mode)
             for k in range(1, n + 1):
                 acc = acc + self._coeffs[k] * out[n - k]
             out.append(-acc * inv0)
@@ -149,7 +140,7 @@ class TruncatedSeries:
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._check_mode(inner)
-        if not scalar_is_zero(inner._coeffs[0]):
+        if inner._coeffs[0] != 0:
             raise ValueError("inner series must vanish at the origin")
         n = min(self.order, inner.order)
         g = inner.truncate(n)
@@ -162,7 +153,7 @@ class TruncatedSeries:
     def derivative(self):
         """Termwise derivative; the jet of a constant differentiates to 0."""
         if self.order == 0:
-            return TruncatedSeries([scalar_zero(self._mode)], self._mode)
+            return TruncatedSeries([0], self._mode)
         out = [self._coeffs[k] * k for k in range(1, self.order + 1)]
         return TruncatedSeries(out, self._mode)
 
@@ -179,7 +170,7 @@ class TruncatedSeries:
     def to_float(self):
         if self._mode == FLOAT:
             return self
-        return TruncatedSeries([c.to_complex() for c in self._coeffs], FLOAT)
+        return TruncatedSeries(self._coeffs, FLOAT)
 
     def to_json(self):
         """Wire format: [re_num, re_den, im_num, im_den] per coefficient in
@@ -215,7 +206,7 @@ class TruncatedSeries:
         """Human-readable polynomial string, e.g. ``w - 2w^2 + 5w^3``."""
         pieces = []
         for n, c in enumerate(self._coeffs):
-            if scalar_is_zero(c):
+            if c == 0:
                 continue
             text = _format_coeff(c, decimals)
             sign, mag = ("-", text[1:]) if text.startswith("-") else ("+", text)
@@ -296,24 +287,12 @@ def _trim_float(x):
     return text[:-2] if text.endswith(".0") else text
 
 
-class NormalizedSeries(TruncatedSeries):
-    """A jet with c0 = 0 and c1 = 1 exactly, in either mode."""
-
-    def __init__(self, coeffs, mode=None):
-        super().__init__(coeffs, mode)
-        if self.order < 1:
-            raise ValueError("a normalized series needs order >= 1")
-        if not scalar_is_zero(self._coeffs[0]):
-            raise ValueError("normalized series must have zero constant term")
-        if self._coeffs[1] != scalar_one(self.mode):
-            raise ValueError("normalized series must have unit linear term")
-
-
 def require_normalized(series):
-    """Validate normalization without forcing the NormalizedSeries type."""
+    """Raise ValueError unless the jet has order >= 1, c0 = 0 and c1 = 1
+    exactly, in either mode."""
     if series.order < 1:
         raise ValueError("series must have order >= 1")
-    if not scalar_is_zero(series[0]) or series[1] != scalar_one(series.mode):
+    if series[0] != 0 or series[1] != 1:
         raise ValueError("series is not normalized (needs c0 = 0, c1 = 1)")
 
 
@@ -333,11 +312,11 @@ def revert(f):
     """
     g = zf_jet(f)
     power = g
-    coeffs = [scalar_zero(f.mode), g[0]]
+    coeffs = [0, g[0]]
     for n in range(2, f.order + 1):
         power = power * g
         coeffs.append(power[n - 1] / n)
-    return NormalizedSeries(coeffs, f.mode)
+    return TruncatedSeries(coeffs, f.mode)
 
 
 def inverse_coeffs_closed(a2, a3, a4):

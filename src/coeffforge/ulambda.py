@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import as_scalar, class_parameter, maybe_exact_abs
-from .series import NormalizedSeries, TruncatedSeries, revert, zf_jet
+from .series import TruncatedSeries, revert, zf_jet
 from .schwarz import SchwarzJet
 
 _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
@@ -110,7 +110,7 @@ def series_from_schwarz(lam, omega, N):
         raise ValueError(f"omega jet of order {omega.order} cannot determine f to order {N}")
     weights = TruncatedSeries([sigma(lam, n) for n in range(M + 1)], mode)
     ratio = weights.compose(omega)
-    return NormalizedSeries([0, *ratio.coeffs], mode)
+    return TruncatedSeries([0, *ratio.coeffs], mode)
 
 
 def extremal_function(lam, N):
@@ -118,7 +118,7 @@ def extremal_function(lam, N):
     lam, mode = class_parameter(lam)
     if N < 1:
         raise ValueError("need N >= 1")
-    return NormalizedSeries([0] + [sigma(lam, n - 1) for n in range(1, N + 1)], mode)
+    return TruncatedSeries([0] + [sigma(lam, n - 1) for n in range(1, N + 1)], mode)
 
 
 def extremal_inverse(lam, N):
@@ -263,4 +263,4 @@ def subordination_witness(lam, f):
     if q.order == 0:
         return inner
     h = [0, 1, -lam / (1 + lam)][:q.order + 1] + [0] * (q.order - 2)
-    return revert(NormalizedSeries(h, mode)).compose(inner)
+    return revert(TruncatedSeries(h, mode)).compose(inner)

@@ -361,8 +361,9 @@ def _requested(functionals, mus):
     return tasks
 
 
-def _search_lambda(lam, tasks, search):
-    """Shared-sample search for several functionals at one parameter value.
+def _search_lambda(lam, tasks, bounds, search):
+    """Shared-sample search for several functionals at one parameter value,
+    reported against each task's theoretical bound.
 
     The corner jet is global index 0; random blocks follow. Reduction is a
     strict-max over index order, so ties resolve to the first attaining
@@ -402,28 +403,33 @@ def _search_lambda(lam, tasks, search):
                 if val > best[t][0]:
                     best[t] = (val, offset + k, jet)
 
-    reports = []
-    for (name, mu), (val, index, jet) in zip(tasks, best):
-        theo = _theoretical(name, mu, lam)
-        reports.append(BoundReport(name, lam, mu, theo, val, jet, index, theo - val,
-                                   search.samples, search.seed))
-    return reports
+    return [BoundReport(name, lam, mu, theo, val, jet, index, theo - val,
+                        search.samples, search.seed)
+            for (name, mu), theo, (val, index, jet) in zip(tasks, bounds, best)]
 
 
 def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):
-    """One BoundReport per (lambda, functional[, mu]) combination."""
+    """One BoundReport per (lambda, functional[, mu]) combination.
+
+    The whole request is checked before the first block is sampled: every
+    grid point lies in (0, 1], every functional is known, and every
+    theoretical bound is finite in float arithmetic.
+    """
     search = search or SearchConfig()
-    lambda_grid = list(lambda_grid)
-    if not lambda_grid:
+    grid = [float(lam) for lam in lambda_grid]
+    if not grid:
         raise ValueError("empty lambda grid")
     tasks = _requested(functionals, mu_grid)
-    reports = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        if not 0 < lam <= 1:
-            raise ValueError("grid points must lie in (0, 1]")
-        reports.extend(_search_lambda(lam, tasks, search))
-    return reports
+    if not all(0 < lam <= 1 for lam in grid):
+        raise ValueError("grid points must lie in (0, 1]")
+    bounds = [[_theoretical(name, mu, lam) for name, mu in tasks] for lam in grid]
+    for lam, row in zip(grid, bounds):
+        for (name, mu), bound in zip(tasks, row):
+            if not is_finite_real(bound):
+                raise ValueError(f"the {name} bound overflows float arithmetic "
+                                 f"at lambda={lam!r}, mu={mu!r}")
+    return [report for lam, row in zip(grid, bounds)
+            for report in _search_lambda(lam, tasks, row, search)]
 
 
 def sharpness_claimed(report):

@@ -95,8 +95,7 @@ def random_exact_coeff(rng, max_num=6, max_den=5):
 
 def random_exact_normalized(rng, order):
     coeffs = [q(0), q(1)] + [random_exact_coeff(rng) for _ in range(order - 1)]
-    from coeffforge import NormalizedSeries
-    return NormalizedSeries(coeffs, EXACT)
+    return TruncatedSeries(coeffs, EXACT)
 
 
 def random_float_normalized(rng, order, bound=1.0):
@@ -104,8 +103,7 @@ def random_float_normalized(rng, order, bound=1.0):
     for _ in range(order - 1):
         r = bound * rng.random() ** 0.5
         coeffs.append(r * complex(*_unit(rng)))
-    from coeffforge import NormalizedSeries
-    return NormalizedSeries(coeffs, "float")
+    return TruncatedSeries(coeffs, "float")
 
 
 def _unit(rng):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import coeffforge
+from coeffforge import schwarz
 from coeffforge.cli import main
 
 # the child interpreter imports the same package the tests import
@@ -106,27 +107,52 @@ def test_revert_exact_order_32_digest(capsys):
 
 
 # sha256 of the stdout of closed-form commands, recorded before the closed
-# forms became plain z/f jets; text and json formats.
+# forms became plain z/f jets; the reversions of the identity and of the
+# series files, and the float coeffs, were recorded while normalized jets
+# still had a type of their own.
 CLOSED_FORM_DIGESTS = {
-    ("membership", "koebe", "--lambda", "1/2", "--samples", "997"): (
-        "94e2531818a157a0696f05f1f4f57f7718e98151ea75e62e72c26c12c1467c8e",
-        "6cbfeafda8cb10d930b42abe4ee1473ff47d4e4b5fae5e755516cc22e269c120"),
-    ("membership", "identity", "--lambda", "1/2", "--samples", "997"): (
-        "446b5e1803357215784282e129c6bdd3a4454967d4b8d0d9d747ecd22a27afc8",
-        "f95d22ff62f09b8864a9ec9b4dca7c29592239394f8d5b3c60fda54a56f72b5a"),
-    ("membership", "f_1/3", "--lambda", "1/2", "--samples", "997"): (
-        "6f7667465d8ab7771dec4233f1b22207cf300960838e1463b0de3b4532d3d695",
-        "69c9a801202638902f50de6442844b02ea0d3a060b851959ac5fccebd168f1fb"),
-    ("revert", "f_1/3", "--order", "12", "--mode", "float"): (
-        "4d30ea49cee59811c722b1816330cf3e7d08097d912ddd8b7dd547dd44b0e2e7",
-        "db5bf27bdd48fda60d9c108df8e3a087dcce633a850b5ee4e11d943bf482c167"),
+    ("membership", "koebe", "--lambda", "1/2", "--samples", "997"): {
+        "text": "94e2531818a157a0696f05f1f4f57f7718e98151ea75e62e72c26c12c1467c8e",
+        "json": "6cbfeafda8cb10d930b42abe4ee1473ff47d4e4b5fae5e755516cc22e269c120"},
+    ("membership", "identity", "--lambda", "1/2", "--samples", "997"): {
+        "text": "446b5e1803357215784282e129c6bdd3a4454967d4b8d0d9d747ecd22a27afc8",
+        "json": "f95d22ff62f09b8864a9ec9b4dca7c29592239394f8d5b3c60fda54a56f72b5a"},
+    ("membership", "f_1/3", "--lambda", "1/2", "--samples", "997"): {
+        "text": "6f7667465d8ab7771dec4233f1b22207cf300960838e1463b0de3b4532d3d695",
+        "json": "69c9a801202638902f50de6442844b02ea0d3a060b851959ac5fccebd168f1fb"},
+    ("revert", "f_1/3", "--order", "12", "--mode", "float"): {
+        "text": "4d30ea49cee59811c722b1816330cf3e7d08097d912ddd8b7dd547dd44b0e2e7",
+        "json": "db5bf27bdd48fda60d9c108df8e3a087dcce633a850b5ee4e11d943bf482c167"},
+    ("revert", "identity", "--order", "9", "--mode", "exact"): {
+        "json": "d1f30aef7bff1d1737b2407910e09bab4b78e0afbca579fe4c161cc07f26513e"},
+    ("revert", "identity", "--order", "9", "--mode", "float"): {
+        "json": "4df14efbb360ea9a11a350d4bca9e1696bbee4a3a59aa161550d9ada8b43c5da"},
+    ("revert", "float-series.json"): {
+        "text": "b9bb4e6b862f05ef0d03cea987c9221573d17abaa906839f674e3588cf9e5a70",
+        "json": "bf584347db7a4f75854de1ca6c5aa57c9e6b6880ecb2d9d7c3d2a71c696e0c4a"},
+    ("revert", "complex-series.json"): {
+        "text": "59493162c028fdbe94854f11d7e29ef937d3e1d2051369dfce3966c9e63c0951",
+        "json": "1886ac289eca0b241a5a438daa6cfe7bb8a11b5f4deb48e1d07951062e46bb8e"},
+    ("coeffs", "--lambda", "2/7", "--c1", "0.3,0.4", "--c2", "0.1,-0.2", "--c3", "0.05",
+     "--mode", "float"): {
+        "json": "291888582606eeaf0bcdccd67b72fe18d6c7700f53e692c58fa269b58f9fc4a7"},
+}
+# series files of the pinned reversions, written under these names
+PINNED_SERIES = {
+    "float-series.json": [[0.0, 0.0], [1.0, 0.0], [0.5, -0.25], [-0.125, 1.5],
+                          [3.0, 0.0625], [-0.0, 2.5]],
+    "complex-series.json": [[0, 1, 0, 1], [1, 1, 0, 1], [1, 2, -1, 3], [2, 7, 5, 11],
+                            [-3, 4, 1, 9], [1, 5, 0, 1]],
 }
 
 
 @pytest.mark.parametrize("argv", sorted(CLOSED_FORM_DIGESTS))
-def test_closed_form_outputs_are_pinned(capsys, argv):
-    for fmt, digest in zip(("text", "json"), CLOSED_FORM_DIGESTS[argv]):
-        _, out, _ = run(capsys, *argv, "--format", fmt)
+def test_closed_form_outputs_are_pinned(capsys, tmp_path, argv):
+    for name, payload in PINNED_SERIES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    args = [str(tmp_path / a) if a in PINNED_SERIES else a for a in argv]
+    for fmt, digest in CLOSED_FORM_DIGESTS[argv].items():
+        _, out, _ = run(capsys, *args, "--format", fmt)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
@@ -296,12 +322,77 @@ def test_coeffs_warns_outside_class(capsys):
 
 
 def test_coeffs_warns_on_a_float_jet_beyond_the_square_range(capsys):
-    # |c1|^2 exceeds the float range; the jet is flagged, not an overflow error
+    # |c1|^2 exceeds the float range, and so do a3 and A3 (inf + nan j): the
+    # run fails before the outside-class warning, with nothing on stdout
     code, out, err = run(capsys, "coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float")
-    assert code == 0
-    assert err == "warning: jet is outside the class for lambda=0.5\n"
-    assert out.startswith("a2 = 1.5e+300   a3 = inf")
-    assert out.endswith("reversion cross-check: agrees\n")
+    assert code == 2
+    assert out == ""
+    assert err == "error: a result overflows float arithmetic (inf or nan)\n"
+
+
+def _write_config(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+OVERFLOWING_ARGV = [
+    ["coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float", "--format", "text"],
+    ["coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float", "--format", "json"],
+    ["fekete-szego", "--lambda", "1/2", "--mu", "2", "--c1", "1e300", "--mode", "float"],
+    ["fekete-szego", "--lambda", "1/2", "--mu", "0", "--c1", "1e300", "--mode", "float"],
+    ["fekete-szego", "--lambda", "1", "--mu", "1e308", "--mode", "float"],
+    ["bounds", "--lambda", "1/2", "--mu", "1e308", "--mode", "float", "--format", "text"],
+    ["bounds", "--lambda", "1/2", "--mu", "1e308", "--mode", "float", "--format", "json"],
+    *(["scan", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "1e308",
+       "--samples", "10", "--format", fmt] for fmt in ("csv", "json", "text")),
+    ["verify", "--config", {"mu_grid": [1e308], "lambda_grid": [1.0]}],
+    ["verify", "--config", {"mu_grid": [1e308], "lambda_grid": [1.0]}, "--out", "report"],
+]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+@pytest.mark.parametrize("argv", OVERFLOWING_ARGV)
+def test_results_beyond_the_float_range_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "overflows float arithmetic" in err
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == (["cfg.json"] if argv[0] == "verify" else [])  # no report files
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--functional", "A2", "--lambda-grid", "0.5,2", "--samples", "2000000"],
+    ["scan", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "0.5,1e308"],
+    ["verify", "--config", {"lambda_grid": [0.5, 2.0]}],
+    ["verify", "--config", {"lambda_grid": [0.5], "mu_grid": [0.5, 1e308]}],
+    ["verify", "--config", {"lambda_grid": [0.5], "functionals": ["A2", "A5"]}],
+    ["verify", "--config", {"lambda_grid": [0.5], "functionals": ["A2", "FS"], "mu_grid": []}],
+])
+def test_an_invalid_request_fails_before_any_sampling(capsys, tmp_path, monkeypatch, argv):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the request was checked")
+    monkeypatch.setattr(schwarz, "sample_block_arrays", no_sampling)
+    argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["revert", "membership"])
+def test_unnormalized_series_gives_the_normalization_message(capsys, tmp_path, command):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([[0, 1, 0, 1], [2, 1, 0, 1], [1, 1, 0, 1]]))
+    code, out, err = run(capsys, command, str(path), "--lambda", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.endswith("series is not normalized (needs c0 = 0, c1 = 1)\n")
 
 
 def test_fekete_szego_warns_outside_class(capsys):

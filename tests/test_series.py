@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (EXACT, FLOAT, NormalizedSeries, QComplex, TruncatedSeries,
-                        inverse_coeffs_closed, revert, zf_jet)
+from coeffforge import (EXACT, FLOAT, QComplex, TruncatedSeries, inverse_coeffs_closed,
+                        require_normalized, revert, zf_jet)
 from helpers import (assert_series_close, assert_series_exact, floats,
                      poly_compose_full, poly_mul_full, q, random_exact_normalized,
                      random_float_normalized, revert_oracle, truncated)
@@ -34,7 +34,7 @@ def test_mul_geometric_factors():
 
 def test_mul_annihilator():
     s = TruncatedSeries([2, 3, 4], EXACT)
-    zero = TruncatedSeries.zero(2, EXACT)
+    zero = TruncatedSeries([0, 0, 0], EXACT)
     assert s * zero == zero
 
 
@@ -220,17 +220,17 @@ def test_mul_commutative_and_associative():
 # -- reversion --------------------------------------------------------------------
 
 def test_revert_identity():
-    f = NormalizedSeries(TruncatedSeries.identity(5, EXACT).coeffs, EXACT)
+    f = TruncatedSeries.identity(5, EXACT)
     assert revert(f) == f
 
 
 def test_revert_koebe_jet():
-    f = NormalizedSeries([0, 1, 2, 3, 4], EXACT)
+    f = TruncatedSeries([0, 1, 2, 3, 4], EXACT)
     assert_series_exact(revert(f), [0, 1, -2, 5, -14])
 
 
 def test_revert_half_parameter_jet():
-    f = NormalizedSeries([0, 1, F(3, 2), F(7, 4), F(15, 8)], EXACT)
+    f = TruncatedSeries([0, 1, F(3, 2), F(7, 4), F(15, 8)], EXACT)
     F_inv = revert(f)
     assert_series_exact(F_inv, [0, 1, -F(3, 2), F(11, 4), -F(45, 8)])
     # composition-residual oracle: f(F(w)) = w exactly
@@ -270,7 +270,7 @@ def test_revert_exact_and_float_agree():
     for _ in range(10):
         f = random_exact_normalized(rng, 6)
         exact_inverse = revert(f).to_float()
-        float_inverse = revert(NormalizedSeries(floats(f), FLOAT))
+        float_inverse = revert(TruncatedSeries(floats(f), FLOAT))
         scale = max(1.0, max(abs(c) for c in floats(exact_inverse)))
         for a, b in zip(floats(exact_inverse), floats(float_inverse)):
             assert abs(a - b) / scale < 1e-12
@@ -287,20 +287,20 @@ _NORMALIZED = st.integers(1, 9).flatmap(
 @settings(max_examples=30, deadline=None)
 @given(_NORMALIZED)
 def test_revert_matches_triangular_oracle(coeffs):
-    assert_series_exact(revert(NormalizedSeries(coeffs, EXACT)), revert_oracle(coeffs))
+    assert_series_exact(revert(TruncatedSeries(coeffs, EXACT)), revert_oracle(coeffs))
 
 
 @settings(max_examples=30, deadline=None)
 @given(_NORMALIZED)
 def test_revert_full_composition_is_identity(coeffs):
     order = len(coeffs) - 1
-    inverse = list(revert(NormalizedSeries(coeffs, EXACT)).coeffs)
+    inverse = list(revert(TruncatedSeries(coeffs, EXACT)).coeffs)
     assert truncated(poly_compose_full(coeffs, inverse, order), order) == [0, 1] + [0] * (order - 1)
 
 
 def test_zf_jet_of_koebe():
     # z / (z/(1-z)^2) = (1-z)^2
-    f = NormalizedSeries([0, 1, 2, 3, 4], EXACT)
+    f = TruncatedSeries([0, 1, 2, 3, 4], EXACT)
     assert_series_exact(zf_jet(f), [1, -2, 1, 0])
 
 
@@ -325,7 +325,7 @@ def test_inverse_coeffs_closed_matches_reversion():
     a2, a3, a4 = F(3, 2), F(7, 4), F(15, 8)
     A2, A3, A4 = inverse_coeffs_closed(a2, a3, a4)
     assert (A2, A3, A4) == (-F(3, 2), F(11, 4), -F(45, 8))
-    f = NormalizedSeries([0, 1, a2, a3, a4], EXACT)
+    f = TruncatedSeries([0, 1, a2, a3, a4], EXACT)
     inv = revert(f)
     assert inv[2] == A2 and inv[3] == A3 and inv[4] == A4
 
@@ -375,13 +375,13 @@ def test_truncate():
 
 def test_normalized_series_validation():
     with pytest.raises(ValueError):
-        NormalizedSeries([1, 1], EXACT)
+        require_normalized(TruncatedSeries([1, 1], EXACT))
     with pytest.raises(ValueError):
-        NormalizedSeries([0, 2], EXACT)
+        require_normalized(TruncatedSeries([0, 2], EXACT))
+    with pytest.raises(ValueError):  # float mode still needs exact 1
+        require_normalized(TruncatedSeries([0.0, 1.0 + 1e-15], FLOAT))
     with pytest.raises(ValueError):
-        NormalizedSeries([0.0, 1.0 + 1e-15], FLOAT)  # float mode still needs exact 1
-    with pytest.raises(ValueError):
-        NormalizedSeries([0], EXACT)
+        require_normalized(TruncatedSeries([0], EXACT))
 
 
 def test_json_roundtrip_exact():

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (EXACT, FLOAT, NormalizedSeries, QComplex, SchwarzJet,
+from coeffforge import (EXACT, FLOAT, QComplex, SchwarzJet,
                         TruncatedSeries, class_parameter, corner_jet, defect,
                         direct_coeffs, extremal_function, extremal_inverse,
                         fekete_szego, fekete_szego_bound, fekete_szego_regrouped,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_coeffs_closed, inverse_from_jet, membership_scan,
-                        omega_series, sample_jets, series_from_schwarz, sigma,
+                        omega_series, revert, sample_jets, series_from_schwarz, sigma,
                         subordination_witness, theoretical_bounds, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
 from helpers import assert_series_exact, exact_jet, floats, q
@@ -323,7 +323,7 @@ def test_membership_scan_series_flagged_approximate():
 def test_membership_scan_matches_pointwise_defect_across_chunks():
     # the maximum lies in the third 8192-point chunk
     tail = [0.3, -0.2 + 0.1j, 0.15j, 0.05]
-    f = NormalizedSeries([0j, 1 + 0j] + [c * cmath.exp(3j * (n + 1))
+    f = TruncatedSeries([0j, 1 + 0j] + [c * cmath.exp(3j * (n + 1))
                                          for n, c in enumerate(tail)], FLOAT)
     samples = 3 * 8192 + 5
     verdict = membership_scan(zf_jet(f), 0.5, 0.9, samples)
@@ -359,7 +359,7 @@ def test_witness_low_orders():
 
 
 def test_witness_identity_function():
-    f = NormalizedSeries(TruncatedSeries.identity(6, EXACT).coeffs, EXACT)
+    f = TruncatedSeries.identity(6, EXACT)
     omega = subordination_witness(F(1, 2), f)
     assert all(c == 0 for c in omega.coeffs)
 
@@ -381,6 +381,19 @@ def test_witness_roundtrip_random():
         assert omega[1] == exact.c1
         assert omega[2] == exact.c2
         assert omega[3] == exact.c3
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1, 0], [0, 2, 0], [0, q(1, 1), 0],
+                                    [0.0, 1.0 + 1e-15j, 0.0]])
+@pytest.mark.parametrize("reader", ["revert", "subordination_witness"])
+def test_readers_of_f_reject_an_unnormalized_series(reader, coeffs):
+    f = TruncatedSeries(coeffs)
+    lam = F(1, 2) if f.mode == EXACT else 0.5
+    read = {"revert": lambda: revert(f),
+            "subordination_witness": lambda: subordination_witness(lam, f)}[reader]
+    with pytest.raises(ValueError) as raised:
+        read()
+    assert str(raised.value) == "series is not normalized (needs c0 = 0, c1 = 1)"
 
 
 def test_witness_mode_mismatch():

@@ -235,6 +235,8 @@ def test_scan_lambda_validation():
         scan_lambda(["FS"], [0.5], search=cfg)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         scan_lambda(["A2"], [1.5], search=cfg)
+    with pytest.raises(ValueError, match="overflows float arithmetic"):
+        scan_lambda(["FS"], [1.0], [1e308], search=cfg)
 
 
 def test_search_config_json_roundtrip():
