@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: revert | coeffs | bounds | verify | scan | membership |
-fekete-szego. Exact mode is the default wherever the quantities are
-rational in the class parameter (bounds, coefficients, reversion); search
-and membership default to float. Every error path exits nonzero after a
-single line starting with ``error:``. COEFFFORGE_THREADS caps the worker
-count of the verifier; results do not depend on it.
+fekete-szego. bounds, coeffs, fekete-szego and revert compute exactly,
+but a float series file reverts in float; their --mode prints exact values
+or the nearest double of each (float). Search and membership compute in
+float. Every error path, a result beyond the float range included, exits
+nonzero after one line starting with ``error:``. COEFFFORGE_THREADS caps
+the worker count of the verifier; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, class_parameter, is_finite_real
 from .series import TruncatedSeries, revert, zf_jet
 from .schwarz import STRATEGIES, SchwarzJet, is_admissible
-from .ulambda import (direct_coeffs, extremal_function, fekete_szego, fekete_szego_bound,
-                      inverse_coeffs, inverse_coeffs_by_reversion, membership_profile,
-                      membership_scan, theoretical_bounds)
+from .ulambda import (direct_coeffs, extremal_function, extremal_inverse, fekete_szego,
+                      fekete_szego_bound, inverse_coeffs, inverse_coeffs_by_reversion,
+                      membership_profile, membership_scan, theoretical_bounds)
 from .verifier import (ATTAINMENT_TOL, FUNCTIONALS, SearchConfig, a4_global_bound,
                        reports_to_csv, reports_to_json, scan_lambda,
                        sharpness_claimed, verify_gap_inequality)
@@ -51,22 +52,20 @@ def _parse_rational(text):
         raise CliError(f"cannot parse {text!r} as a rational number") from exc
 
 
-def _parse_lambda(text, mode):
+def _parse_lambda(text):
     lam = _parse_rational(text)
     if not 0 < lam <= 1:
         raise CliError(f"lambda must lie in (0, 1], got {text}")
-    return lam if mode == EXACT else float(lam)
+    return lam
 
 
-def _parse_complex(text, mode):
+def _parse_complex(text):
     parts = text.split(",")
     if len(parts) > 2:
         raise CliError(f"cannot parse {text!r} as a complex number (use re or re,im)")
     re = _parse_rational(parts[0])
     im = _parse_rational(parts[1]) if len(parts) == 2 else Fraction(0)
-    if mode == EXACT:
-        return QComplex(re, im)
-    return complex(float(re), float(im))
+    return QComplex(re, im)
 
 
 def _parse_grid(text):
@@ -84,13 +83,17 @@ def _parse_grid(text):
     return [float(_parse_rational(p)) for p in text.split(",") if p]
 
 
-def _require_finite(*values):
-    """Refuse float results that overflowed to inf or nan; exact values and
-    None pass."""
-    for value in values:
-        if isinstance(value, (float, complex)) and not (
-                is_finite_real(value.real) and is_finite_real(value.imag)):
-            raise CliError("a result overflows float arithmetic (inf or nan)")
+def _printed(mode, *values):
+    """The results as they print: exact values as they are, or in float mode
+    the nearest complex double of each. Raises OverflowError for a value
+    beyond the float range and for a float result, in either mode, that is
+    inf or nan."""
+    if mode == FLOAT:
+        values = [as_scalar(v, FLOAT) for v in values]
+    if not all(is_finite_real(v.real) and is_finite_real(v.imag)
+               for v in values if isinstance(v, (float, complex))):
+        raise OverflowError("inf or nan in float arithmetic")
+    return values
 
 
 def _emit(text, out_path):
@@ -101,48 +104,50 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _load_function_input(name, mode, lam_text):
-    """Resolve a serialized-series path or a function alias to (series, L,
-    label): (series, None, "series") for a file, (None, L, label) for an
-    alias, with L None for the identity and otherwise the parameter of the
-    extremal family, typed by mode."""
+def _load_function_input(name, lam_text):
+    """Resolve a serialized-series path or a function alias to (series, L):
+    (series, None) for a file, (None, L) for an alias, with L None for the
+    identity and otherwise the exact parameter of the extremal family."""
     if os.path.exists(name):
         try:
             with open(name) as handle:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read series file {name}: {exc}") from exc
-        return TruncatedSeries.from_json(data), None, "series"
+        return TruncatedSeries.from_json(data), None
     alias = name.lower()
     if alias == "identity":
-        return None, None, "identity"
+        return None, None
     if alias == "koebe":
-        lam = _parse_lambda("1", mode)
-    elif alias == "extremal":
+        return None, Fraction(1)
+    if alias == "extremal":
         if lam_text is None:
             raise CliError("the extremal alias needs --lambda")
-        lam = _parse_lambda(lam_text, mode)
-    elif alias.startswith("f_"):
-        lam = _parse_lambda(name[2:], mode)
-    else:
-        raise CliError(f"unknown function input {name!r} "
-                       "(expected identity, koebe, extremal, f_<lambda>, or a series file)")
-    class_parameter(lam)  # a rational L can round to float 0
-    return None, lam, "koebe" if lam == 1 else f"extremal({lam})"
+        return None, _parse_lambda(lam_text)
+    if alias.startswith("f_"):
+        return None, _parse_lambda(name[2:])
+    raise CliError(f"unknown function input {name!r} "
+                   "(expected identity, koebe, extremal, f_<lambda>, or a series file)")
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_revert(args):
-    series, lam, _ = _load_function_input(args.input, args.mode, args.lam)
-    if series is None and lam is None:
-        series = TruncatedSeries.identity(args.order, args.mode)
-    elif series is None:
-        series = extremal_function(lam, args.order)
-    try:
-        inverse = revert(series)
-    except ValueError as exc:
-        raise CliError(f"input series cannot be reverted: {exc}") from exc
+    series, lam = _load_function_input(args.input, args.lam)
+    if lam is not None and args.mode == FLOAT:
+        # the nearest doubles of the same values, by the closed form: cheap
+        # where the exact reversion of the extremal jet takes seconds
+        inverse = extremal_inverse(lam, args.order)
+    else:
+        if series is None:
+            series = (TruncatedSeries.identity(args.order, EXACT) if lam is None
+                      else extremal_function(lam, args.order))
+        try:
+            inverse = revert(series)
+        except ValueError as exc:
+            raise CliError(f"input series cannot be reverted: {exc}") from exc
+    if args.mode == FLOAT or inverse.mode == FLOAT:  # a float series file reverts in float
+        inverse = TruncatedSeries(_printed(FLOAT, *inverse.coeffs), FLOAT)
     if args.format == "json":
         print(json.dumps(inverse.to_json()))
     else:
@@ -151,119 +156,102 @@ def cmd_revert(args):
 
 
 def cmd_bounds(args):
-    mode = args.mode
-    lam = _parse_lambda(args.lam, mode)
-    bounds = theoretical_bounds(lam)
-    fs = None if args.mu is None else fekete_szego_bound(lam, _parse_complex(args.mu, mode))
-    _require_finite(fs)
+    lam = _parse_lambda(args.lam)
+    values = [lam, *theoretical_bounds(lam)]
+    if args.mu is not None:
+        values.append(fekete_szego_bound(lam, _parse_complex(args.mu)))
     if args.format == "json":
-        payload = {"lambda": float(lam), **{f"B{n}": float(b) for n, b in enumerate(bounds, 2)}}
-        if fs is not None:
-            payload["FS"] = float(fs)
-        print(json.dumps(payload, sort_keys=True))
+        names = ("lambda", "B2", "B3", "B4", "FS")
+        doubles = _printed(FLOAT, *values)
+        print(json.dumps({k: v.real for k, v in zip(names, doubles)}, sort_keys=True))
         return 0
+    lam, *bounds = _printed(args.mode, *values)
     print(f"lambda = {_show(lam)}")
-    for n, b in enumerate(bounds, 2):
+    for n, b in enumerate(bounds[:3], 2):
         print(f"|A{n}| <= {_show(b)}")
-    if fs is not None:
-        print(f"|A3 - mu A2^2| <= {_show(fs)} (mu = {args.mu})")
+    if args.mu is not None:
+        print(f"|A3 - mu A2^2| <= {_show(bounds[3])} (mu = {args.mu})")
     return 0
 
 
 def _show(value):
-    if isinstance(value, Fraction):
-        return str(value)
+    """Text of a printed result: a rational exactly, a double by its repr."""
     if isinstance(value, QComplex):
         if value.im == 0:
             return str(value.re)
         return f"{value.re}{'+' if value.im > 0 else ''}{value.im}i"
-    if isinstance(value, complex):
-        if value.imag == 0.0:
-            return repr(value.real)
-        return repr(value)
-    return repr(float(value))
+    if isinstance(value, complex) and value.imag == 0:
+        value = value.real
+    return str(value) if isinstance(value, Fraction) else repr(value)
 
 
-def _jet_from_args(args, mode):
+def _jet_from_args(args):
     if args.jet:
         try:
             with open(args.jet) as handle:
                 jet = SchwarzJet.from_json(json.load(handle))
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read jet file {args.jet}: {exc}") from exc
-        return jet.as_exact() if mode == EXACT else jet
+        return jet.as_exact()
     if args.c1 is None:
         return None
-    c2 = args.c2 if args.c2 is not None else "0"
-    c3 = args.c3 if args.c3 is not None else "0"
-    return SchwarzJet(_parse_complex(args.c1, mode), _parse_complex(c2, mode),
-                      _parse_complex(c3, mode))
+    return SchwarzJet(*map(_parse_complex, (args.c1, args.c2, args.c3)))
 
 
-def _warn_outside_class(lam, jet):
-    """Warn on stderr, exactly for exact jets, if the class excludes the jet."""
+def _warn_outside_class(lam, jet, shown_lam):
+    """Warn on stderr if the class excludes the jet; name L as it prints."""
     if jet is not None and not is_admissible(lam, jet):
-        print(f"warning: jet is outside the class for lambda={_show(lam)}",
+        print(f"warning: jet is outside the class for lambda={_show(shown_lam)}",
               file=sys.stderr)
 
 
 def cmd_coeffs(args):
-    mode = args.mode
-    lam = _parse_lambda(args.lam, mode)
-    jet = _jet_from_args(args, mode)
+    lam = _parse_lambda(args.lam)
+    jet = _jet_from_args(args)
     if jet is None:
         raise CliError("coeffs needs a jet: --c1 [--c2 --c3] or --jet FILE")
-    direct = direct_coeffs(lam, jet)
     inverse = inverse_coeffs(lam, jet)
-    _require_finite(*direct, *inverse)
-    _warn_outside_class(lam, jet)
-    # The cross-check runs exactly, on the exact value of the (possibly float)
-    # jet and lambda, so float rounding cannot make the two routes disagree.
-    exact_lam, exact_jet = Fraction(lam), jet.as_exact()
-    agree = (inverse_coeffs(exact_lam, exact_jet)
-             == inverse_coeffs_by_reversion(exact_lam, exact_jet))
-    if args.format == "json":
-        def pair(x):
-            c = as_scalar(x, FLOAT)
-            return [c.real, c.imag]
-        print(json.dumps({
-            "lambda": float(lam),
-            "a": [pair(a) for a in direct],
-            "A": [pair(A) for A in inverse],
-            "reversion_agrees": bool(agree),
-        }, sort_keys=True))
+    agree = inverse == inverse_coeffs_by_reversion(lam, jet)
+    values = (lam, *direct_coeffs(lam, jet), *inverse)
+    shown_lam, *shown = _printed(args.mode, *values)
+    _warn_outside_class(lam, jet, shown_lam)
+    if args.format == "json":  # doubles in either mode
+        pairs = [[c.real, c.imag] for c in _printed(FLOAT, *values)]
+        print(json.dumps({"lambda": pairs[0][0], "a": pairs[1:4], "A": pairs[4:],
+                          "reversion_agrees": agree}, sort_keys=True))
         return 0
-    for name, triple in (("a", direct), ("A", inverse)):
+    for name, triple in (("a", shown[:3]), ("A", shown[3:])):
         print("   ".join(f"{name}{n} = {_show(c)}" for n, c in enumerate(triple, 2)))
     print(f"reversion cross-check: {'agrees' if agree else 'DISAGREES'}")
     return 0 if agree else 1
 
 
 def cmd_fekete_szego(args):
-    mode = args.mode
-    lam = _parse_lambda(args.lam, mode)
-    mu = _parse_complex(args.mu, mode)
-    jet = _jet_from_args(args, mode)
-    # every value before any output, so an overflow leaves stdout empty
-    bound = fekete_szego_bound(lam, mu)
-    value = None if jet is None else fekete_szego(lam, jet, mu)
-    margin = None if jet is None else bound - value
-    _require_finite(bound, value, margin)
-    _warn_outside_class(lam, jet)
-    print(f"bound: {_show(bound)}")
+    lam = _parse_lambda(args.lam)
+    mu = _parse_complex(args.mu)
+    jet = _jet_from_args(args)
+    values = [lam, fekete_szego_bound(lam, mu)]
     if jet is not None:
-        print(f"value: {_show(value)}")
-        print(f"margin: {_show(margin)}")
+        value = fekete_szego(lam, jet, mu)
+        values += [value, values[1] - value]
+    shown_lam, *shown = _printed(args.mode, *values)
+    _warn_outside_class(lam, jet, shown_lam)
+    for name, v in zip(("bound", "value", "margin"), shown):
+        print(f"{name}: {_show(v)}")
     return 0
 
 
 def cmd_membership(args):
-    lam = float(_parse_lambda(args.lam, FLOAT))
-    series, family, label = _load_function_input(args.input, FLOAT, args.lam)
+    lam = float(_parse_lambda(args.lam))
+    series, family = _load_function_input(args.input, args.lam)
     if series is not None:
-        g = zf_jet(series.to_float())
-    else:  # a closed form: z/f is 1 or (1-z)(1-Lz), a polynomial
-        g = TruncatedSeries([1] if family is None else [1, -(1 + family), family], FLOAT)
+        g, label = zf_jet(series.to_float()), "series"
+    elif family is None:  # a closed form: z/f is 1 or (1-z)(1-Lz), a polynomial
+        g, label = TruncatedSeries([1], FLOAT), "identity"
+    else:
+        family, _ = class_parameter(float(family))  # a rational L can round to float 0
+        g = TruncatedSeries([1, -(1 + family), family], FLOAT)
+        label = "koebe" if family == 1 else f"extremal({family})"
     verdict = membership_scan(g, lam, args.radius, args.samples, label,
                               approximate=series is not None)
     if args.out:
@@ -298,7 +286,7 @@ def _load_verify_config(args):
             raise CliError(f"unknown config fields: {sorted(unknown)}")
         config.update(user)
     if args.lam is not None:
-        config["lambda_grid"] = [float(_parse_lambda(args.lam, FLOAT))]
+        config["lambda_grid"] = [float(_parse_lambda(args.lam))]
     for name in ("lambda_grid", "mu_grid"):
         if not (isinstance(config[name], list) and all(map(is_finite_real, config[name]))):
             raise CliError(f"{name} must be a list of real numbers")
@@ -401,31 +389,33 @@ def build_parser():
                                  "class of disk functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_mode(p, default):
-        p.add_argument("--mode", choices=list(MODES), default=default)
+    def add_mode(p):
+        p.add_argument("--mode", choices=list(MODES), default=EXACT,
+                       help="print exact values, or the nearest double of each (float); "
+                            "both compute exactly, but a float series file reverts in float")
 
     p = sub.add_parser("revert", help="print the compositional inverse jet")
     p.add_argument("input", help="identity | koebe | extremal | f_<lambda> | series.json")
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--lambda", dest="lam", default=None)
-    add_mode(p, EXACT)
+    add_mode(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_revert)
 
     p = sub.add_parser("coeffs", help="direct and inverse coefficients of a jet")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--c1")
-    p.add_argument("--c2")
-    p.add_argument("--c3")
+    p.add_argument("--c2", default="0")
+    p.add_argument("--c3", default="0")
     p.add_argument("--jet", help="jet JSON file")
-    add_mode(p, EXACT)
+    add_mode(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("bounds", help="sharp theoretical bounds")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", default=None)
-    add_mode(p, EXACT)
+    add_mode(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_bounds)
 
@@ -433,10 +423,10 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--c1")
-    p.add_argument("--c2")
-    p.add_argument("--c3")
+    p.add_argument("--c2", default="0")
+    p.add_argument("--c3", default="0")
     p.add_argument("--jet")
-    add_mode(p, EXACT)
+    add_mode(p)
     p.set_defaults(func=cmd_fekete_szego)
 
     p = sub.add_parser("verify", help="empirical verification of the bounds")

@@ -37,10 +37,6 @@ class QComplex:
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
-        if isinstance(other, complex):
-            return self.re == Fraction(other.real) and self.im == Fraction(other.imag)
-        if isinstance(other, float):
-            return self.im == 0 and self.re == Fraction(other)
         return NotImplemented
 
     def __hash__(self):
@@ -165,5 +161,7 @@ def maybe_exact_abs(value):
     if isinstance(value, QComplex):
         s = value.abs2()
         root = rational_sqrt(s)
+        if root is None and s >= 2 ** 1023:  # |z|^2 may lie beyond the float range, |z| not
+            return 2.0 ** 512 * math.sqrt(float(s / 2 ** 1024))
         return root if root is not None else math.sqrt(float(s))
     return abs(value)

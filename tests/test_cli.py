@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,26 @@ def test_malformed_series_payload_exits_2(capsys, tmp_path, command, payload):
     assert err.startswith("error:") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_revert_of_a_float_series_that_overflows_exits_2(capsys, tmp_path, fmt):
+    # a float series file reverts in float, which reaches inf and nan at w^3
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([[0.0, 0.0], [1.0, 0.0], [1e300, 0.0], [1e300, 1e300]]))
+    code, out, err = run(capsys, "revert", str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: a value is out of the float range: inf or nan in float arithmetic\n"
+
+
+@pytest.mark.parametrize("lam", ["1/3", "2/7", "1/10"])
+def test_float_revert_prints_the_nearest_doubles_of_the_exact_inverse(capsys, lam):
+    argv = ("revert", f"f_{lam}", "--order", "12", "--format", "json")
+    _, exact, _ = run(capsys, *argv, "--mode", "exact")
+    _, rounded, _ = run(capsys, *argv, "--mode", "float")
+    assert json.loads(rounded) == [[float(Fraction(rn, rd)), float(Fraction(jn, jd))]
+                                   for rn, rd, jn, jd in json.loads(exact)]
+
+
 def test_revert_json_format(capsys):
     code, out, _ = run(capsys, "revert", "koebe", "--format", "json")
     assert code == 0
@@ -108,8 +129,9 @@ def test_revert_exact_order_32_digest(capsys):
 
 # sha256 of the stdout of closed-form commands, recorded before the closed
 # forms became plain z/f jets; the reversions of the identity and of the
-# series files, and the float coeffs, were recorded while normalized jets
-# still had a type of their own.
+# series files were recorded while normalized jets still had a type of their
+# own, and the float reversion of f_1/3 and the float coeffs once float mode
+# printed the nearest doubles of exact results.
 CLOSED_FORM_DIGESTS = {
     ("membership", "koebe", "--lambda", "1/2", "--samples", "997"): {
         "text": "94e2531818a157a0696f05f1f4f57f7718e98151ea75e62e72c26c12c1467c8e",
@@ -121,8 +143,8 @@ CLOSED_FORM_DIGESTS = {
         "text": "6f7667465d8ab7771dec4233f1b22207cf300960838e1463b0de3b4532d3d695",
         "json": "69c9a801202638902f50de6442844b02ea0d3a060b851959ac5fccebd168f1fb"},
     ("revert", "f_1/3", "--order", "12", "--mode", "float"): {
-        "text": "4d30ea49cee59811c722b1816330cf3e7d08097d912ddd8b7dd547dd44b0e2e7",
-        "json": "db5bf27bdd48fda60d9c108df8e3a087dcce633a850b5ee4e11d943bf482c167"},
+        "text": "08c340d33744915f996d911f6acfcb1b55fdabbd83a32081592daa6a3e258bf2",
+        "json": "e026d80ec25d63645dc957919a5fa8ded567fbc53a1267df1be84b4b38f2c944"},
     ("revert", "identity", "--order", "9", "--mode", "exact"): {
         "json": "d1f30aef7bff1d1737b2407910e09bab4b78e0afbca579fe4c161cc07f26513e"},
     ("revert", "identity", "--order", "9", "--mode", "float"): {
@@ -135,7 +157,7 @@ CLOSED_FORM_DIGESTS = {
         "json": "1886ac289eca0b241a5a438daa6cfe7bb8a11b5f4deb48e1d07951062e46bb8e"},
     ("coeffs", "--lambda", "2/7", "--c1", "0.3,0.4", "--c2", "0.1,-0.2", "--c3", "0.05",
      "--mode", "float"): {
-        "json": "291888582606eeaf0bcdccd67b72fe18d6c7700f53e692c58fa269b58f9fc4a7"},
+        "json": "ef295bdc05e6f963a633b9c4f85fa0bfee02a77c4d12433525d48c82c71df699"},
 }
 # series files of the pinned reversions, written under these names
 PINNED_SERIES = {
@@ -157,13 +179,27 @@ def test_closed_form_outputs_are_pinned(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [["membership", "f_1e-400", "--lambda", "1/2"],
-                                  ["membership", "extremal", "--lambda", "1e-400"],
-                                  ["revert", "f_1e-400", "--mode", "float"]])
+                                  ["membership", "extremal", "--lambda", "1e-400"]])
 def test_alias_lambda_that_rounds_to_zero_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == "error: class parameter must lie in (0, 1]\n"
+
+
+def test_revert_alias_lambda_that_rounds_to_zero_in_float_mode(capsys):
+    # revert computes with the exact L = 10^-400 and prints the nearest doubles
+    code, out, err = run(capsys, "revert", "f_1e-400", "--mode", "float")
+    assert (code, out, err) == (0, "w - w^2 + w^3 - w^4\n", "")
+
+
+def test_float_alias_revert_needs_no_reversion(capsys, monkeypatch):
+    # float mode takes the extremal inverse from its closed form; an exact
+    # reversion at this L and order costs seconds
+    monkeypatch.setattr(coeffforge.cli, "revert", None)
+    code, out, err = run(capsys, "revert", "f_1e-300", "--order", "40", "--mode", "float")
+    assert (code, err) == (0, "")
+    assert out == "w" + "".join(f" {'-+'[n % 2]} w^{n}" for n in range(2, 41)) + "\n"
 
 
 def test_revert_unknown_alias(capsys):
@@ -204,6 +240,16 @@ def test_bounds_json(capsys):
     payload = json.loads(out)
     assert payload["B4"] == pytest.approx(5.625)
     assert payload["FS"] == pytest.approx(2.75)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--lambda", "2/7", "--c1", "0.3,0.4", "--c2", "0.1,-0.2", "--c3", "0.05"],
+    ["bounds", "--lambda", "1/3", "--mu", "1/2"],
+])
+def test_json_reports_do_not_depend_on_the_mode(capsys, argv):
+    code, exact, _ = run(capsys, *argv, "--mode", "exact", "--format", "json")
+    assert code == 0
+    assert run(capsys, *argv, "--mode", "float", "--format", "json")[:2] == (0, exact)
 
 
 def test_bounds_bad_mu_prints_nothing(capsys):
@@ -321,13 +367,25 @@ def test_coeffs_warns_outside_class(capsys):
     assert err == OUTSIDE_WARNING
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_float_mode_judges_a_jet_just_outside_the_class_exactly(capsys, fmt):
+    # |c1| exceeds 1 by 1e-13, inside the 1e-12 band of the float sampler check
+    code, _, err = run(capsys, "coeffs", "--lambda", "1/2", "--c1", "1.0000000000001",
+                       "--mode", "float", "--format", fmt)
+    assert code == 0
+    assert err == "warning: jet is outside the class for lambda=0.5\n"
+
+
+OUT_OF_RANGE = "error: a value is out of the float range: integer division result too large for a float\n"
+
+
 def test_coeffs_warns_on_a_float_jet_beyond_the_square_range(capsys):
-    # |c1|^2 exceeds the float range, and so do a3 and A3 (inf + nan j): the
-    # run fails before the outside-class warning, with nothing on stdout
+    # a3 and A3 are exact but beyond the float range: the run fails while
+    # rounding them, before the outside-class warning, with nothing on stdout
     code, out, err = run(capsys, "coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float")
     assert code == 2
     assert out == ""
-    assert err == "error: a result overflows float arithmetic (inf or nan)\n"
+    assert err == OUT_OF_RANGE
 
 
 def _write_config(tmp_path, config):
@@ -360,7 +418,10 @@ def test_results_beyond_the_float_range_exit_2(capsys, tmp_path, monkeypatch, ar
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "overflows float arithmetic" in err
+    if argv[0] in ("scan", "verify"):  # the verifier's own check of its float results
+        assert "overflows float arithmetic" in err
+    else:  # an exact result rounds to a double only to print
+        assert err == OUT_OF_RANGE
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == (["cfg.json"] if argv[0] == "verify" else [])  # no report files
 
@@ -393,6 +454,33 @@ def test_unnormalized_series_gives_the_normalization_message(capsys, tmp_path, c
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert err.endswith("series is not normalized (needs c0 = 0, c1 = 1)\n")
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["bounds", "--lambda", "1/2", "--mu", "4e307,4e307"],
+     "|A3 - mu A2^2| <= 1.2727922061357855e+308 (mu = 4e307,4e307)"),
+    (["fekete-szego", "--lambda", "1/2", "--mu", "4e307,4e307"],
+     "bound: 1.2727922061357855e+308"),
+])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_fs_bound_whose_square_modulus_is_beyond_the_float_range(capsys, argv, last_line,
+                                                                 mode):
+    # |1 - mu|^2 is about 3.2e615, but L + |1 - mu| (1+L)^2 is a double
+    code, out, err = run(capsys, *argv, "--mode", mode)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize("argv", [["bounds", "--lambda", "1/2", "--mu", "1e308,1e308"],
+                                  ["bounds", "--lambda", "1/2", "--mu", "1e308,1e308",
+                                   "--format", "json"],
+                                  ["fekete-szego", "--lambda", "1/2", "--mu", "1e308,1e308"]])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_fs_bound_beyond_the_float_range_exits_2(capsys, argv, mode):
+    # |1 - mu| is a double, but the bound it gives is inf
+    code, out, err = run(capsys, *argv, "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err == "error: a value is out of the float range: inf or nan in float arithmetic\n"
 
 
 def test_fekete_szego_warns_outside_class(capsys):

@@ -199,6 +199,31 @@ def test_extremal_inverse_order_one():
     assert_series_exact(extremal_inverse(F(2, 3), 1), [0, 1])
 
 
+@pytest.mark.parametrize("lam", [F(1, 3), F(2, 7), F(7, 8), F(1), F(1, 10 ** 300),
+                                 F("0.123456789")])
+def test_extremal_inverse_closed_form_equals_reversion(lam):
+    for N in (2, 3, 4, 5, 13):
+        assert extremal_inverse(lam, N) == revert(extremal_function(lam, N))
+
+
+@pytest.mark.parametrize("lam", [1e-5, 0.3, 0.999])
+def test_extremal_inverse_of_a_float_lambda_computes_in_floats(lam):
+    exact = extremal_inverse(F(lam), 60)  # at the binary value of L
+    approx = extremal_inverse(lam, 60)
+    assert approx.mode == FLOAT
+    for a, e in zip(approx.coeffs[1:], exact.coeffs[1:]):
+        assert abs(a - e.to_complex()) <= 1e-13 * abs(e.to_complex())
+
+
+def test_modulus_whose_square_is_beyond_the_float_range():
+    # |z|^2 = 3.2e615 is no double, |z| = 5.66e307 is
+    z = QComplex(1 - F("4e307"), F("4e307"))
+    assert maybe_exact_abs(z) == math.sqrt(float(z.abs2() / 2 ** 1024)) * 2.0 ** 512
+    assert maybe_exact_abs(z) == pytest.approx(4e307 * math.sqrt(2), rel=1e-15)
+    with pytest.raises(OverflowError):  # |z| = 1.4e308 * 1e10 is no double either
+        maybe_exact_abs(QComplex(F("1e318"), F("1e318")))
+
+
 def test_extremal_saturation():
     for lam in (F(1, 4), F(7, 10), F(1)):
         moduli = tuple(map(maybe_exact_abs, inverse_coeffs(lam, corner_jet(lam))))
