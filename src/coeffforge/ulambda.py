@@ -149,15 +149,6 @@ def fekete_szego(lam, jet, mu):
     return maybe_exact_abs(A3 - mu * A2 * A2)
 
 
-def fekete_szego_regrouped(lam, jet, mu):
-    """The same functional via the regrouping used in its sharp estimate:
-    |-((1+L)c2 - L c1^2) + (1-mu)(1+L)^2 c1^2|."""
-    lam, c1, c2, _, mu = _operands(lam, jet, mu)
-    inner = (1 + lam) * c2 - lam * c1 * c1
-    value = -inner + (1 - mu) * ((1 + lam) * (1 + lam)) * c1 * c1
-    return maybe_exact_abs(value)
-
-
 def theoretical_bounds(lam):
     """Sharp bounds (B2, B3, B4) for |A2|, |A3|, |A4|:
     1+L, 1+3L+L^2, (1+L)(1+5L+L^2)."""

@@ -2,11 +2,30 @@
 
 Two routes: (1) seeded constrained search over admissible jets, with the
 extremal corner (1, 0, 0) always forced into the sample so sharpness is
-exact rather than probabilistic; (2) the two-variable reduction through
-the concave quadratic h(t) whose vertex/case analysis yields the |A4|
-bound analytically. Sample evaluation is block-parallel with a
-deterministic first-max reduction, so reports are identical for any
-worker count.
+exact rather than probabilistic; (2) exact_proofs, the paper's proof of
+each bound replayed for every L in (0, 1] in rational arithmetic. With
+s = (1+L)c2 - L c1^2, the regroupings
+
+    A3 = -s + (1+L)^2 c1^2,
+    A4 = -((1+L)c3 - 2L c1 c2) + 3(1+L) c1 s - (1+L)^3 c1^3,
+    A3 - mu A2^2 = -s + (1-mu)(1+L)^2 c1^2,
+
+and A2 = -(1+L) c1 are checked as polynomial identities against
+inverse_from_jet. The disk table (schwarz.c2_disks, c3_disk) gives t = |s|
+<= L and |(1+L)c3 - 2L c1 c2| <= L(1 - u^2)/2 with u = t/L, and the triangle
+inequality leaves, in (L, x = |c1|, u) on the unit box [0, 1]^3,
+
+    A2:  (1+L)(1 - x) >= 0,
+    A3:  1 + 3L + L^2 - (L u + (1+L)^2 x^2) >= 0,
+    A4:  2(1+L)(1 + 5L + L^2) - h >= 0,
+         h = L(1 - u^2) + 6(1+L) L x u + 2(1+L)^3 x^3,
+    FS:  L(1 - u) >= 0 and (1+L)^2 (1 - x^2) >= 0, the two parts of
+         L + nu(1+L)^2 - (L u + nu(1+L)^2 x^2) in nu = |1 - mu| >= 0,
+
+each proved by the signs of its Bernstein coefficients. They hold over the
+whole disk table, a superset of the true jets. Sample evaluation is
+block-parallel with a deterministic first-max reduction, so reports are
+identical for any worker count.
 
 A block is evaluated for all tasks in one call. When it carries many
 Fekete-Szego (FS) tasks, one ranking pass orders the block for every real
@@ -26,6 +45,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import product
+from math import comb, lcm, prod
 
 from . import schwarz
 from .scalars import class_parameter, is_finite_real
@@ -38,7 +59,7 @@ SOUNDNESS_TOL = 1e-9
 ATTAINMENT_TOL = 1e-3
 
 
-# -- the h(t) analysis -------------------------------------------------------
+# -- the exact proofs --------------------------------------------------------
 
 def h_function(lam, c1_abs, t):
     """h(t) = L - t^2/L + 6(1+L)|c1| t + 2(1+L)^3 |c1|^3 on 0 <= t <= L.
@@ -51,84 +72,107 @@ def h_function(lam, c1_abs, t):
         raise ValueError("|c1| must lie in [0, 1]")
     if not 0 <= t <= lam:
         raise ValueError("t must lie in [0, lam]")
-    return lam - t * t / lam + 6 * (1 + lam) * c1_abs * t + 2 * (1 + lam) ** 3 * c1_abs ** 3
+    return _h(lam, c1_abs, t / lam)
 
 
-def h_vertex(lam, c1_abs):
-    """Unconstrained maximizer 3 L (1+L) |c1| of the concave parabola."""
-    return 3 * lam * (1 + lam) * c1_abs
+def _h(lam, x, u):
+    """h at |c1| = x and t = L u, for numbers or polynomials."""
+    q1 = 1 + lam
+    return lam * (1 - u * u) + 6 * q1 * lam * x * u + 2 * q1 ** 3 * x ** 3
 
 
-def case_threshold(lam):
-    """|c1| value where the vertex hits t = L: 1 / (3 (1+L))."""
-    return 1 / (3 * (1 + lam))
+class _Poly:
+    """A polynomial over Fraction in nvars variables, built from (exponent
+    tuple, coefficient) pairs and stored as {exponents: nonzero sum}."""
+
+    def __init__(self, pairs, nvars):
+        terms = {}
+        for e, c in pairs:
+            terms[e] = terms.get(e, 0) + c
+        self.terms = {e: c for e, c in terms.items() if c}
+        self.nvars = nvars
+
+    @classmethod
+    def variables(cls, nvars):
+        return [cls([(tuple(int(i == k) for i in range(nvars)), Fraction(1))], nvars)
+                for k in range(nvars)]
+
+    def _lift(self, number_or_poly):
+        if isinstance(number_or_poly, _Poly):
+            return number_or_poly
+        return _Poly([((0,) * self.nvars, Fraction(number_or_poly))], self.nvars)
+
+    def __add__(self, other):
+        return _Poly([*self.terms.items(), *self._lift(other).terms.items()], self.nvars)
+
+    def __mul__(self, other):
+        return _Poly([(tuple(i + j for i, j in zip(e, f)), c * d) for e, c in self.terms.items()
+                      for f, d in self._lift(other).terms.items()], self.nvars)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n):
+        return self * self ** (n - 1) if n else self._lift(1)
+
+    def __eq__(self, other):
+        return self.terms == self._lift(other).terms
 
 
-@dataclass(frozen=True)
-class A4CaseAnalysis:
-    lam: object
-    c1_abs: object
-    t_vertex: object
-    case: str  # "one" | "two"
-    t_star: object
-    h_max: object
-
-    @property
-    def a4_candidate(self):
-        return self.h_max / 2
-
-
-def a4_case_bound(lam, c1_abs):
-    """Maximize h over t in [0, L] for fixed |c1|.
-
-    Case one (vertex inside the interval, |c1| <= 1/(3(1+L))) peaks at the
-    vertex; case two peaks at the endpoint t = L. h_function checks the
-    arguments.
-    """
-    t0 = h_vertex(lam, c1_abs)
-    if t0 <= lam:
-        case, t_star = "one", t0
-    else:
-        case, t_star = "two", lam
-    return A4CaseAnalysis(lam, c1_abs, t0, case, t_star,
-                          h_function(lam, c1_abs, t_star))
+def _bernstein(p):
+    """The Bernstein coefficients b_I of p on [0, 1]^n, for I up to the
+    degree d of p in each variable (Garloff 1986): the sum over the terms
+    a_J x^J of a_J prod_k C(I_k, J_k)/C(d_k, J_k), in integers over one
+    common denominator. b_I at a corner of the box is p there."""
+    deg = [max((e[k] for e in p.terms), default=0) for k in range(p.nvars)]
+    scaled = {J: c / prod(map(comb, deg, J)) for J, c in p.terms.items()}
+    den = lcm(*(c.denominator for c in scaled.values()))
+    nums = {J: c.numerator * (den // c.denominator) for J, c in scaled.items()}
+    return {I: Fraction(sum(n * prod(map(comb, I, J)) for J, n in nums.items()), den)
+            for I in product(*(range(d + 1) for d in deg))}
 
 
-def a4_global_bound(lam):
-    """Exact max of the |A4| candidate h/2 over |c1| in [0, 1], t in [0, L].
-
-    For t >= 0, h is nondecreasing in |c1|, and at |c1| = 1 the vertex
-    3L(1+L) lies beyond L, so the max is h(1, L)/2 = (1+L)(1+5L+L^2).
-    """
-    lam = Fraction(lam)
-    return h_function(lam, 1, lam) / 2
+def _nonnegative_on_box(p):
+    """Whether every Bernstein coefficient of p is >= 0, a proof that p >= 0
+    on [0, 1]^n. A negative one at a corner is a counterexample; elsewhere
+    it decides nothing without a subdivision that no proof here needs."""
+    return all(b >= 0 for b in _bernstein(p).values())
 
 
-def case_one_cap(lam):
-    """Exact max of the |A4| candidate on the case-one region.
+def _proof_table():
+    """({functional: its identity holds}, {functional: its box polynomials
+    in (L, x, u)}), as the module docstring writes them."""
+    L, c1, c2, c3, mu = _Poly.variables(5)
+    A2, A3, A4 = inverse_from_jet(L, c1, c2, c3)
+    q1 = 1 + L
+    s = q1 * c2 - L * c1 * c1
+    identities = {
+        "A2": A2 == -q1 * c1,
+        "A3": A3 == -s + q1 ** 2 * c1 ** 2,
+        "A4": A4 == -(q1 * c3 - 2 * L * c1 * c2) + 3 * q1 * c1 * s - q1 ** 3 * c1 ** 3,
+        "FS": A3 - mu * A2 * A2 == -s + (1 - mu) * q1 ** 2 * c1 ** 2}
+    L, x, u = _Poly.variables(3)
+    q1, q2, _, q4 = inverse_weights(L)
+    rows = {"A2": [q1 * (1 - x)],
+            "A3": [q2 - (L * u + q1 ** 2 * x ** 2)],
+            "A4": [2 * q4 - _h(L, x, u)],
+            "FS": [L * (1 - u), q1 ** 2 * (1 - x ** 2)]}
+    return identities, rows
 
-    On case one h peaks at its vertex, and that peak increases with |c1|,
-    so the cap is its value at the threshold 1/(3(1+L)): L + 1/27.
-    """
-    lam = Fraction(lam)
-    return a4_case_bound(lam, case_threshold(lam)).a4_candidate
 
-
-def gap_certificate():
-    """Coefficients, lowest degree first, of B4 - 2L - 1/27 as a polynomial
-    in L, computed exactly from the shared weight table."""
-    from numpy.polynomial import Polynomial
-    L = Polynomial([Fraction(0), Fraction(1)])  # Fraction entries: an object array
-    return list((inverse_weights(L)[3] - 2 * L - Fraction(1, 27)).coef)
-
-
-def verify_gap_inequality():
-    """Certify (1+L)(1+5L+L^2) > 2L + 1/27 on (0, 1] exactly.
-
-    The difference is 26/27 + 4L + 6L^2 + L^3; every coefficient is
-    positive, so it is positive for every L > 0.
-    """
-    return all(c > 0 for c in gap_certificate())
+def exact_proofs():
+    """{functional: proved for every L in (0, 1]} for A2, A3, A4 and FS:
+    its identity holds and its box polynomials are nonnegative."""
+    identities, rows = _proof_table()
+    return {name: identities[name] and all(map(_nonnegative_on_box, rows[name])) for name in rows}
 
 
 # -- search -------------------------------------------------------------------

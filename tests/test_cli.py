@@ -7,11 +7,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import coeffforge
-from coeffforge import schwarz
+from coeffforge import inverse_weights, schwarz, verifier
 from coeffforge.cli import main
 
 # the child interpreter imports the same package the tests import
@@ -97,6 +98,39 @@ def test_revert_of_a_float_series_that_overflows_exits_2(capsys, tmp_path, fmt):
     assert code == 2
     assert out == ""
     assert err == "error: a value is out of the float range: inf or nan in float arithmetic\n"
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("argv", [
+    ["revert", "f_1e-400", "--order", "12", "--format", "json"],
+    ["bounds", "--lambda", "1e-2000"],  # |A4| has a denominator of 6001 digits
+    ["coeffs", "--lambda", "1/2", "--c1", "1e-3000"],
+])
+def test_exact_value_beyond_the_integer_digit_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: an exact value has an integer part of more than {DIGIT_LIMIT} "
+                   "digits, more than this interpreter prints; use --mode float\n")
+    code, out, _ = run(capsys, *argv, "--mode", "float")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["revert", "{}"], "series file"),
+    (["membership", "{}", "--lambda", "1/2"], "series file"),
+    (["coeffs", "--lambda", "1/2", "--jet", "{}"], "jet file"),
+    (["verify", "--config", "{}"], "config"),
+])
+def test_json_file_with_an_integer_beyond_the_digit_limit_exits_2(capsys, tmp_path, argv, what):
+    path = tmp_path / "long.json"
+    path.write_text(f"[[0, 1, 0, 1], [1, 1, 0, 1], [{'7' * (DIGIT_LIMIT + 1)}, 1, 0, 1]]")
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {what} {path}: an integer has more than {DIGIT_LIMIT} digits\n"
 
 
 @pytest.mark.parametrize("lam", ["1/3", "2/7", "1/10"])
@@ -577,7 +611,7 @@ def test_verify_default_small(capsys, tmp_path):
     payload = json.loads(Path(base + ".json").read_text())
     assert payload["passed"] is True
     assert all(r["argmax_index"] == 0 for r in payload["reports"])  # the corner attains all
-    assert payload["checks"]["gap_inequality"] is True
+    assert payload["checks"]["proofs"] == {"A2": True, "A3": True, "A4": True, "FS": True}
 
 
 def test_verify_single_lambda_override(capsys):
@@ -652,11 +686,35 @@ def test_verify_rejects_removed_fields(capsys, tmp_path, field):
     assert "unknown config fields" in err
 
 
-def test_verify_gap_and_h_reduction_lines(capsys):
+def test_verify_exact_proof_lines(capsys):
     code, out, _ = run(capsys, "verify", "--lambda", "1/3", "--samples", "200")
     assert code == 0
-    assert "gap-inequality (exact, L in (0, 1]): OK" in out.splitlines()
-    assert "h-reduction agreement: OK" in out.splitlines()
+    assert out.splitlines()[-5:] == ["A2 exact proof (L in (0, 1]): OK",
+                                     "A3 exact proof (L in (0, 1]): OK",
+                                     "A4 exact proof (L in (0, 1]): OK",
+                                     "FS exact proof (L in (0, 1], every mu): OK",
+                                     "PASS"]
+
+
+def test_verify_fails_when_a_proof_fails(capsys, tmp_path):
+    def weights(lam):  # |A4| <= q4 - 1/100 is false at the corner jet
+        q1, q2, q3, q4 = inverse_weights(lam)
+        return q1, q2, q3, q4 - Fraction(1, 100)
+
+    base = str(tmp_path / "rep")
+    with mock.patch.object(verifier, "inverse_weights", weights):
+        code, out, err = run(capsys, "verify", "--lambda", "1/3", "--samples", "200",
+                             "--out", base)
+    assert code == 1
+    lines = out.splitlines()
+    assert "A4 exact proof (L in (0, 1]): FAIL" in lines
+    assert "A3 exact proof (L in (0, 1]): OK" in lines
+    assert lines[-1] == "FAIL"
+    assert err == "error: bound verification failed (see report)\n"
+    payload = json.loads(Path(base + ".json").read_text())
+    assert payload["checks"] == {"sound": True, "attained": True,
+                                 "proofs": {"A2": True, "A3": True, "A4": False, "FS": True}}
+    assert payload["passed"] is False
 
 
 def test_scan_rejects_zero_samples(capsys):

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from coeffforge import (EXACT, FLOAT, QComplex, SchwarzJet,
                         TruncatedSeries, class_parameter, corner_jet, defect,
                         direct_coeffs, extremal_function, extremal_inverse,
-                        fekete_szego, fekete_szego_bound, fekete_szego_regrouped,
+                        fekete_szego, fekete_szego_bound,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_coeffs_closed, inverse_from_jet, membership_scan,
                         omega_series, revert, sample_jets, series_from_schwarz, sigma,
                         subordination_witness, theoretical_bounds, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
+from coeffforge.verifier import _Poly, _proof_table
 from helpers import assert_series_exact, exact_jet, floats, q
 
 F = Fraction
@@ -254,18 +255,24 @@ def test_fekete_szego_zero_jet():
 
 
 def test_fekete_szego_regrouping_identity():
-    rng = np.random.default_rng(8)
-    for jet in sample_jets(0.6, 50, seed=14):
-        mu = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        assert abs(fekete_szego(0.6, jet, mu) - fekete_szego_regrouped(0.6, jet, mu)) < 1e-12
+    # A3 - mu A2^2 = -s + (1-mu)(1+L)^2 c1^2 with s = (1+L)c2 - L c1^2, as
+    # polynomials in (L, c1, c2, c3, mu)
+    L, c1, c2, c3, mu = _Poly.variables(5)
+    A2, A3, _ = inverse_from_jet(L, c1, c2, c3)
+    s = (1 + L) * c2 - L * c1 * c1
+    assert A3 - mu * A2 * A2 == -s + (1 - mu) * (1 + L) ** 2 * c1 * c1
+    assert _proof_table()[0]["FS"]
 
 
 def test_fekete_szego_regrouping_exact():
+    lam = F(2, 7)
     jet = exact_jet(F(1, 3), (F(1, 8), F(1, 9)), F(1, 11))
     mu = QComplex(F(1, 2), F(1, 5))
-    a = fekete_szego(F(2, 7), jet, mu)
-    b = fekete_szego_regrouped(F(2, 7), jet, mu)
-    assert abs(a - b) < 1e-15  # moduli may fall back to float sqrt
+    A2, A3, _ = inverse_coeffs(lam, jet)
+    s = (1 + lam) * jet.c2 - lam * jet.c1 * jet.c1
+    regrouped = -s + (1 - mu) * ((1 + lam) * (1 + lam)) * jet.c1 * jet.c1
+    assert A3 - mu * A2 * A2 == regrouped
+    assert fekete_szego(lam, jet, mu) == maybe_exact_abs(regrouped)
 
 
 def test_theoretical_bounds_koebe():

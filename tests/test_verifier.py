@@ -1,4 +1,4 @@
-"""The h(t) case analysis and the empirical bound search."""
+"""The exact proofs, the h(t) majorant and the empirical bound search."""
 
 import json
 import os
@@ -10,21 +10,109 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (BoundReport, SchwarzJet, SearchConfig, a4_case_bound,
-                        a4_global_bound, case_one_cap, case_threshold, corner_jet,
-                        fekete_szego, fekete_szego_bound, gap_certificate, h_function,
-                        h_vertex, inverse_from_jet, reports_to_csv, reports_to_json,
-                        sample_jet_arrays, scan_lambda, sharpness_claimed,
-                        theoretical_bounds, verify_gap_inequality)
+from coeffforge import (BoundReport, SchwarzJet, SearchConfig, c2_disks, c3_disk, corner_jet,
+                        exact_proofs, fekete_szego, fekete_szego_bound, h_function,
+                        inverse_from_jet, inverse_weights, reports_to_csv, reports_to_json,
+                        sample_jet_arrays, scan_lambda, sharpness_claimed, theoretical_bounds)
+from coeffforge import ulambda, verifier
 from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
-from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _fs_maxima,
-                                 _functional_values, worker_count)
+from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _bernstein, _fs_maxima,
+                                 _functional_values, _h, _nonnegative_on_box, _Poly,
+                                 _proof_table, worker_count)
 from helpers import functional_maxima_oracle
 
 F = Fraction
 
 
-# -- h(t) --------------------------------------------------------------------
+def threshold(lam):
+    """|c1| where the vertex t0 = 3L(1+L)|c1| of h reaches t = L."""
+    return 1 / (3 * (1 + lam))
+
+
+def at_corner(p, corner):
+    """p at a corner of the unit box, summed term by term."""
+    return sum(c * int(all(x or not e for x, e in zip(corner, J))) for J, c in p.terms.items())
+
+
+# -- the exact proofs ----------------------------------------------------------------
+
+def test_every_bound_is_proved():
+    assert exact_proofs() == {"A2": True, "A3": True, "A4": True, "FS": True}
+    assert all(_proof_table()[0].values())
+
+
+def test_every_box_row_is_sharp_at_the_corner_jet():
+    # the corner jet (1, 0, 0) has x = |c1| = 1 and u = |s|/L = 1
+    for name, rows in _proof_table()[1].items():
+        for p in rows:
+            corner = tuple(max(e[k] for e in p.terms) for k in range(3))
+            assert _bernstein(p)[corner] == at_corner(p, (1, 1, 1)) == 0, name
+
+
+def test_the_rows_read_the_disk_table():
+    # t = (1+L)|c2 - m2| <= (1+L) R2 = L, and (1+L) R3 = L(1 - u^2)/2 at t = L u
+    for lam in (F(1), F(1, 3), F(2, 7), F(1, 50)):
+        for u in (F(0), F(1, 4), F(5, 7), F(1)):
+            (_, _), (_, r2) = c2_disks(lam, F(1, 2), F(1, 4))
+            _, r3 = c3_disk(lam, F(1, 2), F(1, 3), (lam * u) ** 2)
+            assert (1 + lam) * r2 == lam
+            assert (1 + lam) * r3 == lam * (1 - u * u) / 2
+
+
+def test_a_bound_one_hundredth_too_small_is_refuted_at_a_corner():
+    def weights(lam):
+        q1, q2, q3, q4 = inverse_weights(lam)
+        return q1, q2, q3, q4 - F(1, 100)
+
+    with mock.patch.object(verifier, "inverse_weights", weights):
+        (row,) = _proof_table()[1]["A4"]
+        assert exact_proofs() == {"A2": True, "A3": True, "A4": False, "FS": True}
+    assert not _nonnegative_on_box(row)
+    # the row is 2 q4 - h, so it reads -2/100 at L = x = u = 1
+    corner = tuple(max(e[k] for e in row.terms) for k in range(3))
+    assert _bernstein(row)[corner] == at_corner(row, (1, 1, 1)) == -F(1, 50)
+    assert 2 * (theoretical_bounds(F(1))[2] - F(1, 100)) - h_function(F(1), 1, 1) == -F(1, 50)
+
+
+def test_a_wrong_weight_fails_the_identity():
+    def weights(lam):
+        q1, q2, q3, q4 = inverse_weights(lam)
+        return q1, q2, q3 + lam, q4
+
+    with mock.patch.object(ulambda, "inverse_weights", weights):
+        assert exact_proofs() == {"A2": True, "A3": True, "A4": False, "FS": True}
+        identities, rows = _proof_table()
+        assert identities == {"A2": True, "A3": True, "A4": False, "FS": True}
+        assert all(map(_nonnegative_on_box, rows["A4"]))
+
+
+def test_bernstein_coefficients_bound_the_polynomial():
+    L, x, u = _Poly.variables(3)
+    p = 3 * L * x - 2 * u * u * x + L ** 2 - F(1, 5)
+    b = _bernstein(p)
+    assert set(b) == {(i, j, k) for i in range(3) for j in range(2) for k in range(3)}
+    for corner in [(0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 1, 0)]:
+        index = tuple(c * d for c, d in zip(corner, (2, 1, 2)))
+        assert b[index] == at_corner(p, corner)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        Lv, xv, uv = (F(int(k), 64) for k in rng.integers(0, 65, size=3))
+        value = 3 * Lv * xv - 2 * uv * uv * xv + Lv ** 2 - F(1, 5)
+        assert min(b.values()) <= value <= max(b.values())
+    assert not _nonnegative_on_box(p) and _nonnegative_on_box(p + F(1, 5) + 2 * x)
+
+
+def test_polynomial_arithmetic():
+    a, b = _Poly.variables(2)
+    assert (a + b) ** 2 == a * a + 2 * a * b + b * b
+    assert a ** 0 == 1 and a ** 1 == a
+    assert (1 - a) * (1 + a) == 1 - a ** 2
+    assert 2 - (a - b) * F(1, 2) == (4 - a + b) * F(1, 2)
+    assert a - a == 0 and (a - a).terms == {}
+    assert not a == b
+
+
+# -- h(t) ------------------------------------------------------------------------
 
 def test_h_at_origin():
     for lam in (F(1, 4), F(1)):
@@ -34,6 +122,8 @@ def test_h_at_origin():
 def test_h_case_two_corner_value():
     for lam in (F(1, 4), F(1, 2), F(1)):
         assert h_function(lam, 1, lam) == 2 * (1 + lam) * (1 + 5 * lam + lam * lam)
+    L, x, u = _Poly.variables(3)
+    assert _h(L, 1, 1) == 2 * inverse_weights(L)[3]
 
 
 def test_h_at_case_boundary():
@@ -54,54 +144,67 @@ def test_h_range_validation():
 
 def test_case_bound_validation():
     with pytest.raises(ValueError, match=r"class parameter must lie in \(0, 1\]"):
-        a4_case_bound(0, F(1, 2))
+        h_function(0, F(1, 2), 0)
     for bad in (F(3, 2), F(-1, 10)):
         with pytest.raises(ValueError, match=r"\|c1\| must lie in \[0, 1\]"):
-            a4_case_bound(F(1, 2), bad)
+            h_function(F(1, 2), bad, 0)
 
 
 def test_vertex_formula():
-    assert h_vertex(F(1, 2), F(1, 3)) == F(3, 4)
-    assert h_vertex(F(1), F(1, 6)) == 1
-    assert case_threshold(F(1)) == F(1, 6)
-    assert case_threshold(F(1, 2)) == F(2, 9)
+    # h(t0) - h(t) = (t - t0)^2/L with t0 = 3L(1+L)|c1|; the threshold
+    # 1/(3(1+L)) puts t0 at L
+    assert threshold(F(1)) == F(1, 6)
+    assert threshold(F(1, 2)) == F(2, 9)
+    for lam in (F(1), F(1, 2), F(3, 10)):
+        c = threshold(lam)
+        assert 3 * lam * (1 + lam) * c == lam
+        for t in (0, lam / 3, lam / 2, lam):
+            assert h_function(lam, c, lam) - h_function(lam, c, t) == (t - lam) ** 2 / lam
 
 
 def test_case_bound_c1_zero():
-    analysis = a4_case_bound(F(1, 2), 0)
-    assert analysis.case == "one"
-    assert analysis.t_star == 0
-    assert analysis.h_max == F(1, 2)
-    assert analysis.a4_candidate == F(1, 4)
+    # |c1| = 0: the vertex is t = 0, where h/2 is L/2
+    lam = F(1, 2)
+    assert h_function(lam, 0, 0) == F(1, 2)
+    assert h_function(lam, 0, 0) / 2 == F(1, 4)
+    for t in (lam / 4, lam / 2, lam):
+        assert h_function(lam, 0, 0) - h_function(lam, 0, t) == t * t / lam
 
 
 def test_case_bound_c1_one():
+    # |c1| = 1: the vertex 3L(1+L) lies beyond L, so h peaks at t = L
     lam = F(1, 2)
-    analysis = a4_case_bound(lam, 1)
-    assert analysis.case == "two"
-    assert analysis.t_star == lam
-    assert analysis.a4_candidate == (1 + lam) * (1 + 5 * lam + lam * lam)
+    t0 = 3 * lam * (1 + lam)
+    assert t0 > lam
+    assert h_function(lam, 1, lam) / 2 == (1 + lam) * (1 + 5 * lam + lam * lam)
+    for t in (0, lam / 4, lam / 2):
+        gain = h_function(lam, 1, lam) - h_function(lam, 1, t)
+        assert gain == ((t - t0) ** 2 - (lam - t0) ** 2) / lam > 0
 
 
 def test_case_bound_continuous_at_threshold():
     lam = F(1)
-    c = case_threshold(lam)  # 1/6
-    analysis = a4_case_bound(lam, c)
+    c = threshold(lam)  # 1/6
     # at the threshold the vertex sits exactly at t = lam, so both case
     # formulas give the same value
-    assert analysis.t_vertex == lam
-    assert analysis.h_max == h_function(lam, c, lam)
+    assert 3 * lam * (1 + lam) * c == lam
+    assert h_function(lam, c, lam) == lam + 9 * lam * (1 + lam) ** 2 * c * c \
+        + 2 * (1 + lam) ** 3 * c ** 3
 
 
 def test_vertex_is_argmax():
+    # h(t0) - h(t) = (t - t0)^2/L, as a polynomial identity in u = t/L:
+    # h(u0) - h(u) = L (u - u0)^2 with u0 = 3(1+L)|c1|
+    L, x, u = _Poly.variables(3)
+    u0 = 3 * (1 + L) * x
+    assert _h(L, x, u0) - _h(L, x, u) == L * (u - u0) ** 2
     rng = np.random.default_rng(4)
     for _ in range(30):
-        lam = float(rng.uniform(0.05, 1.0))
-        c = float(rng.random())
-        analysis = a4_case_bound(lam, c)
-        ts = rng.uniform(0.0, lam, size=1000)
-        h_star = analysis.h_max
-        assert all(h_function(lam, c, t) <= h_star + 1e-12 for t in ts)
+        lam = F(int(rng.integers(1, 41)), 40)
+        c = threshold(lam) * F(int(rng.integers(0, 33)), 32)
+        t0 = 3 * lam * (1 + lam) * c
+        for t in (F(int(k), 64) * lam for k in rng.integers(0, 65, size=5)):
+            assert h_function(lam, c, t0) - h_function(lam, c, t) == (t - t0) ** 2 / lam
 
 
 def test_exact_vertex_identity():
@@ -109,22 +212,23 @@ def test_exact_vertex_identity():
     rng = np.random.default_rng(6)
     for _ in range(25):
         lam = F(int(rng.integers(1, 40)), 40)
-        c = case_threshold(lam) * F(int(rng.integers(0, 33)), 32)
-        analysis = a4_case_bound(lam, c)
-        assert analysis.case == "one"
+        c = threshold(lam) * F(int(rng.integers(0, 33)), 32)
+        t0 = 3 * lam * (1 + lam) * c
+        assert t0 <= lam  # case one
         expected = lam + 9 * lam * (1 + lam) ** 2 * c * c + 2 * (1 + lam) ** 3 * c ** 3
-        assert analysis.h_max == expected
+        assert h_function(lam, c, t0) == expected
         # the looser stated chain with coefficient 27 dominates it
         looser = lam + 27 * lam * (1 + lam) ** 2 * c * c + 2 * (1 + lam) ** 3 * c ** 3
-        assert analysis.h_max <= looser
+        assert h_function(lam, c, t0) <= looser
 
 
 def test_global_bound_koebe():
-    assert a4_global_bound(F(1)) == 14
+    assert h_function(F(1), 1, F(1)) / 2 == 14
+    assert exact_proofs()["A4"]  # h/2 <= q4 on the whole box
 
 
 def test_global_bound_half():
-    assert a4_global_bound(F(1, 2)) == F(45, 8)
+    assert h_function(F(1, 2), 1, F(1, 2)) / 2 == F(45, 8)
 
 
 def test_global_bound_equals_b4_at_random_rationals():
@@ -132,24 +236,34 @@ def test_global_bound_equals_b4_at_random_rationals():
     for _ in range(20):
         den = int(rng.integers(1, 1000))
         lam = F(int(rng.integers(1, den + 1)), den)
-        assert a4_global_bound(lam) == theoretical_bounds(lam)[2]
+        assert h_function(lam, 1, lam) / 2 == theoretical_bounds(lam)[2]
 
 
 def test_global_bound_lambda_validation():
     for bad in (0, F(-1, 2), F(3, 2)):
         with pytest.raises(ValueError):
-            a4_global_bound(bad)
+            h_function(bad, 1, 0)
 
 
 def test_case_one_cap():
+    # on case one, x = y/(3(1+L)) with y in [0, 1], h is at most 2L + 2/27:
+    # (1+L) cancels, leaving L(1 - u^2) + 2L y u + 2y^3/27
+    L, y, u = _Poly.variables(3)
+    cap = 2 * L + F(2, 27) - (L * (1 - u * u) + 2 * L * y * u + y ** 3 * F(2, 27))
+    assert _nonnegative_on_box(cap)
     rng = np.random.default_rng(13)
     for lam in [F(1), F(1, 2)] + [F(int(rng.integers(1, 101)), 100) for _ in range(18)]:
-        assert case_one_cap(lam) == lam + F(1, 27)
+        assert h_function(lam, threshold(lam), lam) / 2 == lam + F(1, 27)
+        yv, uv = F(int(rng.integers(0, 9)), 8), F(int(rng.integers(0, 9)), 8)
+        assert _h(lam, yv * threshold(lam), uv) \
+            == lam * (1 - uv * uv) + 2 * lam * yv * uv + 2 * yv ** 3 / 27
 
 
 def test_gap_inequality():
-    assert gap_certificate() == [F(26, 27), 4, 6, 1]
-    assert verify_gap_inequality()
+    L, = _Poly.variables(1)
+    gap = inverse_weights(L)[3] - 2 * L - F(1, 27)
+    assert gap.terms == {(0,): F(26, 27), (1,): 4, (2,): 6, (3,): 1}
+    assert _nonnegative_on_box(gap)
 
 
 # -- search ---------------------------------------------------------------------
