@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -49,6 +50,10 @@ def _parse_rational(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < max(map(len, re.findall(r"\d+", text)), default=0):
+            raise CliError(f"a rational argument has more than {limit} digits in a row, "
+                           "more than this interpreter parses") from exc
         raise CliError(f"cannot parse {text!r} as a rational number") from exc
 
 
@@ -120,7 +125,7 @@ def _read_json(path, what):
     try:
         with open(path) as handle:
             return json.load(handle, parse_int=_json_int)
-    except (OSError, json.JSONDecodeError, CliError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, CliError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -115,34 +115,16 @@ def _in_disk(z, disk, tol):
 
 # -- sampling ---------------------------------------------------------------
 
-def sample_jets(lam, count, seed=0, strategy="uniform"):
-    """Deterministic sequence of admissible jets.
-
-    uniform          draws area-uniform in each feasible disk;
-    boundary-biased  concentrates near |c1| = 1 and the saturated
-                     constraints, where the extremal values live.
-    """
-    c1, c2, c3 = sample_jet_arrays(lam, count, seed, strategy)
-    return [SchwarzJet(complex(c1[i]), complex(c2[i]), complex(c3[i]))
-            for i in range(count)]
-
-
-def sample_jet_arrays(lam, count, seed=0, strategy="uniform"):
-    """The first count jets of the block sequence, as (c1, c2, c3) arrays."""
-    import numpy as np
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    blocks = [sample_block_arrays(lam, seed, b, strategy)
-              for b in range((count + _BLOCK - 1) // _BLOCK)]
-    return tuple(np.concatenate(part)[:count] for part in zip(*blocks))
-
-
 def block_size():
     return _BLOCK
 
 
 def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     """One aligned block of 8192 jets as (c1, c2, c3) complex arrays.
+
+    uniform          draws area-uniform in each feasible disk;
+    boundary-biased  concentrates near |c1| = 1 and the saturated
+                     constraints, where the extremal values live.
 
     Block b is driven by default_rng([seed, b]) alone, so any partition of
     the block range across workers reproduces the sequential output.

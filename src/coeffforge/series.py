@@ -14,10 +14,13 @@ pair of parts that are not all zero (one to four), and each output
 coefficient is divided by Da*Db once, where Fraction reduces it. Float
 products run the same convolution on the complex coefficients as they are.
 
-The paper's functions are normalized, f(0) = 0 and f'(0) = 1. Such a jet
-is a plain TruncatedSeries; require_normalized checks the normalization on
-the way into zf_jet, which every reader of f (revert, the membership
-scan, the subordination witness) goes through.
+The paper's functions are normalized, f(0) = 0 and f'(0) = 1, and a class
+function is carried by its z/f jet g: membership reads g, and Lagrange
+inversion reads g directly (inverse_from_zf), with no composition and no
+reciprocal. A jet of f itself is a plain TruncatedSeries; zf_jet turns it
+into g, after require_normalized checks the normalization, so every
+reader of f (revert, the membership scan, the subordination witness)
+goes through that check.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ class TruncatedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order, mode):
-        return cls([value] + [0] * order, mode)
-
-    @classmethod
     def identity(cls, order, mode):
         """The series z, as a jet of the requested order (order >= 1)."""
         if order < 1:
@@ -116,11 +115,6 @@ class TruncatedSeries:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError(f"cannot truncate order-{self.order} jet to order {order}")
-        return TruncatedSeries(self._coeffs[:order + 1], self._mode)
-
     def reciprocal(self):
         """Multiplicative inverse jet; requires a nonzero constant term."""
         c0 = self._coeffs[0]
@@ -134,21 +128,6 @@ class TruncatedSeries:
                 acc = acc + self._coeffs[k] * out[n - k]
             out.append(-acc * inv0)
         return TruncatedSeries(out, self._mode)
-
-    def compose(self, inner):
-        """Jet of self(inner(z)); inner must have zero constant term."""
-        if not isinstance(inner, TruncatedSeries):
-            raise TypeError("compose expects a TruncatedSeries")
-        self._check_mode(inner)
-        if inner._coeffs[0] != 0:
-            raise ValueError("inner series must vanish at the origin")
-        n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        acc = TruncatedSeries.constant(self._coeffs[n], n, self._mode)
-        for k in range(n - 1, -1, -1):
-            acc = acc * g
-            acc = acc + TruncatedSeries.constant(self._coeffs[k], n, self._mode)
-        return acc
 
     def derivative(self):
         """Termwise derivative; the jet of a constant differentiates to 0."""
@@ -304,19 +283,23 @@ def zf_jet(f):
 
 
 def revert(f):
-    """Compositional inverse jet of a normalized series, by Lagrange
-    inversion: [w^n] F = [z^(n-1)] (z/f)^n / n.
+    """Compositional inverse jet of a normalized series: its z/f jet, then
+    inverse_from_zf. Exact in exact mode."""
+    return inverse_from_zf(zf_jet(f))
 
-    One reciprocal (the z/f jet) and N-1 truncated products of a running
-    power, so O(N^3) ring operations. Exact in exact mode.
+
+def inverse_from_zf(g):
+    """Compositional inverse jet, to order g.order + 1, of the f with
+    z/f = g, by Lagrange inversion: [w^n] F = [z^(n-1)] g^n / n.
+
+    N-1 truncated products of a running power, so O(N^3) ring operations.
     """
-    g = zf_jet(f)
     power = g
     coeffs = [0, g[0]]
-    for n in range(2, f.order + 1):
+    for n in range(2, g.order + 2):
         power = power * g
         coeffs.append(power[n - 1] / n)
-    return TruncatedSeries(coeffs, f.mode)
+    return TruncatedSeries(coeffs, g.mode)
 
 
 def inverse_coeffs_closed(a2, a3, a4):

@@ -3,16 +3,19 @@ one-parameter class of normalized analytic functions
 
     |(z/f(z))^2 f'(z) - 1| < L  on the unit disk,  0 < L <= 1,
 
-restricted to functions representable as f(z)/z = 1/((1-w(z))(1-L w(z)))
-with a Schwarz function w. All coefficient maps are polynomial in the jet
-of w, so exact mode gives literal equalities.
+restricted to functions with z/f = (1-w(z))(1-L w(z)) for a Schwarz
+function w. A class function is carried by that z/f jet g, a polynomial
+in w (zf_from_schwarz): the reversion route reads g by Lagrange
+inversion, membership reads the defect g - z g' - 1, and the witness
+solves g for w. All coefficient maps are polynomial in the jet of w, so
+exact mode gives literal equalities.
 
 Conventions. Every function takes L itself, and the type of L is the
 mode: an int or a Fraction computes exactly (jets and mu are converted to
 QComplex), a float computes in complex doubles (scalars.class_parameter).
-Coefficients and bounds come back as plain tuples. Membership reads the
-jet g of z/f, so a terminating polynomial g (a closed form) is judged
-without truncation error.
+Coefficients and bounds come back as plain tuples. As membership reads
+g, a terminating polynomial g (a closed form) is judged without
+truncation error.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import as_scalar, class_parameter, maybe_exact_abs
-from .series import TruncatedSeries, revert, zf_jet
+from .series import TruncatedSeries, inverse_from_zf, zf_jet
 from .schwarz import SchwarzJet
 
 _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
@@ -30,15 +33,6 @@ def _operands(lam, jet, *extra):
     """L, then the jet's parts and any extra scalars in the mode L names."""
     lam, mode = class_parameter(lam)
     return (lam, *(as_scalar(c, mode) for c in (jet.c1, jet.c2, jet.c3, *extra)))
-
-
-def sigma(lam, n):
-    """Coefficient weight: (1 - L^(n+1)) / (1 - L), with value n+1 at L = 1."""
-    lam, _ = class_parameter(lam)
-    if lam == 1:
-        return (n + 1) * lam  # n+1 as a Fraction or a float, like L
-    num = 1 - lam ** (n + 1)
-    return num / (1 - lam)
 
 
 def direct_coeffs(lam, jet):
@@ -85,40 +79,35 @@ def inverse_coeffs(lam, jet):
 
 def inverse_coeffs_by_reversion(lam, jet):
     """Same triple, but through series reversion (the independent route)."""
-    inv = revert(series_from_schwarz(lam, omega_series(lam, jet), 4))
+    lam, c1, c2, c3 = _operands(lam, jet)
+    inv = inverse_from_zf(zf_from_schwarz(lam, TruncatedSeries([0, c1, c2, c3])))
     return inv[2], inv[3], inv[4]
 
 
-def omega_series(lam, jet, order=3):
-    """The jet polynomial c1 z + c2 z^2 + c3 z^3 padded to the given order,
-    in the mode L names."""
-    if order < 3:
-        raise ValueError("omega jet needs order >= 3")
-    _, c1, c2, c3 = _operands(lam, jet)
-    return TruncatedSeries([0, c1, c2, c3] + [0] * (order - 3))
-
-
-def series_from_schwarz(lam, omega, N):
-    """Jet of f given omega, to order N: f(z)/z = sum_n sigma(n) omega^n,
-    that is the polynomial with coefficients sigma(0..N-1) composed with
-    omega."""
+def zf_from_schwarz(lam, omega):
+    """The z/f jet (1 - w)(1 - L w) of the function a Schwarz jet w
+    generates, to the order of w; L and w must share a mode."""
     lam, mode = class_parameter(lam)
-    if N < 1:
-        raise ValueError("need N >= 1")
-    M = N - 1
-    if omega.order < M:
-        raise ValueError(f"omega jet of order {omega.order} cannot determine f to order {N}")
-    weights = TruncatedSeries([sigma(lam, n) for n in range(M + 1)], mode)
-    ratio = weights.compose(omega)
-    return TruncatedSeries([0, *ratio.coeffs], mode)
+    if omega.mode != mode:
+        raise ValueError(f"mode mismatch: lambda {mode} vs series {omega.mode}")
+    if omega[0] != 0:
+        raise ValueError("a Schwarz jet must vanish at the origin")
+    tail = omega.coeffs[1:]
+    return (TruncatedSeries([1, *(-c for c in tail)], mode)
+            * TruncatedSeries([1, *(-lam * c for c in tail)], mode))
 
 
 def extremal_function(lam, N):
-    """Jet of z / ((1-z)(1-L z)); the coefficient of z^n is sigma(n-1)."""
+    """Jet of z / ((1-z)(1-L z)); the coefficient of z^n is
+    1 + L + ... + L^(n-1)."""
     lam, mode = class_parameter(lam)
     if N < 1:
         raise ValueError("need N >= 1")
-    return TruncatedSeries([0] + [sigma(lam, n - 1) for n in range(1, N + 1)], mode)
+    coeffs, total, power = [0], 0, 1
+    for _ in range(N):
+        total, power = total + power, power * lam
+        coeffs.append(total)
+    return TruncatedSeries(coeffs, mode)
 
 
 def extremal_inverse(lam, N):
@@ -252,16 +241,16 @@ def membership_profile(g, radius, samples):
 def subordination_witness(lam, f):
     """Recover the Schwarz jet w from z/f = (1 - w)(1 - L w).
 
-    With h(w) = w - L/(1+L) w^2 this reads h(w) = (1 - z/f)/(1+L), and
-    h'(0) = 1, so w = revert(h) o ((1 - z/f)/(1+L)). Returns the jet of w
-    to order N-1.
+    This is the fixed point w = (1 - z/f)/(1+L) + L/(1+L) w^2. As w^2
+    starts at z^2, each substitution fixes one more coefficient, so
+    N-2 of them give the jet of w to order N-1.
     """
     lam, mode = class_parameter(lam)
     if f.mode != mode:
         raise ValueError(f"mode mismatch: lambda {mode} vs series {f.mode}")
-    q = zf_jet(f)
-    inner = (TruncatedSeries.constant(1, q.order, mode) - q) * (1 / (1 + lam))
-    if q.order == 0:
-        return inner
-    h = [0, 1, -lam / (1 + lam)][:q.order + 1] + [0] * (q.order - 2)
-    return revert(TruncatedSeries(h, mode)).compose(inner)
+    g = zf_jet(f)  # g(0) = 1
+    linear = TruncatedSeries([0, *g.coeffs[1:]], mode) * (-1 / (1 + lam))
+    omega = linear
+    for _ in range(g.order - 1):
+        omega = linear + omega * omega * (lam / (1 + lam))
+    return omega

@@ -10,6 +10,7 @@ skip the terms above it, which cannot reach the compared coefficients.
 from fractions import Fraction
 
 from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries
+from coeffforge.schwarz import sample_block_arrays
 
 
 def poly_add(a, b):
@@ -126,6 +127,12 @@ def functional_maxima_oracle(tasks, coeffs):
         k = int(values.argmax())
         out.append((float(values[k]), k))
     return out
+
+
+def block_jets(lam, seed, count, strategy="uniform", block=0):
+    """The first count jets of one sampler block, as float SchwarzJets."""
+    arrays = sample_block_arrays(lam, seed, block, strategy)
+    return [SchwarzJet(*(complex(c[k]) for c in arrays)) for k in range(count)]
 
 
 def exact_jet(c1, c2, c3):

@@ -133,6 +133,36 @@ def test_json_file_with_an_integer_beyond_the_digit_limit_exits_2(capsys, tmp_pa
     assert err == f"error: cannot read {what} {path}: an integer has more than {DIGIT_LIMIT} digits\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["revert", "{}"], "series file"),
+    (["membership", "{}", "--lambda", "1/2"], "series file"),
+    (["coeffs", "--lambda", "1/2", "--jet", "{}"], "jet file"),
+    (["verify", "--config", "{}"], "config"),
+])
+def test_json_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv, what):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe[]")
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {what} {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--lambda", "1/2", "--c1", "1" * 5000],
+    ["bounds", "--lambda", "1" * 5000],
+    ["bounds", "--lambda", "1/" + "3" * (DIGIT_LIMIT + 1)],
+])
+def test_rational_argument_beyond_the_digit_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: a rational argument has more than {DIGIT_LIMIT} digits in a row, "
+                   "more than this interpreter parses\n")
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("lam", ["1/3", "2/7", "1/10"])
 def test_float_revert_prints_the_nearest_doubles_of_the_exact_inverse(capsys, lam):
     argv = ("revert", f"f_{lam}", "--order", "12", "--format", "json")

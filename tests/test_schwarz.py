@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible,
-                        sample_jet_arrays, sample_jets)
+from coeffforge import BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible
 from coeffforge.scalars import FLOAT, QComplex, as_scalar
 from coeffforge.schwarz import STRATEGIES, _fill_c2, block_size, sample_block_arrays
-from helpers import exact_jet
+from helpers import block_jets, exact_jet
 
 F = Fraction
 
@@ -107,14 +106,17 @@ def test_profile_lambda_range():
 
 
 def test_slack_nonnegative_when_first_holds():
+    # 200 jets: 20 from each of 10 blocks, each block at its own L and seed
     rng = np.random.default_rng(3)
-    for _ in range(200):
+    for _ in range(10):
         lam = float(rng.uniform(0.05, 1.0))
-        jet = sample_jets(lam, 1, seed=int(rng.integers(1 << 30)))[0]
-        assert is_admissible(lam, jet)
-        _, (m2, _) = c2_disks(lam, jet.c1, abs(jet.c1) ** 2)
-        t = (1 + lam) * abs(jet.c2 - m2)
-        assert c3_disk(lam, jet.c1, jet.c2, t * t)[1] >= -1e-12
+        arrays = sample_block_arrays(lam, int(rng.integers(1 << 30)), 0)
+        for k in rng.choice(block_size(), 20, replace=False):
+            jet = SchwarzJet(*(complex(c[k]) for c in arrays))
+            assert is_admissible(lam, jet)
+            _, (m2, _) = c2_disks(lam, jet.c1, abs(jet.c1) ** 2)
+            t = (1 + lam) * abs(jet.c2 - m2)
+            assert c3_disk(lam, jet.c1, jet.c2, t * t)[1] >= -1e-12
 
 
 def _table(lam, c1, c2, c1_sq, t_sq):
@@ -143,20 +145,20 @@ def test_carlson_rejects_c3_off_its_point():
 # -- samplers --------------------------------------------------------------------
 
 def test_sampler_single_jet_contract():
-    assert is_admissible(0.7, sample_jets(0.7, 1, seed=42)[0])
+    assert is_admissible(0.7, block_jets(0.7, 42, 1)[0])
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_sampler_deterministic(strategy):
-    a = sample_jets(0.4, 300, seed=9, strategy=strategy)
-    b = sample_jets(0.4, 300, seed=9, strategy=strategy)
-    assert a == b
+    a = sample_block_arrays(0.4, 9, 3, strategy)
+    b = sample_block_arrays(0.4, 9, 3, strategy)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("lam", [0.001, 0.02, 0.05, 0.3, 1.0])
 def test_sampler_emits_only_admissible(strategy, lam):
-    for jet in sample_jets(lam, 400, seed=1, strategy=strategy):
+    for jet in block_jets(lam, 1, 400, strategy):
         assert is_admissible(lam, jet)
 
 
@@ -212,14 +214,13 @@ def test_fill_c2_uniform_on_intersection(r1, lam, schur_smaller):
         assert abs(cut(draws).mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
-def test_sampler_count_validation():
-    with pytest.raises(ValueError):
-        sample_jets(0.5, 0)
-
-
 def test_sampler_lambda_validation():
-    with pytest.raises(ValueError):
-        sample_jets(1.2, 10)
+    # an exact L is checked like a float one, then sampled at its double
+    for lam in (F(0), F(3, 2)):
+        with pytest.raises(ValueError, match="class parameter"):
+            sample_block_arrays(lam, 0, 0)
+    exact, rounded = sample_block_arrays(F(1, 2), 4, 0), sample_block_arrays(0.5, 4, 0)
+    assert all(np.array_equal(x, y) for x, y in zip(exact, rounded))
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.5, 1.2, float("nan")])
@@ -229,8 +230,10 @@ def test_block_lambda_validation(lam):
 
 
 def test_sampler_unknown_strategy():
-    with pytest.raises(ValueError):
-        sample_jets(0.5, 10, strategy="latin-hypercube")
+    # the names are matched exactly
+    for strategy in ("Uniform", "boundary_biased", "latin-hypercube"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            sample_block_arrays(0.5, 0, 0, strategy)
 
 
 @pytest.mark.parametrize("strategy", ["grid", "bogus"])
@@ -241,7 +244,7 @@ def test_block_unknown_strategy(strategy):
 
 def test_rotation_closure():
     rng = np.random.default_rng(17)
-    jets = sample_jets(0.6, 50, seed=5, strategy="uniform")
+    jets = block_jets(0.6, 5, 50)
     for jet in jets:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         w = complex(math.cos(theta), math.sin(theta))  # the jet of omega(w z)
@@ -265,12 +268,12 @@ def test_sample_stream_is_pinned(strategy):
 
 
 def test_block_partition_matches_sequential():
-    lam, seed, count = 0.35, 123, 2 * block_size() + 700
-    c1, c2, c3 = sample_jet_arrays(lam, count, seed=seed, strategy="boundary-biased")
-    parts = [sample_block_arrays(lam, seed, b, strategy="boundary-biased")
-             for b in range(3)]
-    c1b = np.concatenate([p[0] for p in parts])[:count]
-    assert np.array_equal(c1, c1b)
+    # a block depends on its index alone, not on the blocks drawn before it
+    lam, seed = 0.35, 123
+    forward = [sample_block_arrays(lam, seed, b, "boundary-biased") for b in range(3)]
+    backward = [sample_block_arrays(lam, seed, b, "boundary-biased") for b in (2, 1, 0)]
+    for a, b in zip(forward, backward[::-1]):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_jet_json_roundtrip():

@@ -15,11 +15,12 @@ from coeffforge import (EXACT, FLOAT, QComplex, SchwarzJet,
                         fekete_szego, fekete_szego_bound,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_coeffs_closed, inverse_from_jet, membership_scan,
-                        omega_series, revert, sample_jets, series_from_schwarz, sigma,
-                        subordination_witness, theoretical_bounds, zf_jet)
+                        revert, subordination_witness, theoretical_bounds,
+                        zf_from_schwarz, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
 from coeffforge.verifier import _Poly, _proof_table
-from helpers import assert_series_exact, exact_jet, floats, q
+from helpers import (assert_series_exact, block_jets, exact_jet, floats, poly_add,
+                     poly_mul_full, q, random_exact_coeff, truncated)
 
 F = Fraction
 
@@ -29,6 +30,11 @@ def zf_extremal(lam):
     return TruncatedSeries([1, -(1 + lam), lam])
 
 
+def f_from_schwarz(lam, omega):
+    """The jet of f = z / zf_from_schwarz(L, omega), one order above omega."""
+    return TruncatedSeries([0, *zf_from_schwarz(lam, omega).reciprocal().coeffs])
+
+
 # -- parameters -----------------------------------------------------------------
 
 def test_params_range():
@@ -36,7 +42,7 @@ def test_params_range():
         with pytest.raises(ValueError, match=r"class parameter must lie in \(0, 1\]"):
             class_parameter(bad)
         with pytest.raises(ValueError, match="class parameter"):
-            sigma(bad, 2)
+            extremal_function(bad, 2)
     assert class_parameter(1) == (1, EXACT)
     assert class_parameter(0.25) == (0.25, FLOAT)
 
@@ -50,20 +56,6 @@ def test_params_mode_validation():
     for bad in ("1/2", True, 0.5 + 0j, QComplex(F(1, 2))):
         with pytest.raises(TypeError):
             class_parameter(bad)
-
-
-def test_sigma_values():
-    assert [sigma(F(1, 2), n) for n in range(4)] == [1, F(3, 2), F(7, 4), F(15, 8)]
-    assert [sigma(1, n) for n in range(4)] == [1, 2, 3, 4]
-    assert all(type(sigma(lam, 3)) is Fraction for lam in (1, F(1, 2)))
-    assert all(type(sigma(lam, 3)) is float for lam in (1.0, 0.5))
-
-
-def test_sigma_continuity_near_one():
-    # the generic formula converges coefficientwise to the limit branch
-    eps = 1e-8
-    for n in range(8):
-        assert abs(sigma(1.0 - eps, n) - sigma(1.0, n)) < 1e-6
 
 
 # -- direct and inverse coefficients ----------------------------------------------
@@ -94,7 +86,7 @@ def test_inverse_coeffs_corner_general(lam):
 
 def test_three_path_agreement_random_jets():
     lam = F(1, 3)
-    for i, jet in enumerate(sample_jets(float(lam), 40, seed=2024)):
+    for i, jet in enumerate(block_jets(float(lam), 2024, 40)):
         exact = jet.as_exact()
         via_formula = inverse_coeffs(lam, exact)
         via_closed = inverse_coeffs_closed(*direct_coeffs(lam, exact))
@@ -131,45 +123,60 @@ def test_inverse_table_on_every_scalar_type(lam, jet):
         assert abs(a[0] - e.to_complex()) <= 1e-12
 
 
-# -- series from a Schwarz function -------------------------------------------------
+# -- the z/f jet of a Schwarz function, and the series of f --------------------------
 
 def test_series_from_schwarz_omega_z_half():
     omega = TruncatedSeries.identity(3, EXACT)
-    f = series_from_schwarz(F(1, 2), omega, 4)
+    assert_series_exact(zf_from_schwarz(F(1, 2), omega), [1, -F(3, 2), F(1, 2), 0])
+    f = f_from_schwarz(F(1, 2), omega)
     assert_series_exact(f, [0, 1, F(3, 2), F(7, 4), F(15, 8)])
 
 
 def test_series_from_schwarz_omega_z_koebe():
-    f = series_from_schwarz(1, TruncatedSeries.identity(3, EXACT), 4)
+    f = f_from_schwarz(1, TruncatedSeries.identity(3, EXACT))
     assert_series_exact(f, [0, 1, 2, 3, 4])
 
 
 def test_series_from_schwarz_omega_z_squared():
     omega = TruncatedSeries([0, 0, 1], EXACT)
-    f = series_from_schwarz(F(1, 2), omega, 3)
-    assert_series_exact(f, [0, 1, 0, F(3, 2)])
+    assert_series_exact(zf_from_schwarz(F(1, 2), omega), [1, 0, -F(3, 2)])
+    assert_series_exact(f_from_schwarz(F(1, 2), omega), [0, 1, 0, F(3, 2)])
 
 
 def test_series_from_schwarz_matches_direct_coeffs():
+    # a2..a4 through the reciprocal of z/f, apart from the direct_coeffs table
     lam = F(2, 5)
     for jet in [exact_jet(F(1, 2), F(1, 4), 0), exact_jet((F(1, 3), F(1, 5)), 0, F(1, 7))]:
-        f = series_from_schwarz(lam, omega_series(lam, jet), 4)
+        f = f_from_schwarz(lam, TruncatedSeries([0, jet.c1, jet.c2, jet.c3]))
         assert (f[2], f[3], f[4]) == direct_coeffs(lam, jet)
 
 
 def test_series_from_schwarz_order_one():
-    f = series_from_schwarz(F(1, 2), TruncatedSeries([0, F(1, 3)], EXACT), 1)
-    assert_series_exact(f, [0, 1])
+    omega = TruncatedSeries([0, F(1, 3)], EXACT)
+    assert_series_exact(zf_from_schwarz(F(1, 2), omega), [1, -F(1, 2)])
+    assert_series_exact(f_from_schwarz(F(1, 2), omega), [0, 1, F(1, 2)])
 
 
 def test_series_from_schwarz_rejects_nonzero_constant():
     with pytest.raises(ValueError, match="origin"):
-        series_from_schwarz(F(1, 2), TruncatedSeries([1, 1, 0, 0], EXACT), 4)
+        zf_from_schwarz(F(1, 2), TruncatedSeries([1, 1, 0, 0], EXACT))
 
 
-def test_series_from_schwarz_needs_enough_omega():
-    with pytest.raises(ValueError, match="order"):
-        series_from_schwarz(F(1, 2), TruncatedSeries([0, 1], EXACT), 4)
+def test_zf_from_schwarz_random_exact_jets():
+    # expanded: 1 - (1+L) w + L w^2, with w^2 a full product of coefficient lists
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        lam = F(int(rng.integers(1, 10)), 10)
+        omega = [q(0)] + [random_exact_coeff(rng) for _ in range(int(rng.integers(1, 9)))]
+        want = poly_add([1, *(-(1 + lam) * c for c in omega[1:])],
+                        [lam * c for c in poly_mul_full(omega, omega)])
+        got = zf_from_schwarz(lam, TruncatedSeries(omega, EXACT))
+        assert_series_exact(got, truncated(want, len(omega) - 1))
+
+
+def test_zf_from_schwarz_mode_mismatch():
+    with pytest.raises(ValueError, match="mode"):
+        zf_from_schwarz(F(1, 2), TruncatedSeries.identity(3, FLOAT))
 
 
 # -- extremal function and inverse ---------------------------------------------------
@@ -185,6 +192,12 @@ def test_extremal_function_half():
 
 def test_extremal_function_order_one():
     assert_series_exact(extremal_function(F(1, 3), 1), [0, 1])
+
+
+def test_extremal_function_of_a_float_lambda_computes_in_floats():
+    for lam, want in ((0.5, [0, 1, 1.5, 1.75, 1.875]), (1.0, [0, 1, 2, 3, 4])):
+        f = extremal_function(lam, 4)
+        assert f.mode == FLOAT and f.coeffs == tuple(complex(c) for c in want)
 
 
 def test_extremal_inverse_koebe():
@@ -399,20 +412,28 @@ def test_witness_identity_function():
 def test_witness_recovers_jet():
     lam = F(1, 2)
     jet = exact_jet(F(1, 2), F(1, 4), 0)
-    f = series_from_schwarz(lam, omega_series(lam, jet, 5), 6)
+    f = f_from_schwarz(lam, TruncatedSeries([0, jet.c1, jet.c2, jet.c3, 0, 0]))
     omega = subordination_witness(lam, f)
     assert omega[1] == jet.c1 and omega[2] == jet.c2 and omega[3] == jet.c3
 
 
 def test_witness_roundtrip_random():
     lam = F(2, 3)
-    for jet in sample_jets(float(lam), 15, seed=77):
+    for jet in block_jets(float(lam), 77, 15):
         exact = jet.as_exact()
-        f = series_from_schwarz(lam, omega_series(lam, exact, 5), 6)
+        f = f_from_schwarz(lam, TruncatedSeries([0, exact.c1, exact.c2, exact.c3, 0, 0]))
         omega = subordination_witness(lam, f)
         assert omega[1] == exact.c1
         assert omega[2] == exact.c2
         assert omega[3] == exact.c3
+
+
+@pytest.mark.parametrize("lam", [F(1, 3), F(1)])
+def test_witness_roundtrip_at_order_nine(lam):
+    # every coefficient of an order-9 Schwarz jet comes back, not only c1..c3
+    rng = np.random.default_rng(41)
+    omega = TruncatedSeries([q(0)] + [random_exact_coeff(rng) for _ in range(9)], EXACT)
+    assert subordination_witness(lam, f_from_schwarz(lam, omega)) == omega
 
 
 @pytest.mark.parametrize("coeffs", [[1, 1, 0], [0, 2, 0], [0, q(1, 1), 0],
@@ -434,9 +455,10 @@ def test_witness_mode_mismatch():
 
 
 def test_series_lambda_one_limit_coefficientwise():
+    # the coefficients 1 + L + ... + L^(n-1) are continuous at L = 1
     eps = 1e-8
-    omega = TruncatedSeries.identity(5, FLOAT)
-    near = series_from_schwarz(1.0 - eps, omega, 6)
-    limit = series_from_schwarz(1.0, omega, 6)
+    near = extremal_function(1.0 - eps, 8)
+    limit = extremal_function(1.0, 8)
+    assert floats(limit) == list(range(9))
     for a, b in zip(floats(near), floats(limit)):
         assert abs(a - b) < 1e-6

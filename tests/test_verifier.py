@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from coeffforge import (BoundReport, SchwarzJet, SearchConfig, c2_disks, c3_disk, corner_jet,
                         exact_proofs, fekete_szego, fekete_szego_bound, h_function,
                         inverse_from_jet, inverse_weights, reports_to_csv, reports_to_json,
-                        sample_jet_arrays, scan_lambda, sharpness_claimed, theoretical_bounds)
+                        scan_lambda, sharpness_claimed, theoretical_bounds)
 from coeffforge import ulambda, verifier
 from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
 from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _bernstein, _fs_maxima,
@@ -300,8 +300,8 @@ def test_argmax_index_selects_the_argmax_jet():
     at_two, past_one = scan_lambda(["FS"], [1.0], [2.0, 1.25], search)
     assert at_two.argmax_index == 0 and at_two.argmax_jet == corner_jet(1.0)
     assert past_one.argmax_index > 0
-    c1, c2, c3 = sample_jet_arrays(1.0, search.samples - 1, search.seed, search.strategy)
-    k = past_one.argmax_index - 1  # random jets follow the corner at index 0
+    block, k = divmod(past_one.argmax_index - 1, block_size())  # the corner is index 0
+    c1, c2, c3 = sample_block_arrays(1.0, search.seed, block, search.strategy)
     assert past_one.argmax_jet == SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
 
 
