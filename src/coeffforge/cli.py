@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, class_parameter, is_finite_real
@@ -46,6 +46,11 @@ class CliError(ValueError):
     pass
 
 
+def _cut(text):
+    """An argument as an error line echoes it: a long one by a short prefix."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _parse_rational(text):
     try:
         return Fraction(text)
@@ -54,38 +59,46 @@ def _parse_rational(text):
         if 0 < limit < max(map(len, re.findall(r"\d+", text)), default=0):
             raise CliError(f"a rational argument has more than {limit} digits in a row, "
                            "more than this interpreter parses") from exc
-        raise CliError(f"cannot parse {text!r} as a rational number") from exc
+        raise CliError(f"cannot parse {_cut(text)!r} as a rational number") from exc
 
 
 def _parse_lambda(text):
     lam = _parse_rational(text)
     if not 0 < lam <= 1:
-        raise CliError(f"lambda must lie in (0, 1], got {text}")
+        raise CliError(f"lambda must lie in (0, 1], got {_cut(text)}")
     return lam
 
 
 def _parse_complex(text):
     parts = text.split(",")
     if len(parts) > 2:
-        raise CliError(f"cannot parse {text!r} as a complex number (use re or re,im)")
+        raise CliError(f"cannot parse {_cut(text)!r} as a complex number (use re or re,im)")
     re = _parse_rational(parts[0])
     im = _parse_rational(parts[1]) if len(parts) == 2 else Fraction(0)
     return QComplex(re, im)
 
 
-def _parse_grid(text):
-    """Comma list ``a,b,c`` or linspace form ``lo:hi:count``."""
+def _parse_grid(text, name):
+    """Comma list ``a,b,c`` or linspace form ``lo:hi:count`` of the option
+    name, as floats; every error names the option."""
     import numpy as np
-    if ":" in text:
-        pieces = text.split(":")
+    pieces = text.split(":")
+    try:
+        if len(pieces) == 1:
+            return [float(_parse_rational(p)) for p in text.split(",") if p]
         if len(pieces) != 3:
-            raise CliError(f"grid range must be lo:hi:count, got {text!r}")
-        lo, hi = float(Fraction(pieces[0])), float(Fraction(pieces[1]))
-        count = int(pieces[2])
-        if count < 1:
-            raise CliError("grid count must be >= 1")
-        return [float(x) for x in np.linspace(lo, hi, count)]
-    return [float(_parse_rational(p)) for p in text.split(",") if p]
+            raise CliError(f"grid range must be lo:hi:count, got {_cut(text)!r}")
+        lo, hi, count = map(_parse_rational, pieces)
+        if count.denominator != 1 or count < 1:
+            raise CliError(f"grid count must be a positive integer, got {_cut(pieces[2])!r}")
+        if count <= sys.maxsize:  # numpy misreads a larger count
+            with suppress(MemoryError, ValueError):
+                return [float(x) for x in np.linspace(float(lo), float(hi), int(count))]
+        raise CliError("the grid has too many points to allocate")
+    except CliError as exc:
+        raise CliError(f"{name}: {exc}") from exc
+    except OverflowError as exc:
+        raise CliError(f"{name}: a value is out of the float range") from exc
 
 
 def _printed(mode, *values):
@@ -154,7 +167,7 @@ def _load_function_input(name, lam_text):
         return None, _parse_lambda(lam_text)
     if alias.startswith("f_"):
         return None, _parse_lambda(name[2:])
-    raise CliError(f"unknown function input {name!r} "
+    raise CliError(f"unknown function input {_cut(name)!r} "
                    "(expected identity, koebe, extremal, f_<lambda>, or a series file)")
 
 
@@ -383,8 +396,8 @@ def cmd_verify(args):
 def cmd_scan(args):
     if not args.functional:
         raise CliError("scan needs at least one --functional")
-    lambda_grid = _parse_grid(args.lambda_grid)
-    mu_grid = _parse_grid(args.mu_grid) if args.mu_grid else None
+    lambda_grid = _parse_grid(args.lambda_grid, "--lambda-grid")
+    mu_grid = _parse_grid(args.mu_grid, "--mu-grid") if args.mu_grid else None
     search = _search_config({}, args)
     reports = scan_lambda(args.functional, lambda_grid, mu_grid, search)
     if args.format == "json":

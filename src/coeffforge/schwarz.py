@@ -21,9 +21,11 @@ since it is a superset of the true set.
 
 The sampler emits only jets in every disk, in aligned blocks of 8192
 (sample_block_arrays) under one of two strategies, "uniform" or
-"boundary-biased". Extremal configurations sit on the boundary, so float
-admissibility tests allow a 1e-12 band while exact jets are compared
-exactly (via squared moduli, which stay rational).
+"boundary-biased". sample_grid_block draws the part of a block free of L
+(|c1|, arg c1, and the biased rim ray and mask) once for a grid of L, then
+restores the generator state after it for each L. Extremal configurations
+sit on the boundary, so float admissibility tests allow a 1e-12 band while
+exact jets are compared exactly (via squared moduli, which stay rational).
 """
 
 from __future__ import annotations
@@ -129,25 +131,39 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     Block b is driven by default_rng([seed, b]) alone, so any partition of
     the block range across workers reproduces the sequential output.
     """
+    return next(sample_grid_block([lam], seed, block_index, strategy))
+
+
+def sample_grid_block(lams, seed, block_index, strategy="uniform"):
+    """Yield sample_block_arrays(L, seed, block_index, strategy) for each L of
+    lams; the part free of L, c1 included, is drawn once and shared."""
     import numpy as np
-    lam = float(class_parameter(lam)[0])
+    lams = [float(class_parameter(lam)[0]) for lam in lams]
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng([seed, block_index])
     n = _BLOCK
     biased = strategy == "boundary-biased"
-
     r1 = rng.random(n) ** 0.125 if biased else np.sqrt(rng.random(n))
     c1 = r1 * np.exp(2j * np.pi * rng.random(n))
+    # half the biased slots sit on the outer rim of the c2 set, along a random ray
+    rim = (np.exp(2j * np.pi * rng.random(n)), rng.random(n) < 0.5) if biased else None
+    state = rng.bit_generator.state
+    for lam in lams:
+        rng.bit_generator.state = state
+        yield (c1, *_sample_c2_c3(rng, lam, c1, r1, rim))
+
+
+def _sample_c2_c3(rng, lam, c1, r1, rim):
+    """(c2, c3) of a block at L; rim is (ray, inner mask) or None (uniform)."""
+    import numpy as np
     (_, schur), (m2, R2) = c2_disks(lam, c1, r1 * r1)
     schur = np.clip(schur, 0.0, None)
-    if biased:
-        # half the slots sit on the outer rim of the set, along a random ray
-        ray = np.exp(2j * np.pi * rng.random(n))
+    if rim:
+        ray, inner = rim
         proj = m2 * np.conj(ray)
         reach = proj.real + np.sqrt(np.clip(R2 * R2 - proj.imag ** 2, 0.0, None))
         c2 = np.minimum(schur, reach) * ray
-        inner = rng.random(n) < 0.5
         c2[inner] = _fill_c2(rng, schur[inner], m2[inner], R2)
     else:
         c2 = _fill_c2(rng, schur, m2, R2)
@@ -155,11 +171,11 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     t = (1.0 + lam) * np.abs(c2 - m2)
     m3, R3 = c3_disk(lam, c1, c2, t * t)
     R3 = np.clip(R3, 0.0, None)
-    radial = np.sqrt(rng.random(n))
-    if biased:
-        radial[rng.random(n) < 0.5] = 1.0
-    c3 = m3 + R3 * radial * np.exp(2j * np.pi * rng.random(n))
-    return c1, c2, c3
+    radial = np.sqrt(rng.random(_BLOCK))
+    if rim:
+        radial[rng.random(_BLOCK) < 0.5] = 1.0
+    c3 = m3 + R3 * radial * np.exp(2j * np.pi * rng.random(_BLOCK))
+    return c2, c3
 
 
 def _fill_c2(rng, schur, m2, R2):

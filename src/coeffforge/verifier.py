@@ -23,9 +23,9 @@ inequality leaves, in (L, x = |c1|, u) on the unit box [0, 1]^3,
          L + nu(1+L)^2 - (L u + nu(1+L)^2 x^2) in nu = |1 - mu| >= 0,
 
 each proved by the signs of its Bernstein coefficients. They hold over the
-whole disk table, a superset of the true jets. Sample evaluation is
-block-parallel with a deterministic first-max reduction, so reports are
-identical for any worker count.
+whole disk table, a superset of the true jets. The search samples each
+block once for the whole lambda grid and reduces blocks in order to the
+first maximum, so reports are identical for any worker count.
 
 A block is evaluated for all tasks in one call. When it carries many
 Fekete-Szego (FS) tasks, one ranking pass orders the block for every real
@@ -272,7 +272,7 @@ def reports_to_json(reports, extra=None):
 
 
 def worker_count():
-    """Worker cap from COEFFFORGE_THREADS (default 1: fully sequential)."""
+    """Worker cap from COEFFFORGE_THREADS (default 1: one block at a time)."""
     raw = os.environ.get("COEFFFORGE_THREADS", "")
     try:
         n = int(raw) if raw else 1
@@ -405,51 +405,48 @@ def _requested(functionals, mus):
     return tasks
 
 
-def _search_lambda(lam, tasks, bounds, search):
-    """Shared-sample search for several functionals at one parameter value,
-    reported against each task's theoretical bound.
+def _search_grid(grid, tasks, bounds, search):
+    """Shared-sample search for several functionals at every L of the grid,
+    reported against each (L, task)'s theoretical bound.
 
-    The corner jet is global index 0; random blocks follow. Reduction is a
-    strict-max over index order, so ties resolve to the first attaining
-    sample (the corner, whenever it is extremal).
+    The corner jet is global index 0; random blocks follow, one pool task
+    each for the whole grid. Reduction is a strict-max in index order, so ties
+    resolve to the first attaining sample (the corner, whenever extremal).
     """
     import numpy as np
-    lam = float(lam)
-    corner = corner_jet(lam)
-    coeffs = inverse_from_jet(lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3)))
+    best = []
+    for lam in grid:
+        corner = corner_jet(lam)
+        coeffs = inverse_from_jet(lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3)))
+        best.append([(val, 0, corner) for val, _ in _functional_values(tasks, coeffs)])
 
-    best = [(val, 0, corner) for val, _ in _functional_values(tasks, coeffs)]
-
+    size = schwarz.block_size()
     remaining = search.samples - 1
-    if remaining > 0:
-        nblocks = (remaining + schwarz.block_size() - 1) // schwarz.block_size()
 
-        def eval_block(b):
-            c1, c2, c3 = schwarz.sample_block_arrays(lam, search.seed, b,
-                                                     search.strategy)
-            take = min(schwarz.block_size(), remaining - b * schwarz.block_size())
+    def eval_block(b):
+        take = min(size, remaining - b * size)
+        out = []
+        for lam, (c1, c2, c3) in zip(grid, schwarz.sample_grid_block(grid, search.seed, b,
+                                                                     search.strategy)):
             c1, c2, c3 = c1[:take], c2[:take], c3[:take]
             found = _functional_values(tasks, inverse_from_jet(lam, c1, c2, c3))
             jets = {k: SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
                     for k in {k for _, k in found}}
-            return [(val, k, jets[k]) for val, k in found]
+            out.append([(val, k, jets[k]) for val, k in found])
+        return out
 
-        workers = worker_count()
-        if workers > 1 and nblocks > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                block_results = list(pool.map(eval_block, range(nblocks)))
-        else:
-            block_results = [eval_block(b) for b in range(nblocks)]
-
-        for b, result in enumerate(block_results):
-            offset = 1 + b * schwarz.block_size()
-            for t, (val, k, jet) in enumerate(result):
-                if val > best[t][0]:
-                    best[t] = (val, offset + k, jet)
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        for b, per_lam in enumerate(pool.map(eval_block, range((remaining + size - 1) // size))):
+            offset = 1 + b * size
+            for row, result in zip(best, per_lam):
+                for t, (val, k, jet) in enumerate(result):
+                    if val > row[t][0]:
+                        row[t] = (val, offset + k, jet)
 
     return [BoundReport(name, lam, mu, theo, val, jet, index, theo - val,
                         search.samples, search.seed)
-            for (name, mu), theo, (val, index, jet) in zip(tasks, bounds, best)]
+            for lam, theos, row in zip(grid, bounds, best)
+            for (name, mu), theo, (val, index, jet) in zip(tasks, theos, row)]
 
 
 def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):
@@ -472,8 +469,7 @@ def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):
             if not is_finite_real(bound):
                 raise ValueError(f"the {name} bound overflows float arithmetic "
                                  f"at lambda={lam!r}, mu={mu!r}")
-    return [report for lam, row in zip(grid, bounds)
-            for report in _search_lambda(lam, tasks, row, search)]
+    return _search_grid(grid, tasks, bounds, search)
 
 
 def sharpness_claimed(report):

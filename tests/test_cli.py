@@ -163,6 +163,21 @@ def test_rational_argument_beyond_the_digit_limit_exits_2(capsys, argv):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--lambda", "1" * 4000],  # parses, but lies outside (0, 1]
+    ["bounds", "--lambda", "x" * 5000],
+    ["revert", "f_" + "7" * 4000],
+    ["revert", "x" * 5000],
+    ["fekete-szego", "--lambda", "1/2", "--mu", "1,2," + "3" * 5000],
+])
+def test_a_long_argument_is_echoed_by_a_short_prefix(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("lam", ["1/3", "2/7", "1/10"])
 def test_float_revert_prints_the_nearest_doubles_of_the_exact_inverse(capsys, lam):
     argv = ("revert", f"f_{lam}", "--order", "12", "--format", "json")
@@ -502,6 +517,7 @@ def test_an_invalid_request_fails_before_any_sampling(capsys, tmp_path, monkeypa
     def no_sampling(*args):
         raise AssertionError("sampled before the request was checked")
     monkeypatch.setattr(schwarz, "sample_block_arrays", no_sampling)
+    monkeypatch.setattr(schwarz, "sample_grid_block", no_sampling)
     argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -780,6 +796,19 @@ def test_fs_mu_scan_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FS_MU_SCAN_DIGEST
 
 
+# sha256 of the CSV of a three-lambda boundary-biased scan, recorded while
+# each lambda still sampled its own blocks; for mu = 1.5 the maxima come from
+# random blocks (the first two of three full blocks and a partial fourth).
+GRID_SCAN_DIGEST = "f7739075602b2c35106882c2af3bfdadaebf8ac778a1868cea09eb4116b00ad1"
+
+
+def test_multi_lambda_scan_is_pinned(capsys):
+    code, out, _ = run(capsys, "scan", "--functional", "FS", "--functional", "A4",
+                       "--lambda-grid", "0.02,0.3,1", "--mu-grid", "1.5,3", "--samples", "24581")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_SCAN_DIGEST
+
+
 def test_scan_json_records_the_argmax_index(capsys):
     code, out, _ = run(capsys, "scan", "--functional", "A2", "--functional", "FS",
                        "--lambda-grid", "1", "--mu-grid", "0.5,1.5", "--samples", "9000",
@@ -801,6 +830,33 @@ def test_scan_grid_syntax(capsys):
                        "0.2:1.0:5", "--samples", "200", "--format", "text")
     assert code == 0
     assert out.count("A2 lambda=") == 5
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("abc:1:3", "cannot parse 'abc' as a rational number"),
+    ("1" * 5000 + ":1:3", f"a rational argument has more than {DIGIT_LIMIT} digits in a row"),
+    ("0.1:1:x", "cannot parse 'x' as a rational number"),
+    ("0.1:1:0", "grid count must be a positive integer, got '0'"),
+    ("0.1:1:2.5", "grid count must be a positive integer, got '2.5'"),
+    ("0.1:1", "grid range must be lo:hi:count, got '0.1:1'"),
+    ("1e400:1:3", "a value is out of the float range"),
+    ("0.5,x" * 1000, "cannot parse 'x0.5' as a rational number"),
+    # numpy refuses each of these counts at once, before allocating anything
+    ("0.1:1:100000000000", "the grid has too many points to allocate"),
+    ("0.1:1:9223372036854775808", "the grid has too many points to allocate"),
+    ("0.1:1:" + "9" * 4000, "the grid has too many points to allocate"),
+], ids=["word", "digit-limit", "word-count", "zero-count", "fraction-count", "two-parts",
+        "overflow", "long-list", "count-1e11", "count-2^63", "count-4000-digits"])
+@pytest.mark.parametrize("option", ["--lambda-grid", "--mu-grid"])
+def test_bad_grid_exits_2_naming_the_option(capsys, option, grid, message):
+    argv = ["scan", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "1",
+            "--samples", "10"]
+    argv[argv.index(option) + 1] = grid
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option}: {message}") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 # -- determinism across workers (subprocess, env-controlled) --------------------------

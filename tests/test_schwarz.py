@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from coeffforge import BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible
 from coeffforge.scalars import FLOAT, QComplex, as_scalar
-from coeffforge.schwarz import STRATEGIES, _fill_c2, block_size, sample_block_arrays
+from coeffforge.schwarz import (STRATEGIES, _fill_c2, block_size, sample_block_arrays,
+                                sample_grid_block)
 from helpers import block_jets, exact_jet
 
 F = Fraction
@@ -274,6 +275,26 @@ def test_block_partition_matches_sequential():
     backward = [sample_block_arrays(lam, seed, b, "boundary-biased") for b in (2, 1, 0)]
     for a, b in zip(forward, backward[::-1]):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("block", [0, 5])
+def test_grid_block_is_each_lambdas_block_bit_for_bit(strategy, block):
+    # unsorted, with a repeated L and both ends of (0, 1]
+    grid = [0.5, 1e-3, 1.0, 0.5, 0.27]
+    yielded = list(sample_grid_block(grid, 31, block, strategy))
+    assert len(yielded) == len(grid)
+    for lam, arrays in zip(grid, yielded):
+        alone = sample_block_arrays(lam, 31, block, strategy)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in alone], lam
+
+
+def test_grid_block_checks_every_lambda_before_the_first_yield():
+    for grid in ([0.5, 0.0], [0.5, 1.5], [2.0, 0.5]):
+        with pytest.raises(ValueError):
+            next(sample_grid_block(grid, 0, 0))
+    with pytest.raises(ValueError, match="unknown strategy"):
+        next(sample_grid_block([0.5], 0, 0, "grid"))
 
 
 def test_jet_json_roundtrip():

@@ -411,19 +411,23 @@ def test_results_independent_of_workers(monkeypatch):
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.01, 1.0),
+@given(seed=st.integers(0, 2 ** 32 - 1), grid=st.lists(st.floats(0.01, 1.0), min_size=1,
+                                                      max_size=3),
        blocks=st.integers(1, 3), offset=st.integers(-2, 1),
        strategy=st.sampled_from(STRATEGIES))
-def test_csv_identical_for_every_block_partition(seed, lam, blocks, offset, strategy):
+def test_csv_identical_for_every_block_partition(seed, grid, blocks, offset, strategy):
     # index 0 is the corner, so 1 + k*8192 samples fill exactly k blocks; for
     # mu > 1 the Fekete-Szego maxima come from the random blocks, not the corner
     search = SearchConfig(samples=1 + blocks * block_size() + offset, seed=seed,
                           strategy=strategy)
+    functionals, mus = ["A2", "A3", "A4", "FS"], [1.5, 2.0, 3.0]
     csvs = set()
     for threads in ("1", "2", "3"):
         with mock.patch.dict(os.environ, {"COEFFFORGE_THREADS": threads}):
-            csvs.add(reports_to_csv(scan_lambda(["A2", "A3", "A4", "FS"], [lam],
-                                                [1.5, 2.0, 3.0], search)))
+            csvs.add(reports_to_csv(scan_lambda(functionals, grid, mus, search)))
+    # each L of the grid reports what a search at that L alone reports
+    csvs.add(reports_to_csv([r for lam in grid
+                             for r in scan_lambda(functionals, [lam], mus, search)]))
     assert len(csvs) == 1
 
 
