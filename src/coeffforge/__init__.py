@@ -13,7 +13,7 @@ from .ulambda import (MembershipVerdict, corner_jet, defect, direct_coeffs,
                       inverse_coeffs, inverse_coeffs_by_reversion, inverse_from_jet,
                       inverse_weights, membership_profile, membership_scan,
                       subordination_witness, theoretical_bounds, zf_from_schwarz)
-from .verifier import (BoundReport, SearchConfig, exact_proofs, h_function, reports_to_csv,
-                       reports_to_json, scan_lambda, sharpness_claimed)
+from .verifier import (BoundReport, SearchConfig, exact_proofs, reports_to_csv, reports_to_json,
+                       scan_lambda, sharpness_claimed)
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ but a float series file reverts in float; their --mode prints exact values
 or the nearest double of each (float). Search and membership compute in
 float. Every error path, a result beyond the float range included, exits
 nonzero after one line starting with ``error:``. COEFFFORGE_THREADS caps
-the worker count of the verifier; results do not depend on it.
+the verifier's worker processes; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ DEFAULT_VERIFY_CONFIG = {
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliError(message)
+    def error(self, message):  # each long word, an echoed argument, by _cut's rule
+        raise CliError(re.sub(r"\S{41,}", lambda word: _cut(word[0]), message))
 
 
 class CliError(ValueError):

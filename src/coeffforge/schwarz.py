@@ -17,15 +17,20 @@ The set is not complete: it omits the Schur condition on c3 (Carlson
 1940), |c3(1-|c1|^2) + conj(c1) c2^2| <= (1-|c1|^2)^2 - |c2|^2, so it
 holds jets of no Schwarz function, e.g. (4/5, 9/25, 36/125) at L = 1,
 where Carlson forces c3 = -36/125. The bounds searched over it stay sound,
-since it is a superset of the true set.
+since it is a superset of the true set. The Carlson disk cannot just join
+the c3 row: at (9/10, 19/100), in both c2 disks at L = 1, it is the point
+-171/1000, outside the class disk (171/1000, 8151/40000).
 
 The sampler emits only jets in every disk, in aligned blocks of 8192
 (sample_block_arrays) under one of two strategies, "uniform" or
-"boundary-biased". sample_grid_block draws the part of a block free of L
-(|c1|, arg c1, and the biased rim ray and mask) once for a grid of L, then
-restores the generator state after it for each L. Extremal configurations
-sit on the boundary, so float admissibility tests allow a 1e-12 band while
-exact jets are compared exactly (via squared moduli, which stay rational).
+"boundary-biased". Block b draws from default_rng([seed, b]) first what is
+free of L: c1 and the c3 offsets v (unit-disk points, by rejection from the
+square), and for the biased strategy |c1|, the rim ray and the two rim
+masks. sample_grid_block shares these over a grid of L, and for each L
+restores the generator state after them to draw c2 by rejection; then
+c3 = m3 + R3 v. Extremal configurations sit on the boundary, so float
+admissibility tests allow a 1e-12 band while exact jets are compared
+exactly (via squared moduli, which stay rational).
 """
 
 from __future__ import annotations
@@ -136,46 +141,53 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
 
 def sample_grid_block(lams, seed, block_index, strategy="uniform"):
     """Yield sample_block_arrays(L, seed, block_index, strategy) for each L of
-    lams; the part free of L, c1 included, is drawn once and shared."""
+    lams; every draw free of L is made once and shared."""
     import numpy as np
     lams = [float(class_parameter(lam)[0]) for lam in lams]
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng([seed, block_index])
-    n = _BLOCK
-    biased = strategy == "boundary-biased"
-    r1 = rng.random(n) ** 0.125 if biased else np.sqrt(rng.random(n))
-    c1 = r1 * np.exp(2j * np.pi * rng.random(n))
-    # half the biased slots sit on the outer rim of the c2 set, along a random ray
-    rim = (np.exp(2j * np.pi * rng.random(n)), rng.random(n) < 0.5) if biased else None
+    n, rim = _BLOCK, None
+    c1, v = _disk_points(rng, n), _disk_points(rng, n)  # c3 = m3 + R3 v
+    if strategy == "boundary-biased":
+        c1 *= rng.random(n) ** 0.125 / abs(c1)
+        ray, edge = _disk_points(rng, n), rng.random(n) < 0.5
+        v[edge] /= abs(v[edge])  # half the c3 on the rim of their disk
+        # half the slots sit on the outer rim of the c2 set, along a random ray
+        rim = (ray / abs(ray), np.flatnonzero(rng.random(n) < 0.5))
+    c1_sq = c1.real * c1.real + c1.imag * c1.imag
+    schur = np.clip(c2_disks(1.0, 0.0, c1_sq)[0][1], 0.0, None)  # reads |c1|^2 alone
     state = rng.bit_generator.state
     for lam in lams:
         rng.bit_generator.state = state
-        yield (c1, *_sample_c2_c3(rng, lam, c1, r1, rim))
+        yield (c1, *_sample_c2_c3(rng, lam, c1, c1_sq, schur, rim, v))
 
 
-def _sample_c2_c3(rng, lam, c1, r1, rim):
-    """(c2, c3) of a block at L; rim is (ray, inner mask) or None (uniform)."""
+def _sample_c2_c3(rng, lam, c1, c1_sq, schur, rim, v):
+    """(c2, c3) of a block at L; rim is (ray, fill slots) or None (uniform)."""
     import numpy as np
-    (_, schur), (m2, R2) = c2_disks(lam, c1, r1 * r1)
-    schur = np.clip(schur, 0.0, None)
+    _, (m2, R2) = c2_disks(lam, c1, c1_sq)
     if rim:
-        ray, inner = rim
+        ray, fill = rim
         proj = m2 * np.conj(ray)
         reach = proj.real + np.sqrt(np.clip(R2 * R2 - proj.imag ** 2, 0.0, None))
         c2 = np.minimum(schur, reach) * ray
-        c2[inner] = _fill_c2(rng, schur[inner], m2[inner], R2)
+        c2[fill] = _fill_c2(rng, schur[fill], m2[fill], R2)
     else:
         c2 = _fill_c2(rng, schur, m2, R2)
-
     t = (1.0 + lam) * np.abs(c2 - m2)
     m3, R3 = c3_disk(lam, c1, c2, t * t)
-    R3 = np.clip(R3, 0.0, None)
-    radial = np.sqrt(rng.random(_BLOCK))
-    if rim:
-        radial[rng.random(_BLOCK) < 0.5] = 1.0
-    c3 = m3 + R3 * radial * np.exp(2j * np.pi * rng.random(_BLOCK))
-    return c2, c3
+    return c2, m3 + np.clip(R3, 0.0, None) * v
+
+
+def _disk_points(rng, n):
+    """n area-uniform points of the unit disk less 0: the first n of a batch
+    from the square [-1, 1]^2 that land in it (pi/4 of them on average)."""
+    import numpy as np
+    u = 2.0 * rng.random(2 * (n + n // 3 + 64)).view(complex) - (1 + 1j)
+    s = u.real * u.real + u.imag * u.imag
+    u = u[(s <= 1.0) & (s > 0.0)]
+    return u[:n] if u.size >= n else np.concatenate([u, _disk_points(rng, n - u.size)])
 
 
 def _fill_c2(rng, schur, m2, R2):
@@ -183,21 +195,21 @@ def _fill_c2(rng, schur, m2, R2):
 
     The region is the intersection of the Schur disk |c2| <= schur and the
     class disk |c2 - m2| <= R2. Each round proposes one point per unfilled
-    slot, area-uniform in the smaller of the two disks, and keeps it if it
-    lies in both; a kept point is area-uniform on the intersection. Both
-    disks contain 0, and the lens area then keeps the acceptance of each
-    proposal above 0.39 for every L in (0, 1] and |c1| < 1.
+    slot, uniform in the bounding square of the smaller of the two disks,
+    and keeps it if it lies in both; a kept point is area-uniform on the
+    intersection. Both disks contain 0, and the lens area then keeps the
+    acceptance of each proposal above 0.39 pi/4 for every L in (0, 1] and
+    |c1| < 1.
     """
     import numpy as np
     centre = np.where(schur <= R2, 0.0, m2)
     radius = np.minimum(schur, R2)
     out = np.empty(len(schur), complex)
-    pending = np.arange(len(schur))
-    while pending.size:
-        k = pending.size
-        cand = centre[pending] + radius[pending] * np.sqrt(rng.random(k)) \
-            * np.exp(2j * np.pi * rng.random(k))
-        ok = (np.abs(cand) <= schur[pending]) & (np.abs(cand - m2[pending]) <= R2)
-        out[pending[ok]] = cand[ok]
-        pending = pending[~ok]
+    slots = np.arange(len(schur))
+    while slots.size:
+        cand = centre + radius * (2.0 * rng.random(2 * slots.size).view(complex) - (1 + 1j))
+        ok = (np.abs(cand) <= schur) & (np.abs(cand - m2) <= R2)
+        out[slots[ok]] = cand[ok]
+        miss = np.flatnonzero(~ok)
+        slots, centre, radius, schur, m2 = (a[miss] for a in (slots, centre, radius, schur, m2))
     return out

@@ -24,8 +24,9 @@ inequality leaves, in (L, x = |c1|, u) on the unit box [0, 1]^3,
 
 each proved by the signs of its Bernstein coefficients. They hold over the
 whole disk table, a superset of the true jets. The search samples each
-block once for the whole lambda grid and reduces blocks in order to the
-first maximum, so reports are identical for any worker count.
+block once for the whole lambda grid, in up to COEFFFORGE_THREADS forked
+worker processes, and reduces blocks in order to the first maximum, so
+reports are identical for any worker count.
 
 A block is evaluated for all tasks in one call. When it carries many
 Fekete-Szego (FS) tasks, one ranking pass orders the block for every real
@@ -42,14 +43,14 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, lcm, prod
 
 from . import schwarz
-from .scalars import class_parameter, is_finite_real
+from .scalars import is_finite_real
 from .schwarz import SchwarzJet
 from .ulambda import (corner_jet, fekete_szego_bound, inverse_from_jet, inverse_weights,
                       theoretical_bounds)
@@ -60,20 +61,6 @@ ATTAINMENT_TOL = 1e-3
 
 
 # -- the exact proofs --------------------------------------------------------
-
-def h_function(lam, c1_abs, t):
-    """h(t) = L - t^2/L + 6(1+L)|c1| t + 2(1+L)^3 |c1|^3 on 0 <= t <= L.
-
-    Twice the |A4| candidate after the triangle-inequality regrouping.
-    Accepts floats or Fractions (exact in, exact out).
-    """
-    lam, _ = class_parameter(lam)
-    if not 0 <= c1_abs <= 1:
-        raise ValueError("|c1| must lie in [0, 1]")
-    if not 0 <= t <= lam:
-        raise ValueError("t must lie in [0, lam]")
-    return _h(lam, c1_abs, t / lam)
-
 
 def _h(lam, x, u):
     """h at |c1| = x and t = L u, for numbers or polynomials."""
@@ -272,7 +259,8 @@ def reports_to_json(reports, extra=None):
 
 
 def worker_count():
-    """Worker cap from COEFFFORGE_THREADS (default 1: one block at a time)."""
+    """Worker process cap from COEFFFORGE_THREADS (default 1: no worker
+    processes, one block at a time)."""
     raw = os.environ.get("COEFFFORGE_THREADS", "")
     try:
         n = int(raw) if raw else 1
@@ -422,31 +410,46 @@ def _search_grid(grid, tasks, bounds, search):
 
     size = schwarz.block_size()
     remaining = search.samples - 1
-
-    def eval_block(b):
-        take = min(size, remaining - b * size)
-        out = []
-        for lam, (c1, c2, c3) in zip(grid, schwarz.sample_grid_block(grid, search.seed, b,
-                                                                     search.strategy)):
-            c1, c2, c3 = c1[:take], c2[:take], c3[:take]
-            found = _functional_values(tasks, inverse_from_jet(lam, c1, c2, c3))
-            jets = {k: SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
-                    for k in {k for _, k in found}}
-            out.append([(val, k, jets[k]) for val, k in found])
-        return out
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for b, per_lam in enumerate(pool.map(eval_block, range((remaining + size - 1) // size))):
-            offset = 1 + b * size
-            for row, result in zip(best, per_lam):
-                for t, (val, k, jet) in enumerate(result):
-                    if val > row[t][0]:
-                        row[t] = (val, offset + k, jet)
+    blocks = range((remaining + size - 1) // size)
+    evaluate = partial(_eval_block, grid, tasks, search, remaining)
+    workers = min(worker_count(), len(blocks))
+    for b, per_lam in enumerate(_forked(evaluate, blocks, workers) if workers > 1
+                                else map(evaluate, blocks)):
+        offset = 1 + b * size
+        for row, result in zip(best, per_lam):
+            for t, (val, k, jet) in enumerate(result):
+                if val > row[t][0]:
+                    row[t] = (val, offset + k, jet)
 
     return [BoundReport(name, lam, mu, theo, val, jet, index, theo - val,
                         search.samples, search.seed)
             for lam, theos, row in zip(grid, bounds, best)
             for (name, mu), theo, (val, index, jet) in zip(tasks, theos, row)]
+
+
+def _eval_block(grid, tasks, search, remaining, b):
+    """Block b's [(maximum, index in the block, jet) per task] for each L."""
+    take = min(schwarz.block_size(), remaining - b * schwarz.block_size())
+    out = []
+    for lam, (c1, c2, c3) in zip(grid, schwarz.sample_grid_block(grid, search.seed, b,
+                                                                 search.strategy)):
+        c1, c2, c3 = c1[:take], c2[:take], c3[:take]
+        found = _functional_values(tasks, inverse_from_jet(lam, c1, c2, c3))
+        jets = {k: SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
+                for k in {k for _, k in found}}
+        out.append([(val, k, jets[k]) for val, k in found])
+    return out
+
+
+def _forked(evaluate, blocks, workers):
+    """Yield evaluate(b) for each block in order, from forked worker processes."""
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing import get_context
+    try:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            yield from pool.map(evaluate, blocks)
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a search worker process died: {exc}") from None
 
 
 def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):

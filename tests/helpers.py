@@ -9,8 +9,9 @@ skip the terms above it, which cannot reach the compared coefficients.
 
 from fractions import Fraction
 
-from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries
+from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter
 from coeffforge.schwarz import sample_block_arrays
+from coeffforge.verifier import _h
 
 
 def poly_add(a, b):
@@ -145,3 +146,18 @@ def _as_q(x):
     if isinstance(x, tuple):
         return QComplex(Fraction(x[0]), Fraction(x[1]))
     return QComplex(Fraction(x))
+
+
+def h_function(lam, c1_abs, t):
+    """h(t) = L - t^2/L + 6(1+L)|c1| t + 2(1+L)^3 |c1|^3 on 0 <= t <= L.
+
+    Twice the |A4| candidate after the triangle-inequality regrouping, as
+    the A4 proof row writes it (verifier._h), with its arguments checked.
+    Accepts floats or Fractions (exact in, exact out).
+    """
+    lam, _ = class_parameter(lam)
+    if not 0 <= c1_abs <= 1:
+        raise ValueError("|c1| must lie in [0, 1]")
+    if not 0 <= t <= lam:
+        raise ValueError("t must lie in [0, lam]")
+    return _h(lam, c1_abs, t / lam)

@@ -169,6 +169,11 @@ def test_rational_argument_beyond_the_digit_limit_exits_2(capsys, argv):
     ["revert", "f_" + "7" * 4000],
     ["revert", "x" * 5000],
     ["fekete-szego", "--lambda", "1/2", "--mu", "1,2," + "3" * 5000],
+    # argparse's own errors
+    ["scan", "--functional", "x" * 5000],
+    ["revert", "identity", "--order", "x" * 5000],
+    ["membership", "identity", "--lambda", "1/2", "--radius", "x" * 5000],
+    ["scan", "--functional", "x" * 300],
 ])
 def test_a_long_argument_is_echoed_by_a_short_prefix(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -783,9 +788,10 @@ def test_scan_fs_values(capsys, tmp_path):
     assert theoreticals == [5.0, 3.0, 1.0]
 
 
-# sha256 of the CSV of a 201-mu Fekete-Szego scan, recorded while every mu
-# was still evaluated on the whole of every block.
-FS_MU_SCAN_DIGEST = "5d6063314c1f7c961e5f64feceb44d4d544ad48e69e6b0020816b2ba482bafe6"
+# sha256 of the CSV of a 201-mu Fekete-Szego scan. Its rows with mu <= 1 sit
+# at the corner; re-recorded when the sample stream moved to disk points
+# drawn by rejection from the square, which moved only rows with mu > 1.
+FS_MU_SCAN_DIGEST = "68848937f41d9caa6c7a3d24664ee80c350e62152029cb4c6ccf1c700831eea3"
 
 
 def test_fs_mu_scan_is_pinned(capsys):
@@ -796,10 +802,11 @@ def test_fs_mu_scan_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FS_MU_SCAN_DIGEST
 
 
-# sha256 of the CSV of a three-lambda boundary-biased scan, recorded while
-# each lambda still sampled its own blocks; for mu = 1.5 the maxima come from
-# random blocks (the first two of three full blocks and a partial fourth).
-GRID_SCAN_DIGEST = "f7739075602b2c35106882c2af3bfdadaebf8ac778a1868cea09eb4116b00ad1"
+# sha256 of the CSV of a three-lambda boundary-biased scan, re-recorded when
+# the sample stream moved to disk points drawn by rejection from the square;
+# for mu = 1.5 the maxima come from random blocks (the first and the third of
+# three full blocks; a partial fourth follows).
+GRID_SCAN_DIGEST = "858f916bd4a568aaefea3337e3ec3979ffef941dba15550ef07f0e1717690ca3"
 
 
 def test_multi_lambda_scan_is_pinned(capsys):
@@ -880,6 +887,27 @@ def test_verify_csv_identical_across_worker_counts(tmp_path):
     assert csv_1 == csv_8
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "20000"],
+    ["scan", "--functional", "A2", "--lambda-grid", "0.5", "--samples", "30000", "--out", "x"],
+])
+def test_a_worker_that_dies_exits_2_with_one_error_line(capsys, tmp_path, monkeypatch, argv):
+    parent = os.getpid()
+
+    def die(*args):
+        if os.getpid() != parent:
+            os._exit(1)  # as a worker killed by a signal or the OOM killer
+        raise AssertionError("a block was sampled outside the worker processes")
+    monkeypatch.setattr(schwarz, "sample_grid_block", die)
+    monkeypatch.setenv("COEFFFORGE_THREADS", "2")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a search worker process died") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # no report files
+
+
 # -- cold start: the exact subcommands never import numpy --------------------------
 
 _NO_NUMPY_PROBE = """
@@ -905,6 +933,30 @@ def test_exact_subcommands_never_import_numpy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str({"import": False, "revert": False, "bounds": False,
                                        "coeffs": False, "fekete-szego": False})
+
+
+# -- cold start: one worker never imports the process pool --------------------------
+
+_NO_POOL_PROBE = """
+import contextlib, io, sys
+import coeffforge.cli as cli
+pool = ("concurrent.futures", "multiprocessing")
+seen = {"import": [m for m in pool if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["scan", "--functional", "A2", "--lambda-grid", "0.5,1",
+                     "--samples", "20000"]) == 0
+seen["scan"] = [m for m in pool if m in sys.modules]
+print(seen)
+"""
+
+
+def test_one_worker_never_imports_the_process_pool():
+    env = dict(os.environ, COEFFFORGE_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_POOL_PROBE],
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str({"import": [], "scan": []})
 
 
 # -- the sampling subcommands without numpy ----------------------------------------

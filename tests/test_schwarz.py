@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from coeffforge import BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible
 from coeffforge.scalars import FLOAT, QComplex, as_scalar
-from coeffforge.schwarz import (STRATEGIES, _fill_c2, block_size, sample_block_arrays,
-                                sample_grid_block)
+from coeffforge.schwarz import (STRATEGIES, _disk_points, _fill_c2, block_size,
+                                sample_block_arrays, sample_grid_block)
 from helpers import block_jets, exact_jet
 
 F = Fraction
@@ -137,6 +137,21 @@ def test_disk_table_on_every_scalar_type():
         assert np.ravel(a)[0] == pytest.approx(f, abs=1e-15)
 
 
+def test_carlson_and_class_c3_disks_can_be_disjoint():
+    # (9/10, 19/100) at L = 1 lies in both c2 disks, on the Schur rim, yet no
+    # c3 lies in both the Carlson disk and the class disk
+    lam, c1, c2 = F(1), QComplex(F(9, 10)), QComplex(F(19, 100))
+    (_, schur), (m2, R2) = c2_disks(lam, c1, c1.abs2())
+    assert c2.abs2() == schur * schur and (c2 - m2).abs2() <= R2 * R2
+    s = 1 - c1.abs2()
+    carlson = (-QComplex(c1.re, -c1.im) * c2 * c2 / s, (s * s - c2.abs2()) / s)
+    assert carlson == (QComplex(F(-171, 1000)), 0)  # c3 is forced
+    m3, R3 = c3_disk(lam, c1, c2, (1 + lam) ** 2 * (c2 - m2).abs2())
+    assert (m3, R3) == (QComplex(F(171, 1000)), F(8151, 40000))
+    assert (m3 - carlson[0]).abs2() > (R3 + carlson[1]) ** 2
+    assert is_admissible(lam, SchwarzJet(c1, c2, m3))  # the class disk alone admits it
+
+
 @pytest.mark.xfail(strict=True, reason="the Carlson (1940) condition on c3 is not checked")
 def test_carlson_rejects_c3_off_its_point():
     # |c2| = 1 - |c1|^2 forces c3 = -conj(c1) c2^2 / (1 - |c1|^2) = -36/125
@@ -215,6 +230,30 @@ def test_fill_c2_uniform_on_intersection(r1, lam, schur_smaller):
         assert abs(cut(draws).mean() - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
+def _within_4_sigma(hits, p):
+    return abs(hits.mean() - p) <= 4 * math.sqrt(p * (1 - p) / hits.size)
+
+
+def test_disk_points_are_area_uniform():
+    n = 200_000
+    p = _disk_points(np.random.default_rng(8), n)
+    assert p.shape == (n,) and np.all(np.abs(p) <= 1) and np.all(p != 0)
+    for angle in (0.0, 0.5, 2.0):  # half-planes through the centre
+        assert _within_4_sigma((p * np.exp(-1j * angle)).real > 0, 0.5)
+    for r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):  # the radial quantiles: P(|p| <= r) = r^2
+        assert _within_4_sigma(np.abs(p) <= r, r * r)
+
+
+def test_directions_are_uniform_in_angle():
+    n = 200_000
+    p = _disk_points(np.random.default_rng(9), n)
+    d = p / abs(p)
+    assert np.allclose(np.abs(d), 1, rtol=0, atol=1e-15)
+    turns = np.angle(d) / (2 * np.pi) % 1.0
+    for q in (0.05, 0.25, 0.4, 0.5, 0.75, 0.95):
+        assert _within_4_sigma(turns < q, q)
+
+
 def test_sampler_lambda_validation():
     # an exact L is checked like a float one, then sampled at its double
     for lam in (F(0), F(3, 2)):
@@ -255,9 +294,11 @@ def test_rotation_closure():
 
 # sha256 of the three arrays of sample_block_arrays(0.5, 1, 0, strategy), as
 # little-endian complex128 bytes: the sample stream must not move by one bit.
+# Recorded when unit-disk points and directions came to be drawn by
+# rejection from the square, and the c3 offsets once for the lambda grid.
 STREAM_DIGESTS = {
-    "uniform": "91d5a2c0fad6141a45f75f96f7da4879645eda96184e33f27eb68fdec68df07e",
-    "boundary-biased": "7095d28303f3e18b438cedabc5f6ce24a105e8cc8875bb46e5528114a7729936",
+    "uniform": "9f830b2748dcff6565d629beb31c87cd281cfd5219e365047a0888ff66d2ec4d",
+    "boundary-biased": "834dfc2f296acb3f0b9a9d3888205d070ca6c049ed0c6e5a29c0047f7c7f5104",
 }
 
 

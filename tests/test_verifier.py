@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffforge import (BoundReport, SchwarzJet, SearchConfig, c2_disks, c3_disk, corner_jet,
-                        exact_proofs, fekete_szego, fekete_szego_bound, h_function,
+                        exact_proofs, fekete_szego, fekete_szego_bound,
                         inverse_from_jet, inverse_weights, reports_to_csv, reports_to_json,
                         scan_lambda, sharpness_claimed, theoretical_bounds)
 from coeffforge import ulambda, verifier
@@ -19,7 +19,7 @@ from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
 from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _bernstein, _fs_maxima,
                                  _functional_values, _h, _nonnegative_on_box, _Poly,
                                  _proof_table, worker_count)
-from helpers import functional_maxima_oracle
+from helpers import functional_maxima_oracle, h_function
 
 F = Fraction
 
