@@ -133,8 +133,8 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     boundary-biased  concentrates near |c1| = 1 and the saturated
                      constraints, where the extremal values live.
 
-    Block b is driven by default_rng([seed, b]) alone, so any partition of
-    the block range across workers reproduces the sequential output.
+    Block b is driven by default_rng([seed, b]) alone, so the blocks split
+    over up to COEFFFORGE_THREADS worker processes give the sequential output.
     """
     return next(sample_grid_block([lam], seed, block_index, strategy))
 
