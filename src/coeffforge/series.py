@@ -129,21 +129,6 @@ class TruncatedSeries:
             out.append(-acc * inv0)
         return TruncatedSeries(out, self._mode)
 
-    def derivative(self):
-        """Termwise derivative; the jet of a constant differentiates to 0."""
-        if self.order == 0:
-            return TruncatedSeries([0], self._mode)
-        out = [self._coeffs[k] * k for k in range(1, self.order + 1)]
-        return TruncatedSeries(out, self._mode)
-
-    def evaluate(self, z):
-        """Horner evaluation of the jet polynomial at a point."""
-        z = as_scalar(z, self._mode)
-        acc = self._coeffs[-1]
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * z + self._coeffs[k]
-        return acc
-
     # -- conversions -------------------------------------------------------
 
     def to_float(self):
@@ -300,15 +285,3 @@ def inverse_from_zf(g):
         power = power * g
         coeffs.append(power[n - 1] / n)
     return TruncatedSeries(coeffs, g.mode)
-
-
-def inverse_coeffs_closed(a2, a3, a4):
-    """First three inverse-function coefficients from the direct ones.
-
-    Works on any scalar type closed under + and * (exact complex, complex,
-    numpy arrays).
-    """
-    A2 = -a2
-    A3 = -a3 + 2 * a2 * a2
-    A4 = -a4 + 5 * a2 * a3 - 5 * a2 * a2 * a2
-    return A2, A3, A4

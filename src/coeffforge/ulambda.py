@@ -154,14 +154,6 @@ def fekete_szego_bound(lam, mu):
 
 # -- membership -------------------------------------------------------------
 
-def defect(g, z):
-    """The membership defect g(z) - z g'(z) - 1 of the f with z/f = g, equal
-    to (z/f)^2 f' - 1. Exact for an exact jet g at an exact point."""
-    z = as_scalar(z, g.mode)
-    one = as_scalar(1, g.mode)
-    return g.evaluate(z) - z * g.derivative().evaluate(z) - one
-
-
 @dataclass(frozen=True)
 class MembershipVerdict:
     label: str

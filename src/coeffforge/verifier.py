@@ -37,6 +37,13 @@ computed only on the indices whose y lies within a rounding margin,
 bounds the rounding of both routes (derived in _fs_maxima), so every
 value and every first-maximum index is the one a whole-block pass gives,
 bit for bit.
+
+The reduction replaces the corner's value of each (L, task) only by a
+strictly larger one, so blocks get these values as floors. As A3 - mu P =
+(A3 - P) + (1 - mu) P, no value on a block exceeds max|A3 - P| +
+|1 - mu| max|P|; a ranked mu whose bound, with a rounding margin (derived
+in _fs_maxima), is at most its floor is skipped. The corner attains the
+sharp bound for real mu <= 1, so a block ranks such mu only if it nears it.
 """
 
 from __future__ import annotations
@@ -269,22 +276,25 @@ def worker_count():
     return max(1, n)
 
 
-def _functional_values(tasks, coeffs):
+def _functional_values(tasks, coeffs, floors=None):
     """(maximum, first index attaining it) of each task's functional on a
-    block, from the block's (A2, A3, A4) arrays.
+    block, from the block's (A2, A3, A4) arrays, or None for a task whose
+    floor (a float per task) the block provably cannot exceed.
 
     Every value is a reference expression: abs(Ak) for a coefficient and
     abs(A3 - mu * P) with P = A2 * A2 for FS. With _RANK_MIN_TASKS or more FS
     tasks, _fs_maxima ranks the block for every real mu at once and
-    evaluates the reference only where a maximum can lie; any other FS task
-    evaluates it on the whole block.
+    evaluates the reference only where a maximum can lie, or skips a mu
+    whose block bound is at most its floor; any other FS task evaluates the
+    reference on the whole block.
     """
     A2, A3, _ = coeffs
     fs = [i for i, (name, _) in enumerate(tasks) if name == "FS"]
     P = A2 * A2 if fs else None
     found = {}
     if len(fs) >= _RANK_MIN_TASKS:
-        found = dict(zip(fs, _fs_maxima(A3, P, [tasks[i][1] for i in fs])))
+        found = dict(zip(fs, _fs_maxima(A3, P, [tasks[i][1] for i in fs],
+                                        floors and [floors[i] for i in fs])))
     out = []
     for i, (name, mu) in enumerate(tasks):
         hit = found.get(i)
@@ -292,7 +302,7 @@ def _functional_values(tasks, coeffs):
             values = abs(A3 - mu * P) if name == "FS" else abs(coeffs[FUNCTIONALS.index(name)])
             k = int(values.argmax())
             hit = (float(values[k]), k)
-        out.append(hit)
+        out.append(None if hit is _PRUNED else hit)
     return out
 
 
@@ -303,11 +313,14 @@ _RANK_MIN_TASKS = 5
 _RANK_CHUNK = 16  # mu values per (chunk x 3) @ (3 x n) product: 1 MB at n = 8192
 _RANK_MARGIN = 64 * 2.0 ** -52  # times S^2; the derivation is in _fs_maxima
 _RANK_RANGE = (2.0 ** -200, 2.0 ** 200)
+_PRUNE_MARGIN = 2.0 ** -48  # slack of the block bound; the derivation is in _fs_maxima
+_PRUNED = object()  # a mu whose floor the block cannot exceed
 
 
-def _fs_maxima(A3, P, mus):
+def _fs_maxima(A3, P, mus, floors=None):
     """For each mu, (maximum, first index attaining it) of
-    abs(A3 - mu * P), or None where mu is not ranked.
+    abs(A3 - mu * P), None where mu is not ranked, or _PRUNED where the
+    block bound shows that no index exceeds floors[i].
 
     For real mu, |A3 - mu P|^2 = y = |A3|^2 - 2 mu Re(A3 conj P) + mu^2 |P|^2,
     and y for up to _RANK_CHUNK values of mu is one small matrix product.
@@ -340,6 +353,19 @@ def _fs_maxima(A3, P, mus):
     then no step overflows and an underflow moves y by under 2^-670, far
     below u S^2 >= 2^-453. Any other mu, and any mu not an int or float,
     is not ranked.
+
+    Why a pruned mu cannot change a report. A ranked mu is pruned when
+    B = (sigma + |1 - mu| p_top)(1 + 2^-48) + 2^-48 S <= floors[i], with
+    sigma the computed max abs(A3 - P), finite and at most 2^200. As
+    A3_j - mu P_j = (A3_j - P_j) + (1 - mu) P_j, x_j <= |A3_j - P_j| + |1 - mu| p.
+    abs(A3 - P) rounds each part once, then takes abs: |A3_j - P_j| <=
+    sigma (1 + 5.1u); p <= p_top (1 + 2.1u), and 1 - mu rounds once. So
+    x_j <= (sigma + |1 - mu| p_top)(1 + 8.2u), and v_j <= x_j + 6.2 u S.
+    B rounds at most four times along each of its nonnegative terms, so it
+    keeps over 27u of its 32u relative and 31u of its absolute slack, and
+    every v_j <= B <= floors[i]; an underflow (S >= 2^-200) moves p_top or
+    a_top by under 2^-536, far inside the slack. The reduction replaces a
+    floor only by a strictly larger value, so skipping mu changes nothing.
     """
     import numpy as np
     rows = np.stack([A3.real * A3.real + A3.imag * A3.imag,
@@ -352,6 +378,12 @@ def _fs_maxima(A3, P, mus):
         return out
     ranked = [i for i, mu in enumerate(mus) if isinstance(mu, (int, float))
               and abs(mu) <= hi and a_top + abs(mu) * p_top >= lo]
+    if floors is not None and (sigma := float(abs(A3 - P).max())) <= hi:
+        for i, mu in ((i, float(mus[i])) for i in ranked):
+            if (sigma + abs(1 - mu) * p_top) * (1 + _PRUNE_MARGIN) \
+                    + _PRUNE_MARGIN * (a_top + abs(mu) * p_top) <= floors[i]:
+                out[i] = _PRUNED
+        ranked = [i for i in ranked if out[i] is None]
     n = len(A3)
     y = np.empty((min(_RANK_CHUNK, len(ranked)), n))
     for start in range(0, len(ranked), _RANK_CHUNK):
@@ -397,9 +429,11 @@ def _search_grid(grid, tasks, bounds, search):
     """Shared-sample search for several functionals at every L of the grid,
     reported against each (L, task)'s theoretical bound.
 
-    The corner jet is global index 0; random blocks follow, one pool task
-    each for the whole grid. Reduction is a strict-max in index order, so ties
-    resolve to the first attaining sample (the corner, whenever extremal).
+    The corner jet is global index 0; random blocks follow, each run once
+    for the whole grid in process or in a forked worker. Reduction is a
+    strict-max in index order, so ties resolve to the first attaining sample
+    (the corner, whenever extremal); the corner's values are every block's
+    floors, and a block reports None where it cannot exceed one.
     """
     import numpy as np
     best = []
@@ -411,15 +445,16 @@ def _search_grid(grid, tasks, bounds, search):
     size = schwarz.block_size()
     remaining = search.samples - 1
     blocks = range((remaining + size - 1) // size)
-    evaluate = partial(_eval_block, grid, tasks, search, remaining)
+    floors = [[val for val, _, _ in row] for row in best]
+    evaluate = partial(_eval_block, grid, tasks, search, remaining, floors)
     workers = min(worker_count(), len(blocks))
     for b, per_lam in enumerate(_forked(evaluate, blocks, workers) if workers > 1
                                 else map(evaluate, blocks)):
         offset = 1 + b * size
         for row, result in zip(best, per_lam):
-            for t, (val, k, jet) in enumerate(result):
-                if val > row[t][0]:
-                    row[t] = (val, offset + k, jet)
+            for t, hit in enumerate(result):
+                if hit is not None and hit[0] > row[t][0]:
+                    row[t] = (hit[0], offset + hit[1], hit[2])
 
     return [BoundReport(name, lam, mu, theo, val, jet, index, theo - val,
                         search.samples, search.seed)
@@ -427,17 +462,17 @@ def _search_grid(grid, tasks, bounds, search):
             for (name, mu), theo, (val, index, jet) in zip(tasks, theos, row)]
 
 
-def _eval_block(grid, tasks, search, remaining, b):
-    """Block b's [(maximum, index in the block, jet) per task] for each L."""
+def _eval_block(grid, tasks, search, remaining, floors, b):
+    """Block b's [(maximum, index in the block, jet) or None per task] for each L."""
     take = min(schwarz.block_size(), remaining - b * schwarz.block_size())
     out = []
-    for lam, (c1, c2, c3) in zip(grid, schwarz.sample_grid_block(grid, search.seed, b,
-                                                                 search.strategy)):
+    for lam, row, (c1, c2, c3) in zip(grid, floors, schwarz.sample_grid_block(
+            grid, search.seed, b, search.strategy)):
         c1, c2, c3 = c1[:take], c2[:take], c3[:take]
-        found = _functional_values(tasks, inverse_from_jet(lam, c1, c2, c3))
+        found = _functional_values(tasks, inverse_from_jet(lam, c1, c2, c3), row)
         jets = {k: SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
-                for k in {k for _, k in found}}
-        out.append([(val, k, jets[k]) for val, k in found])
+                for k in {hit[1] for hit in found if hit is not None}}
+        out.append([None if hit is None else (*hit, jets[hit[1]]) for hit in found])
     return out
 
 

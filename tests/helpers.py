@@ -10,6 +10,7 @@ skip the terms above it, which cannot reach the compared coefficients.
 from fractions import Fraction
 
 from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter
+from coeffforge.scalars import as_scalar
 from coeffforge.schwarz import sample_block_arrays
 from coeffforge.verifier import _h
 
@@ -112,6 +113,39 @@ def _unit(rng):
     import math
     t = 2.0 * math.pi * rng.random()
     return math.cos(t), math.sin(t)
+
+
+def derivative(series):
+    """Termwise derivative jet; the jet of a constant differentiates to 0."""
+    if series.order == 0:
+        return TruncatedSeries([0], series.mode)
+    return TruncatedSeries([series[k] * k for k in range(1, series.order + 1)], series.mode)
+
+
+def evaluate(series, z):
+    """Horner evaluation of the jet polynomial at a point."""
+    z = as_scalar(z, series.mode)
+    acc = series[series.order]
+    for k in range(series.order - 1, -1, -1):
+        acc = acc * z + series[k]
+    return acc
+
+
+def defect(g, z):
+    """The membership defect g(z) - z g'(z) - 1 of the f with z/f = g, equal
+    to (z/f)^2 f' - 1, pointwise: the library scans it as one polynomial.
+    Exact for an exact jet g at an exact point."""
+    z = as_scalar(z, g.mode)
+    return evaluate(g, z) - z * evaluate(derivative(g), z) - as_scalar(1, g.mode)
+
+
+def inverse_coeffs_closed(a2, a3, a4):
+    """First three inverse-function coefficients from the direct ones, by the
+    classical formulas. Works on any scalar type closed under + and *."""
+    A2 = -a2
+    A3 = -a3 + 2 * a2 * a2
+    A4 = -a4 + 5 * a2 * a3 - 5 * a2 * a2 * a2
+    return A2, A3, A4
 
 
 def functional_maxima_oracle(tasks, coeffs):

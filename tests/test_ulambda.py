@@ -10,17 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffforge import (EXACT, FLOAT, QComplex, SchwarzJet,
-                        TruncatedSeries, class_parameter, corner_jet, defect,
+                        TruncatedSeries, class_parameter, corner_jet,
                         direct_coeffs, extremal_function, extremal_inverse,
                         fekete_szego, fekete_szego_bound,
                         inverse_coeffs, inverse_coeffs_by_reversion,
-                        inverse_coeffs_closed, inverse_from_jet, membership_scan,
+                        inverse_from_jet, membership_scan,
                         revert, subordination_witness, theoretical_bounds,
                         zf_from_schwarz, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
 from coeffforge.verifier import _Poly, _proof_table
-from helpers import (assert_series_exact, block_jets, exact_jet, floats, poly_add,
-                     poly_mul_full, q, random_exact_coeff, truncated)
+from helpers import (assert_series_exact, block_jets, defect, exact_jet, floats,
+                     inverse_coeffs_closed, poly_add, poly_mul_full, q, random_exact_coeff,
+                     truncated)
 
 F = Fraction
 

@@ -410,6 +410,18 @@ def test_results_independent_of_workers(monkeypatch):
     assert sequential == threaded
 
 
+def test_floors_leave_a_grid_scan_unchanged(monkeypatch):
+    # ranked FS tasks on a two-L grid, skipped where the corner's value bounds
+    # a block (an infinite margin skips nothing), with one and two workers
+    search = SearchConfig(samples=2 * block_size() + 7, seed=17)
+    args = (["A4", "FS"], [1.0, 0.3], [-1.0, 0.0, 0.5, 1.0, 1.2, 1.5, 3.0], search)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COEFFFORGE_THREADS", threads)
+        skipped = reports_to_csv(scan_lambda(*args))
+        with mock.patch.object(verifier, "_PRUNE_MARGIN", float("inf")):
+            assert reports_to_csv(scan_lambda(*args)) == skipped
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), grid=st.lists(st.floats(0.01, 1.0), min_size=1,
                                                       max_size=3),
@@ -495,7 +507,66 @@ def _near_ties(seed):
     return tuple(nudge(a[7]) for a in _block(1.0, seed, "uniform"))
 
 
-@pytest.mark.parametrize("coeffs", [
+def _aligned(seed):
+    """One jet repeated, with A3 = 1.5 P: then A3 - mu P = (1.5 - mu) P, and
+    the block bound's triangle inequality is an equality for real mu < 1.5,
+    so only its rounding margin keeps the bound above the computed values."""
+    A2, _, A4 = (np.resize(a[7:8], block_size()) for a in _block(1.0, seed, "uniform"))
+    return A2, 1.5 * (A2 * A2), A4
+
+
+def _corner_floors(lam, tasks):
+    """The floors a search at L gives every block: the corner's values."""
+    corner = corner_jet(lam)
+    return [v for v, _ in _functional_values(tasks, inverse_from_jet(
+        lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3))))]
+
+
+def _floored(tasks, coeffs, floors, expected):
+    """The evaluator's results with floors: a task it drops has an oracle
+    maximum at most its floor, and every other task the oracle's maximum."""
+    found = _functional_values(tasks, coeffs, floors)
+    for hit, want, floor in zip(found, expected, floors):
+        if hit is None:
+            assert want[0] <= floor
+        else:
+            assert _hexed([hit]) == _hexed([want])
+    return found
+
+
+def _floored_like_the_oracle(tasks, coeffs, lam):
+    """Floors one ulp below the oracle's maxima drop no task; floors at the
+    maxima and the corner's floors at L drop only tasks they bound."""
+    expected = functional_maxima_oracle(tasks, coeffs)
+    below = [float(np.nextafter(v, -np.inf)) for v, _ in expected]
+    assert None not in _floored(tasks, coeffs, below, expected)
+    _floored(tasks, coeffs, [v for v, _ in expected], expected)
+    _floored(tasks, coeffs, _corner_floors(lam, tasks), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       strategy=st.sampled_from(STRATEGIES), take=st.integers(1, block_size()),
+       mus=st.lists(_MU, min_size=1, max_size=40),
+       extra=st.sets(st.sampled_from(["A2", "A3", "A4"])))
+def test_floors_drop_only_tasks_the_block_cannot_lift(lam, seed, strategy, take, mus, extra):
+    tasks = [(name, None) for name in sorted(extra)] + [("FS", mu) for mu in mus]
+    _floored_like_the_oracle(tasks, _block(lam, seed, strategy, take), lam)
+
+
+def test_corner_floors_skip_exactly_the_mu_at_most_one():
+    # the scan-fs-mu grid at L = 1: the corner attains L + (1 - mu)(1 + L)^2
+    # for mu <= 1, which no sampled block approaches, so only mu > 1 is ranked
+    mus = [float(m) for m in np.linspace(-1, 2, 201)]
+    tasks = [("FS", mu) for mu in mus]
+    coeffs = _block(1.0, 3, "uniform")
+    found = _floored(tasks, coeffs, _corner_floors(1.0, tasks),
+                     functional_maxima_oracle(tasks, coeffs))
+    skipped = [mu for mu, hit in zip(mus, found) if hit is None]
+    assert skipped == [mu for mu in mus if mu <= 1] and len(skipped) == 134
+
+
+_ADVERSARIAL_BLOCKS = pytest.mark.parametrize("coeffs", [
     _duplicated(_block(1.0, 5, "boundary-biased"), 1),
     _duplicated(_block(1.0, 5, "boundary-biased"), 7),
     _duplicated(_block(0.3, 6, "uniform"), 100),
@@ -505,13 +576,25 @@ def _near_ties(seed):
     tuple(a * 2.0 ** 252 for a in _near_ties(4)),  # mu^2 |P|^2 overflows
     tuple(np.zeros(block_size(), complex) for _ in range(3)),
     tuple(np.concatenate([np.zeros(50, complex), a[50:]]) for a in _block(0.5, 2, "uniform")),
+    _aligned(5),
 ], ids=["one-jet", "period-7", "period-100", "near-ties-1", "near-ties-2", "near-ties-tiny",
-        "near-ties-huge", "all-zero", "zero-prefix"])
+        "near-ties-huge", "all-zero", "zero-prefix", "aligned"])
+_ADVERSARIAL_MUS = [0.0, 1e3, -1e3, 2.0, 2.0, -0.5, 1.0, 0.999, 1e-300, 3, 0.5 + 0.5j, 1e250,
+                    float("inf"), float("nan")] + [float(m) for m in np.linspace(-1, 2, 201)]
+
+
+@_ADVERSARIAL_BLOCKS
 def test_block_evaluator_on_adversarial_blocks(coeffs):
-    mus = [0.0, 1e3, -1e3, 2.0, 2.0, -0.5, 1.0, 0.999, 1e-300, 3, 0.5 + 0.5j, 1e250,
-           float("inf"), float("nan")] + [float(m) for m in np.linspace(-1, 2, 201)]
+    mus = _ADVERSARIAL_MUS
     tasks = [("A3", None)] + [("FS", mu) for mu in mus]
     assert len(mus) >= _RANK_MIN_TASKS  # the ranked route for every real mu in range
     with np.errstate(over="ignore", invalid="ignore"):  # in the reference itself
         assert _hexed(_functional_values(tasks, coeffs)) == \
             _hexed(functional_maxima_oracle(tasks, coeffs))
+
+
+@_ADVERSARIAL_BLOCKS
+def test_floors_on_adversarial_blocks(coeffs):
+    tasks = [("A3", None)] + [("FS", mu) for mu in _ADVERSARIAL_MUS]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _floored_like_the_oracle(tasks, coeffs, 1.0)
