@@ -10,8 +10,8 @@ from .schwarz import BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible
 from .ulambda import (MembershipVerdict, corner_jet, direct_coeffs, extremal_function,
                       extremal_inverse, fekete_szego, fekete_szego_bound, inverse_coeffs,
                       inverse_coeffs_by_reversion, inverse_from_jet, inverse_weights,
-                      membership_profile, membership_scan, subordination_witness,
-                      theoretical_bounds, zf_from_schwarz)
+                      membership_profile, membership_scan, theoretical_bounds,
+                      zf_from_schwarz)
 from .verifier import (BoundReport, SearchConfig, exact_proofs, reports_to_csv, reports_to_json,
                        scan_lambda, sharpness_claimed)
 

@@ -5,8 +5,10 @@ fekete-szego. bounds, coeffs, fekete-szego and revert compute exactly,
 but a float series file reverts in float; their --mode prints exact values
 or the nearest double of each (float). Search and membership compute in
 float. Every error path, a result beyond the float range included, exits
-nonzero after one line starting with ``error:``. COEFFFORGE_THREADS caps
-the verifier's worker processes; results do not depend on it.
+nonzero after one line starting with ``error:`` and prints nothing on
+stdout: verify writes its --out artifacts before its first line.
+COEFFFORGE_THREADS caps the verifier's worker processes, which never
+outnumber the CPUs the process may use; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, class_parameter, is_finite_real
+from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
 from .series import TruncatedSeries, revert, zf_jet
 from .schwarz import STRATEGIES, SchwarzJet, is_admissible
 from .ulambda import (direct_coeffs, extremal_function, extremal_inverse, fekete_szego,
                       fekete_szego_bound, inverse_coeffs, inverse_coeffs_by_reversion,
-                      membership_profile, membership_scan, theoretical_bounds)
+                      membership_profile, membership_scan, theoretical_bounds, zf_from_schwarz)
 from .verifier import (ATTAINMENT_TOL, FUNCTIONALS, SearchConfig, exact_proofs,
-                       reports_to_csv, reports_to_json, scan_lambda, sharpness_claimed)
+                       reports_to_csv, reports_to_json, scan_lambda)
 
 DEFAULT_VERIFY_CONFIG = {
     "lambda_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
@@ -190,8 +192,7 @@ def cmd_revert(args):
     if args.mode == FLOAT or inverse.mode == FLOAT:  # a float series file reverts in float
         inverse = TruncatedSeries(_printed(FLOAT, *inverse.coeffs), FLOAT)
     with _exact_text():
-        text = (json.dumps(inverse.to_json()) if args.format == "json"
-                else inverse.pretty("w", decimals=True))
+        text = json.dumps(inverse.to_json()) if args.format == "json" else inverse.pretty()
     print(text)
     return 0
 
@@ -282,11 +283,11 @@ def cmd_membership(args):
     series, family = _load_function_input(args.input, args.lam)
     if series is not None:
         g, label = zf_jet(series.to_float()), "series"
-    elif family is None:  # a closed form: z/f is 1 or (1-z)(1-Lz), a polynomial
+    elif family is None:  # a closed form: z/f is 1 or the polynomial (1-z)(1-Lz)
         g, label = TruncatedSeries([1], FLOAT), "identity"
-    else:
-        family, _ = class_parameter(float(family))  # a rational L can round to float 0
-        g = TruncatedSeries([1, -(1 + family), family], FLOAT)
+    else:  # w = z to order 2, or the product drops L z^2; L rounding to 0 raises
+        family = float(family)
+        g = zf_from_schwarz(family, TruncatedSeries([0, 1, 0], FLOAT))
         label = "koebe" if family == 1 else f"extremal({family})"
     verdict = membership_scan(g, lam, args.radius, args.samples, label,
                               approximate=series is not None)
@@ -351,23 +352,19 @@ def cmd_verify(args):
     search = config["search"]
     reports = scan_lambda(config["functionals"], config["lambda_grid"],
                           config["mu_grid"], search)
-    tol = search.tolerance
     attain_tol = float(config["attainment_tol"])
-
-    sound = True
-    attained = True
+    lines, sound, attained = [], True, True
     for report in reports:
-        ok_sound = report.sound(tol)
-        ok_attained = (not sharpness_claimed(report)) or report.gap <= attain_tol
+        ok_sound, ok_attained = report.sound(search.tolerance), report.attained(attain_tol)
         sound &= ok_sound
         attained &= ok_attained
         status = "OK" if ok_sound and ok_attained else "VIOLATION" if not ok_sound else "NOT-ATTAINED"
-        print(f"{report.text_line()} {status}")
+        lines.append(f"{report.text_line()} {status}")
 
     proofs = exact_proofs()
     for name, proved in proofs.items():
         scope = "L in (0, 1], every mu" if name == "FS" else "L in (0, 1]"
-        print(f"{name} exact proof ({scope}): {'OK' if proved else 'FAIL'}")
+        lines.append(f"{name} exact proof ({scope}): {'OK' if proved else 'FAIL'}")
 
     passed = sound and attained and all(proofs.values())
     extra = {
@@ -381,12 +378,12 @@ def cmd_verify(args):
         "checks": {"sound": sound, "attained": attained, "proofs": proofs},
         "passed": passed,
     }
-    if args.out:
+    if args.out:  # before any stdout, so a path that cannot be written prints nothing
         with open(args.out + ".csv", "w") as handle:
             handle.write(reports_to_csv(reports))
         with open(args.out + ".json", "w") as handle:
             handle.write(reports_to_json(reports, extra))
-    print("PASS" if passed else "FAIL")
+    print("\n".join([*lines, "PASS" if passed else "FAIL"]))
     if not passed:
         print("error: bound verification failed (see report)", file=sys.stderr)
         return 1

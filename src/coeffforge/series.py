@@ -19,8 +19,7 @@ function is carried by its z/f jet g: membership reads g, and Lagrange
 inversion reads g directly (inverse_from_zf), with no composition and no
 reciprocal. A jet of f itself is a plain TruncatedSeries; zf_jet turns it
 into g, after require_normalized checks the normalization, so every
-reader of f (revert, the membership scan, the subordination witness)
-goes through that check.
+reader of f (revert, the membership scan) goes through that check.
 """
 
 from __future__ import annotations
@@ -166,21 +165,17 @@ class TruncatedSeries:
             return cls([complex(re, im) for re, im in data], FLOAT)
         raise ValueError("coefficients must be [re,im] or [re_num,re_den,im_num,im_den]")
 
-    def pretty(self, var="z", decimals=False):
-        """Human-readable polynomial string, e.g. ``w - 2w^2 + 5w^3``."""
+    def pretty(self):
+        """Human-readable polynomial in w with decimal coefficients, e.g.
+        ``w - 1.5w^2 + 5w^3``."""
         pieces = []
         for n, c in enumerate(self._coeffs):
             if c == 0:
                 continue
-            text = _format_coeff(c, decimals)
+            text = _format_coeff(c)
             sign, mag = ("-", text[1:]) if text.startswith("-") else ("+", text)
-            mono = "" if n == 0 else (var if n == 1 else f"{var}^{n}")
-            if mono:
-                if mag == "1":
-                    mag = ""
-                elif "/" in mag:
-                    mag = f"({mag})"
-            body = f"{mag}{mono}" if mono else mag
+            mono = "" if n == 0 else ("w" if n == 1 else f"w^{n}")
+            body = ("" if mono and mag == "1" else mag) + mono
             if not pieces:
                 pieces.append(body if sign == "+" else f"-{body}")
             else:
@@ -226,24 +221,22 @@ def _exact_product(a, b, n):
     return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
 
 
-def _format_coeff(c, decimals):
+def _format_coeff(c):
     if isinstance(c, QComplex):
         if c.im == 0:
-            return _format_real(c.re, decimals)
+            return _format_real(c.re)
         if c.re == 0:
-            return f"{_format_real(c.im, decimals)}i"
-        return f"({_format_real(c.re, decimals)}{'+' if c.im > 0 else ''}{_format_real(c.im, decimals)}i)"
+            return f"{_format_real(c.im)}i"
+        return f"({_format_real(c.re)}{'+' if c.im > 0 else ''}{_format_real(c.im)}i)"
     if c.imag == 0.0:
         return _trim_float(c.real)
     return f"({_trim_float(c.real)}{'+' if c.imag >= 0 else ''}{_trim_float(c.imag)}i)"
 
 
-def _format_real(q, decimals):
+def _format_real(q):
     if q.denominator == 1:
         return str(q.numerator)
-    if decimals:
-        return _trim_float(float(q))
-    return f"{q.numerator}/{q.denominator}"
+    return _trim_float(float(q))
 
 
 def _trim_float(x):

@@ -6,9 +6,9 @@ one-parameter class of normalized analytic functions
 restricted to functions with z/f = (1-w(z))(1-L w(z)) for a Schwarz
 function w. A class function is carried by that z/f jet g, a polynomial
 in w (zf_from_schwarz): the reversion route reads g by Lagrange
-inversion, membership reads the defect g - z g' - 1, and the witness
-solves g for w. All coefficient maps are polynomial in the jet of w, so
-exact mode gives literal equalities.
+inversion, and membership reads the defect g - z g' - 1. All coefficient
+maps are polynomial in the jet of w, so exact mode gives literal
+equalities.
 
 Conventions. Every function takes L itself, and the type of L is the
 mode: an int or a Fraction computes exactly (jets and mu are converted to
@@ -20,10 +20,10 @@ truncation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .scalars import as_scalar, class_parameter, maybe_exact_abs
-from .series import TruncatedSeries, inverse_from_zf, zf_jet
+from .series import TruncatedSeries, inverse_from_zf
 from .schwarz import SchwarzJet
 
 _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
@@ -167,17 +167,11 @@ class MembershipVerdict:
     approximate: bool  # True when judged from a truncated jet
 
     def to_json(self):
-        return {
-            "function": self.label,
-            "lambda": self.lam,
-            "radius": self.radius,
-            "samples": self.samples,
-            "max_defect": self.max_defect,
-            "argmax_theta": self.argmax_theta,
-            "argmax_index": self.argmax_index,
-            "member_at_radius": self.member_at_radius,
-            "approximate": self.approximate,
-        }
+        """The fields by name, with label as "function" and lam as "lambda"."""
+        out = asdict(self)
+        out["function"] = out.pop("label")
+        out["lambda"] = out.pop("lam")
+        return out
 
 
 def _defect_chunks(g, radius, samples):
@@ -228,21 +222,3 @@ def membership_profile(g, radius, samples):
     """(theta, |defect|) rows for external plotting."""
     return [row for _, theta, values in _defect_chunks(g, radius, samples)
             for row in zip(theta.tolist(), values.tolist())]
-
-
-def subordination_witness(lam, f):
-    """Recover the Schwarz jet w from z/f = (1 - w)(1 - L w).
-
-    This is the fixed point w = (1 - z/f)/(1+L) + L/(1+L) w^2. As w^2
-    starts at z^2, each substitution fixes one more coefficient, so
-    N-2 of them give the jet of w to order N-1.
-    """
-    lam, mode = class_parameter(lam)
-    if f.mode != mode:
-        raise ValueError(f"mode mismatch: lambda {mode} vs series {f.mode}")
-    g = zf_jet(f)  # g(0) = 1
-    linear = TruncatedSeries([0, *g.coeffs[1:]], mode) * (-1 / (1 + lam))
-    omega = linear
-    for _ in range(g.order - 1):
-        omega = linear + omega * omega * (lam / (1 + lam))
-    return omega

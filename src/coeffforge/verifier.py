@@ -25,8 +25,10 @@ inequality leaves, in (L, x = |c1|, u) on the unit box [0, 1]^3,
 each proved by the signs of its Bernstein coefficients. They hold over the
 whole disk table, a superset of the true jets. The search samples each
 block once for the whole lambda grid, in up to COEFFFORGE_THREADS forked
-worker processes, and reduces blocks in order to the first maximum, so
-reports are identical for any worker count.
+worker processes but no more than the CPUs the process may use, and
+reduces blocks in order to the first maximum, so reports are identical for
+any worker count. A request it cannot serve raises ValueError before the
+first block is sampled, so the CLI reports it with nothing on stdout.
 
 A block is evaluated for all tasks in one call. When it carries many
 Fekete-Szego (FS) tasks, one ranking pass orders the block for every real
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -200,8 +202,7 @@ class SearchConfig:
         return cls(**data)
 
     def to_json(self):
-        return {"samples": self.samples, "seed": self.seed, "strategy": self.strategy,
-                "tolerance": self.tolerance}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,14 @@ class BoundReport:
     seed: int
 
     def sound(self, tol=SOUNDNESS_TOL):
-        return self.gap >= -tol
+        """Whether gap >= -tol in units of max(1, theoretical): the float
+        rounding of the corner's value grows with the bound."""
+        return self.gap >= -tol * max(1.0, self.theoretical)
+
+    def attained(self, tol=ATTAINMENT_TOL):
+        """Whether gap <= tol, in the same units, where the theorem says the
+        bound is attained (sharpness_claimed); elsewhere True."""
+        return not sharpness_claimed(self) or self.gap <= tol * max(1.0, self.theoretical)
 
     def text_line(self):
         """The report as verify and scan print it, without a status."""
@@ -233,22 +241,14 @@ class BoundReport:
                 f"{self.empirical_max!r},{self.gap!r},{self.samples},{self.seed}")
 
     def to_json(self):
-        mu = None
+        """The fields by name, with lam as "lambda", mu as [re, im] or None
+        and the jet as SchwarzJet.to_json() gives it."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["lambda"] = out.pop("lam")
         if self.mu is not None:
-            muc = complex(self.mu)
-            mu = [muc.real, muc.imag]
-        return {
-            "functional": self.functional,
-            "lambda": self.lam,
-            "mu": mu,
-            "theoretical": self.theoretical,
-            "empirical_max": self.empirical_max,
-            "argmax_jet": self.argmax_jet.to_json(),
-            "argmax_index": self.argmax_index,
-            "gap": self.gap,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+            out["mu"] = [complex(self.mu).real, complex(self.mu).imag]
+        out["argmax_jet"] = self.argmax_jet.to_json()
+        return out
 
 
 CSV_HEADER = "functional,lambda,mu,theoretical,empirical_max,gap,samples,seed"
@@ -267,7 +267,10 @@ def reports_to_json(reports, extra=None):
 
 def worker_count():
     """Worker process cap from COEFFFORGE_THREADS (default 1: no worker
-    processes, one block at a time)."""
+    processes, one block at a time). The search further caps it at the CPUs
+    the process may use, since fork starts every worker at once. A value
+    that is not an integer raises ValueError, which the CLI reports with
+    nothing on stdout."""
     raw = os.environ.get("COEFFFORGE_THREADS", "")
     try:
         n = int(raw) if raw else 1
@@ -447,7 +450,8 @@ def _search_grid(grid, tasks, bounds, search):
     blocks = range((remaining + size - 1) // size)
     floors = [[val for val, _, _ in row] for row in best]
     evaluate = partial(_eval_block, grid, tasks, search, remaining, floors)
-    workers = min(worker_count(), len(blocks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(worker_count(), len(blocks), cpus or 1)
     for b, per_lam in enumerate(_forked(evaluate, blocks, workers) if workers > 1
                                 else map(evaluate, blocks)):
         offset = 1 + b * size

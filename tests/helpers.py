@@ -9,7 +9,7 @@ skip the terms above it, which cannot reach the compared coefficients.
 
 from fractions import Fraction
 
-from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter
+from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter, zf_jet
 from coeffforge.scalars import as_scalar
 from coeffforge.schwarz import sample_block_arrays
 from coeffforge.verifier import _h
@@ -137,6 +137,24 @@ def defect(g, z):
     Exact for an exact jet g at an exact point."""
     z = as_scalar(z, g.mode)
     return evaluate(g, z) - z * evaluate(derivative(g), z) - as_scalar(1, g.mode)
+
+
+def subordination_witness(lam, f):
+    """Recover the Schwarz jet w from z/f = (1 - w)(1 - L w).
+
+    This is the fixed point w = (1 - z/f)/(1+L) + L/(1+L) w^2. As w^2
+    starts at z^2, each substitution fixes one more coefficient, so
+    N-2 of them give the jet of w to order N-1.
+    """
+    lam, mode = class_parameter(lam)
+    if f.mode != mode:
+        raise ValueError(f"mode mismatch: lambda {mode} vs series {f.mode}")
+    g = zf_jet(f)  # g(0) = 1
+    linear = TruncatedSeries([0, *g.coeffs[1:]], mode) * (-1 / (1 + lam))
+    omega = linear
+    for _ in range(g.order - 1):
+        omega = linear + omega * omega * (lam / (1 + lam))
+    return omega
 
 
 def inverse_coeffs_closed(a2, a3, a4):

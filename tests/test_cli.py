@@ -665,6 +665,27 @@ def test_verify_default_small(capsys, tmp_path):
     assert payload["checks"]["proofs"] == {"A2": True, "A3": True, "A4": True, "FS": True}
 
 
+def test_verify_out_to_an_unwritable_path_prints_nothing(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "rep")
+    code, out, err = run(capsys, "verify", "--samples", "10", "--out", missing)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_corner_attains_a_bound_near_1e15(capsys, tmp_path):
+    # the corner's float value differs from the bound by rounding at the
+    # bound's scale: gap -0.25 at L = 0.3 and 0.5 at L = 0.7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_grid": [0.1, 0.3, 0.7], "functionals": ["FS"],
+                               "mu_grid": [-1e15], "search": {"samples": 1}}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    lines = out.splitlines()
+    assert "gap=-0.25 OK" in lines[1] and "gap=0.5 OK" in lines[2]
+    assert lines[-1] == "PASS"
+
+
 def test_verify_single_lambda_override(capsys):
     code, out, _ = run(capsys, "verify", "--lambda", "0.5", "--samples", "500")
     assert code == 0

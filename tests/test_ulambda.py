@@ -9,19 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (EXACT, FLOAT, QComplex, SchwarzJet,
+from coeffforge import (EXACT, FLOAT, MembershipVerdict, QComplex, SchwarzJet,
                         TruncatedSeries, class_parameter, corner_jet,
                         direct_coeffs, extremal_function, extremal_inverse,
                         fekete_szego, fekete_szego_bound,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_from_jet, membership_scan,
-                        revert, subordination_witness, theoretical_bounds,
-                        zf_from_schwarz, zf_jet)
+                        revert, theoretical_bounds, zf_from_schwarz, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
 from coeffforge.verifier import _Poly, _proof_table
 from helpers import (assert_series_exact, block_jets, defect, exact_jet, floats,
                      inverse_coeffs_closed, poly_add, poly_mul_full, q, random_exact_coeff,
-                     truncated)
+                     subordination_witness, truncated)
 
 F = Fraction
 
@@ -389,6 +388,15 @@ def test_membership_scan_validation():
         membership_scan(g, 0.5, 0.9, 4)
     with pytest.raises(ValueError):
         membership_scan(g, 1.5, 0.9, 32)
+
+
+def test_verdict_json_shape_is_pinned():
+    verdict = MembershipVerdict("extremal(0.7)", 0.7, 0.9, 360, 0.63, 3.141592653589793, 180,
+                                True, False)
+    assert verdict.to_json() == {
+        "function": "extremal(0.7)", "lambda": 0.7, "radius": 0.9, "samples": 360,
+        "max_defect": 0.63, "argmax_theta": 3.141592653589793, "argmax_index": 180,
+        "member_at_radius": True, "approximate": False}
 
 
 # -- subordination witness ------------------------------------------------------------

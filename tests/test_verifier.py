@@ -390,6 +390,48 @@ def test_report_serialization():
     assert payload["reports"][0]["argmax_jet"]["c1"] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("functional, mu, mu_json", [("A4", None, None), ("FS", 0.5, [0.5, 0.0]),
+                                                     ("FS", 2 - 1.5j, [2.0, -1.5])])
+def test_report_json_shape_is_pinned(functional, mu, mu_json):
+    jet = SchwarzJet(0.5 + 0.25j, -0.125, -0.75j)
+    report = BoundReport(functional, 0.3, mu, 2.5, 2.25, jet, 8193, 0.25, 20000, 7)
+    assert report.to_json() == {
+        "functional": functional, "lambda": 0.3, "mu": mu_json, "theoretical": 2.5,
+        "empirical_max": 2.25, "argmax_jet": {"c1": [0.5, 0.25], "c2": [-0.125, 0.0],
+                                              "c3": [0.0, -0.75]},
+        "argmax_index": 8193, "gap": 0.25, "samples": 20000, "seed": 7}
+
+
+def test_search_config_json_shape_is_pinned():
+    assert SearchConfig(samples=123, seed=9, strategy="uniform", tolerance=1e-8).to_json() == {
+        "samples": 123, "seed": 9, "strategy": "uniform", "tolerance": 1e-08}
+    assert SearchConfig().to_json() == {"samples": 20000, "seed": 20250810,
+                                        "strategy": "boundary-biased", "tolerance": 1e-09}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.0, 1.0, exclude_min=True),
+       mu=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+def test_a_corner_only_search_is_ok_at_every_scale(lam, mu):
+    # samples 1 is the corner alone, which attains every bound; only float
+    # rounding at the scale of the bound separates its value from the bound
+    for report in scan_lambda(["A2", "A3", "A4", "FS"], [lam], [mu], SearchConfig(samples=1)):
+        assert report.sound() and report.attained(), report
+
+
+def test_gaps_are_read_in_units_of_a_bound_above_one():
+    jet = SchwarzJet(1.0, 0.0, 0.0)
+
+    def report(theoretical, gap):
+        return BoundReport("A2", 0.5, None, theoretical, theoretical - gap, jet, 0, gap, 1, 0)
+
+    assert not report(1.0, -2e-9).sound()
+    assert not report(0.25, -2e-9).sound()
+    assert report(1e6, -1e-4).sound() and not report(1e6, -2e-3).sound()
+    assert report(1e6, 999.0).attained() and not report(1e6, 1001.0).attained()
+    assert report(0.5, 1e-3).attained() and not report(0.5, 2e-3).attained()
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("COEFFFORGE_THREADS", raising=False)
     assert worker_count() == 1
@@ -398,6 +440,20 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("COEFFFORGE_THREADS", "abc")
     with pytest.raises(ValueError):
         worker_count()
+
+
+def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
+    # the pool is replaced by an in-process map, so the huge cap starts no process
+    recorded = []
+    monkeypatch.setattr(verifier, "_forked", lambda evaluate, blocks, workers:
+                        recorded.append(workers) or map(evaluate, blocks))
+    monkeypatch.setenv("COEFFFORGE_THREADS", str(10 ** 6))
+    cfg = SearchConfig(samples=1 + 5 * block_size(), seed=3)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    scan_lambda(["A2"], [0.5], search=cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    scan_lambda(["A2"], [0.5], search=cfg)
+    assert recorded == ([min(cpus, 5)] if cpus > 1 else []) + [3]
 
 
 def test_results_independent_of_workers(monkeypatch):
