@@ -71,6 +71,13 @@ def _parse_lambda(text):
     return lam
 
 
+def _float(q, name):
+    """The nearest double of the rational q (called name), which is 0 only if q is."""
+    if q and not float(q):
+        raise CliError(f"{name} underflows float arithmetic: it rounds to 0")
+    return float(q)
+
+
 def _parse_complex(text):
     parts = text.split(",")
     if len(parts) > 2:
@@ -87,15 +94,16 @@ def _parse_grid(text, name):
     pieces = text.split(":")
     try:
         if len(pieces) == 1:
-            return [float(_parse_rational(p)) for p in text.split(",") if p]
+            return [_float(_parse_rational(p), _cut(p)) for p in text.split(",") if p]
         if len(pieces) != 3:
             raise CliError(f"grid range must be lo:hi:count, got {_cut(text)!r}")
         lo, hi, count = map(_parse_rational, pieces)
         if count.denominator != 1 or count < 1:
             raise CliError(f"grid count must be a positive integer, got {_cut(pieces[2])!r}")
+        lo, hi = _float(lo, _cut(pieces[0])), _float(hi, _cut(pieces[1]))
         if count <= sys.maxsize:  # numpy misreads a larger count
             with suppress(MemoryError, ValueError):
-                return [float(x) for x in np.linspace(float(lo), float(hi), int(count))]
+                return [float(x) for x in np.linspace(lo, hi, int(count))]
         raise CliError("the grid has too many points to allocate")
     except CliError as exc:
         raise CliError(f"{name}: {exc}") from exc
@@ -279,14 +287,14 @@ def cmd_fekete_szego(args):
 
 
 def cmd_membership(args):
-    lam = float(_parse_lambda(args.lam))
+    lam = _float(_parse_lambda(args.lam), "lambda")
     series, family = _load_function_input(args.input, args.lam)
     if series is not None:
         g, label = zf_jet(series.to_float()), "series"
     elif family is None:  # a closed form: z/f is 1 or the polynomial (1-z)(1-Lz)
         g, label = TruncatedSeries([1], FLOAT), "identity"
-    else:  # w = z to order 2, or the product drops L z^2; L rounding to 0 raises
-        family = float(family)
+    else:  # w = z to order 2, or the product drops L z^2
+        family = _float(family, "lambda")
         g = zf_from_schwarz(family, TruncatedSeries([0, 1, 0], FLOAT))
         label = "koebe" if family == 1 else f"extremal({family})"
     verdict = membership_scan(g, lam, args.radius, args.samples, label,
@@ -319,7 +327,7 @@ def _load_verify_config(args):
             raise CliError(f"unknown config fields: {sorted(unknown)}")
         config.update(user)
     if args.lam is not None:
-        config["lambda_grid"] = [float(_parse_lambda(args.lam))]
+        config["lambda_grid"] = [_float(_parse_lambda(args.lam), "lambda")]
     for name in ("lambda_grid", "mu_grid"):
         if not (isinstance(config[name], list) and all(map(is_finite_real, config[name]))):
             raise CliError(f"{name} must be a list of real numbers")

@@ -25,12 +25,12 @@ The sampler emits only jets in every disk, in aligned blocks of 8192
 (sample_block_arrays) under one of two strategies, "uniform" or
 "boundary-biased". Block b draws from default_rng([seed, b]) first what is
 free of L: c1 and the c3 offsets v (unit-disk points, by rejection from the
-square), and for the biased strategy |c1|, the rim ray and the two rim
-masks. sample_grid_block shares these over a grid of L, and for each L
-restores the generator state after them to draw c2 by rejection; then
-c3 = m3 + R3 v. Extremal configurations sit on the boundary, so float
-admissibility tests allow a 1e-12 band while exact jets are compared
-exactly (via squared moduli, which stay rational).
+square), and for the biased strategy |c1|, the ray and depth of c2 and
+the two rim masks. sample_grid_block shares these over a grid of L; only
+the uniform strategy draws per L, restoring the generator state after
+them to draw c2 by rejection. Then c3 = m3 + R3 v. Extremal points sit on
+the boundary, so float admissibility tests allow a 1e-12 band while exact
+jets are compared exactly (via squared moduli, which stay rational).
 """
 
 from __future__ import annotations
@@ -133,6 +133,13 @@ def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     boundary-biased  concentrates near |c1| = 1 and the saturated
                      constraints, where the extremal values live.
 
+    A biased c2 walks from 0 along a unit ray u, to the rim of the c2 lens
+    (convex, holding 0) on half the slots, else sqrt(U) of its reach R(u).
+    An inner c2 then has density 1/(pi R(u)^2), at least 1/4 of the uniform
+    one, as the disk with diameter 0P lies in the lens, P its point farthest
+    from 0: min(1-|c1|^2, k(1+|c1|^2)) along c1^2, k = L/(1+L). The ratio is
+    1/(1+|c1|^2)^2 when the class disk lies in the Schur disk.
+
     Block b is driven by default_rng([seed, b]) alone, so the blocks split
     over up to COEFFFORGE_THREADS worker processes give the sequential output.
     """
@@ -147,37 +154,30 @@ def sample_grid_block(lams, seed, block_index, strategy="uniform"):
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng([seed, block_index])
-    n, rim = _BLOCK, None
+    n, walk = _BLOCK, None
     c1, v = _disk_points(rng, n), _disk_points(rng, n)  # c3 = m3 + R3 v
     if strategy == "boundary-biased":
         c1 *= rng.random(n) ** 0.125 / abs(c1)
         ray, edge = _disk_points(rng, n), rng.random(n) < 0.5
         v[edge] /= abs(v[edge])  # half the c3 on the rim of their disk
-        # half the slots sit on the outer rim of the c2 set, along a random ray
-        rim = (ray / abs(ray), np.flatnonzero(rng.random(n) < 0.5))
+        ray /= abs(ray)
+        # half the c2 on the rim of their set, the rest area-uniform along the ray
+        depth = np.where(rng.random(n) < 0.5, np.sqrt(rng.random(n)), 1.0)
+        w = c1 * c1 * np.conj(ray)
+        walk = (w.real + np.sqrt(np.clip(1.0 - w.imag ** 2, 0.0, None)), ray * depth)
     c1_sq = c1.real * c1.real + c1.imag * c1.imag
     schur = np.clip(c2_disks(1.0, 0.0, c1_sq)[0][1], 0.0, None)  # reads |c1|^2 alone
     state = rng.bit_generator.state
     for lam in lams:
-        rng.bit_generator.state = state
-        yield (c1, *_sample_c2_c3(rng, lam, c1, c1_sq, schur, rim, v))
-
-
-def _sample_c2_c3(rng, lam, c1, c1_sq, schur, rim, v):
-    """(c2, c3) of a block at L; rim is (ray, fill slots) or None (uniform)."""
-    import numpy as np
-    _, (m2, R2) = c2_disks(lam, c1, c1_sq)
-    if rim:
-        ray, fill = rim
-        proj = m2 * np.conj(ray)
-        reach = proj.real + np.sqrt(np.clip(R2 * R2 - proj.imag ** 2, 0.0, None))
-        c2 = np.minimum(schur, reach) * ray
-        c2[fill] = _fill_c2(rng, schur[fill], m2[fill], R2)
-    else:
-        c2 = _fill_c2(rng, schur, m2, R2)
-    t = (1.0 + lam) * np.abs(c2 - m2)
-    m3, R3 = c3_disk(lam, c1, c2, t * t)
-    return c2, m3 + np.clip(R3, 0.0, None) * v
+        _, (m2, R2) = c2_disks(lam, c1, c1_sq)
+        if walk:  # (rho, ray times depth): the ray leaves the class disk at R2 rho
+            c2 = np.minimum(schur, R2 * walk[0]) * walk[1]
+        else:
+            rng.bit_generator.state = state
+            c2 = _fill_c2(rng, schur, m2, R2)
+        t = (1.0 + lam) * np.abs(c2 - m2)
+        m3, R3 = c3_disk(lam, c1, c2, t * t)
+        yield c1, c2, m3 + np.clip(R3, 0.0, None) * v
 
 
 def _disk_points(rng, n):
@@ -191,7 +191,7 @@ def _disk_points(rng, n):
 
 
 def _fill_c2(rng, schur, m2, R2):
-    """Area-uniform draw from the feasible c2 region by rejection.
+    """Area-uniform c2 of the uniform strategy, by rejection.
 
     The region is the intersection of the Schur disk |c2| <= schur and the
     class disk |c2 - m2| <= R2. Each round proposes one point per unfilled

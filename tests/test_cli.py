@@ -262,13 +262,36 @@ def test_closed_form_outputs_are_pinned(capsys, tmp_path, argv):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
-@pytest.mark.parametrize("argv", [["membership", "f_1e-400", "--lambda", "1/2"],
-                                  ["membership", "extremal", "--lambda", "1e-400"]])
+_TINY = "1/1" + "0" * 400  # a positive rational whose nearest double is 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["membership", "f_1e-400", "--lambda", "1/2"],
+    ["membership", "extremal", "--lambda", "1e-400"],
+    ["membership", f"f_{_TINY}", "--lambda", "0.5"],
+    ["membership", "koebe", "--lambda", _TINY],
+    ["verify", "--lambda", _TINY, "--samples", "10"],
+    ["scan", "--functional", "A2", "--lambda-grid", "1e-400", "--samples", "10"],
+])
 def test_alias_lambda_that_rounds_to_zero_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: class parameter must lie in (0, 1]\n"
+    prefix = "--lambda-grid: 1e-400" if argv[0] == "scan" else "lambda"
+    assert err == f"error: {prefix} underflows float arithmetic: it rounds to 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["membership", "koebe", "--lambda", "0"], "lambda must lie in (0, 1], got 0"),
+    (["verify", "--lambda=-1/2", "--samples", "10"], "lambda must lie in (0, 1], got -1/2"),
+    (["membership", "f_3/2", "--lambda", "1/2"], "lambda must lie in (0, 1], got 3/2"),
+    (["scan", "--functional", "A2", "--lambda-grid", "0", "--samples", "10"],
+     "grid points must lie in (0, 1]"),
+    (["scan", "--functional", "A2", "--lambda-grid", "1.5", "--samples", "10"],
+     "grid points must lie in (0, 1]"),
+], ids=["zero", "negative", "above-one", "grid-zero", "grid-above-one"])
+def test_lambda_out_of_range_keeps_its_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_revert_alias_lambda_that_rounds_to_zero_in_float_mode(capsys):
@@ -686,6 +709,31 @@ def test_verify_corner_attains_a_bound_near_1e15(capsys, tmp_path):
     assert lines[-1] == "PASS"
 
 
+# sha256 of the stdout, CSV and JSON of `verify --seed 1` with the default
+# config. The corner attains every bound, so they hold while the sample
+# stream moves; recorded before the boundary-biased c2 became a ray walk.
+VERIFY_SEED_1_DIGESTS = {
+    "stdout": "cdb76dbf4f9c55cc020484ba452af2bfdcd5b4a9070d5dafbc635fd1853c57aa",
+    "csv": "cba78f53c4bcd9095e4a2aae4c2931de57af55c421c877953aa0029c94d5f257",
+    "json": "bb8a141e4545e911de599644691da363402c6dada9fffaefb22a10744219d62e",
+}
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_verify_seed_1_is_pinned(capsys, tmp_path, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("COEFFFORGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("COEFFFORGE_THREADS", threads)
+    base = str(tmp_path / "rep")
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--out", base)
+    assert code == 0
+    outputs = {"stdout": out.encode(), "csv": Path(base + ".csv").read_bytes(),
+               "json": Path(base + ".json").read_bytes()}
+    for name, digest in VERIFY_SEED_1_DIGESTS.items():
+        assert hashlib.sha256(outputs[name]).hexdigest() == digest, name
+
+
 def test_verify_single_lambda_override(capsys):
     code, out, _ = run(capsys, "verify", "--lambda", "0.5", "--samples", "500")
     assert code == 0
@@ -868,13 +916,14 @@ def test_scan_grid_syntax(capsys):
     ("0.1:1:2.5", "grid count must be a positive integer, got '2.5'"),
     ("0.1:1", "grid range must be lo:hi:count, got '0.1:1'"),
     ("1e400:1:3", "a value is out of the float range"),
+    ("1e-400,1", "1e-400 underflows float arithmetic: it rounds to 0"),
     ("0.5,x" * 1000, "cannot parse 'x0.5' as a rational number"),
     # numpy refuses each of these counts at once, before allocating anything
     ("0.1:1:100000000000", "the grid has too many points to allocate"),
     ("0.1:1:9223372036854775808", "the grid has too many points to allocate"),
     ("0.1:1:" + "9" * 4000, "the grid has too many points to allocate"),
 ], ids=["word", "digit-limit", "word-count", "zero-count", "fraction-count", "two-parts",
-        "overflow", "long-list", "count-1e11", "count-2^63", "count-4000-digits"])
+        "overflow", "underflow", "long-list", "count-1e11", "count-2^63", "count-4000-digits"])
 @pytest.mark.parametrize("option", ["--lambda-grid", "--mu-grid"])
 def test_bad_grid_exits_2_naming_the_option(capsys, option, grid, message):
     argv = ["scan", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "1",

@@ -254,6 +254,53 @@ def test_directions_are_uniform_in_angle():
         assert _within_4_sigma(turns < q, q)
 
 
+def _reach(ray, disk):
+    """Where the unit ray from 0 leaves a disk (centre, radius) that holds 0:
+    the larger root t of |t ray - centre| = radius."""
+    centre, radius = disk
+    b = (centre * np.conj(ray)).real
+    return b + np.sqrt(b * b - np.abs(centre) ** 2 + radius * radius)
+
+
+def test_biased_c2_keeps_its_ray_for_every_lambda():
+    # no draw depends on L: each slot's c2 only slides along one ray from 0
+    c2s = [c2 for _, c2, _ in sample_grid_block([1e-3, 0.02, 0.3, 1.0], 7, 2, "boundary-biased")]
+    assert np.all(c2s[0] != 0)
+    for c2 in c2s[1:]:
+        turn = c2 * np.conj(c2s[0])
+        assert np.all(turn.real > 0) and np.all(np.abs(turn.imag) <= 1e-12 * np.abs(turn))
+
+
+@pytest.mark.parametrize("lam", [0.02, 0.3, 1.0])
+def test_biased_c2_depth_is_rim_or_area_uniform_along_its_ray(lam):
+    blocks = [sample_block_arrays(lam, 5, b, "boundary-biased") for b in range(24)]
+    c1, c2 = (np.concatenate([block[k] for block in blocks]) for k in (0, 1))
+    ray = c2 / np.abs(c2)
+    schur, cls = c2_disks(lam, c1, np.abs(c1) ** 2)
+    depth = np.abs(c2) / np.minimum(_reach(ray, schur), _reach(ray, cls))
+    rim = np.abs(depth - 1) <= 1e-12  # a few rims near |c1| = 1 round further off
+    assert _within_4_sigma(rim, 0.5)
+    inner = depth[~rim] ** 2
+    turns = np.angle(ray * np.conj(c1 * c1))[~rim] / (2 * np.pi) % 1.0
+    for q in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):  # P(d^2 <= q) = q, the ray uniform
+        assert _within_4_sigma(inner <= q, q) and _within_4_sigma(turns < q, q)
+
+
+def test_biased_c2_density_is_at_least_a_quarter_of_uniform():
+    # an inner c2 has density 1/(pi R^2) along a ray of reach R, so its
+    # ratio to the uniform density 1/area is at least area / (pi max R^2);
+    # by rotation c1 = |c1| >= 0, and the farthest point lies along angle 0
+    ray = np.exp(2j * np.pi * np.arange(4000) / 4000)
+    r1 = np.linspace(0.0, 0.999, 400)[:, None]
+    for lam in np.geomspace(1e-3, 1.0, 10):
+        schur, cls = c2_disks(lam, r1, r1 * r1)
+        reach = np.minimum(_reach(ray, schur), _reach(ray, cls))
+        ratio = np.mean(reach ** 2, axis=1) / np.max(reach ** 2, axis=1)  # area = pi E R^2
+        assert np.all(ratio >= 0.25), (lam, ratio.min())
+        inside = (cls[1] * (1 + r1 * r1) <= schur[1]).ravel()  # the class disk in the Schur disk
+        assert np.allclose(ratio[inside], 1 / (1 + r1[inside, 0] ** 2) ** 2, rtol=1e-9)
+
+
 def test_sampler_lambda_validation():
     # an exact L is checked like a float one, then sampled at its double
     for lam in (F(0), F(3, 2)):
@@ -296,9 +343,11 @@ def test_rotation_closure():
 # little-endian complex128 bytes: the sample stream must not move by one bit.
 # Recorded when unit-disk points and directions came to be drawn by
 # rejection from the square, and the c3 offsets once for the lambda grid.
+# The boundary-biased digest was re-recorded when its c2 moved to a walk
+# from 0 along each slot's ray, drawn once for the lambda grid.
 STREAM_DIGESTS = {
     "uniform": "9f830b2748dcff6565d629beb31c87cd281cfd5219e365047a0888ff66d2ec4d",
-    "boundary-biased": "834dfc2f296acb3f0b9a9d3888205d070ca6c049ed0c6e5a29c0047f7c7f5104",
+    "boundary-biased": "2deded26ceac26d4eebda506c5577e52a0c33f054ac6006195f85610903c6f7a",
 }
 
 
