@@ -169,7 +169,7 @@ def sample_grid_block(lams, seed, block_index, strategy="uniform"):
     schur = np.clip(c2_disks(1.0, 0.0, c1_sq)[0][1], 0.0, None)  # reads |c1|^2 alone
     state = rng.bit_generator.state
     for lam in lams:
-        _, (m2, R2) = c2_disks(lam, c1, c1_sq)
+        m2, R2 = c2_disks(lam, c1, c1_sq)[1]
         if walk:  # (rho, ray times depth): the ray leaves the class disk at R2 rho
             c2 = np.minimum(schur, R2 * walk[0]) * walk[1]
         else:
@@ -177,7 +177,9 @@ def sample_grid_block(lams, seed, block_index, strategy="uniform"):
             c2 = _fill_c2(rng, schur, m2, R2)
         t = (1.0 + lam) * np.abs(c2 - m2)
         m3, R3 = c3_disk(lam, c1, c2, t * t)
-        yield c1, c2, m3 + np.clip(R3, 0.0, None) * v
+        c3 = m3 + np.clip(R3, 0.0, None) * v
+        del m2, t, m3, R3  # not held while the caller evaluates the block
+        yield c1, c2, c3
 
 
 def _disk_points(rng, n):
