@@ -24,15 +24,16 @@ from fractions import Fraction
 from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
 from .series import TruncatedSeries, revert, zf_jet
 from .schwarz import STRATEGIES, SchwarzJet, is_admissible
-from .ulambda import (direct_coeffs, extremal_function, extremal_inverse, fekete_szego,
-                      fekete_szego_bound, inverse_coeffs, inverse_coeffs_by_reversion,
-                      membership_profile, membership_scan, theoretical_bounds, zf_from_schwarz)
-from .verifier import (ATTAINMENT_TOL, FUNCTIONALS, SearchConfig, exact_proofs,
-                       reports_to_csv, reports_to_json, scan_lambda)
+from .ulambda import (FUNCTIONALS, direct_coeffs, extremal_function, extremal_inverse,
+                      fekete_szego, functional_bound, inverse_coeffs,
+                      inverse_coeffs_by_reversion, membership_profile, membership_scan,
+                      zf_from_schwarz)
+from .verifier import (ATTAINMENT_TOL, SearchConfig, exact_proofs, reports_to_csv,
+                       reports_to_json, scan_lambda)
 
 DEFAULT_VERIFY_CONFIG = {
     "lambda_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
-    "functionals": ["A2", "A3", "A4", "FS"],
+    "functionals": list(FUNCTIONALS),
     "mu_grid": [0.5],
     "search": {},
     "attainment_tol": ATTAINMENT_TOL,
@@ -207,9 +208,9 @@ def cmd_revert(args):
 
 def cmd_bounds(args):
     lam = _parse_lambda(args.lam)
-    values = [lam, *theoretical_bounds(lam)]
+    values = [lam, *(functional_bound(name, lam) for name in ("A2", "A3", "A4"))]
     if args.mu is not None:
-        values.append(fekete_szego_bound(lam, _parse_complex(args.mu)))
+        values.append(functional_bound("FS", lam, _parse_complex(args.mu)))
     if args.format == "json":
         names = ("lambda", "B2", "B3", "B4", "FS")
         doubles = _printed(FLOAT, *values)
@@ -276,7 +277,7 @@ def cmd_fekete_szego(args):
     lam = _parse_lambda(args.lam)
     mu = _parse_complex(args.mu)
     jet = _jet_from_args(args)
-    values = [lam, fekete_szego_bound(lam, mu)]
+    values = [lam, functional_bound("FS", lam, mu)]
     if jet is not None:
         value = fekete_szego(lam, jet, mu)
         values += [value, values[1] - value]
@@ -371,7 +372,7 @@ def cmd_verify(args):
 
     proofs = exact_proofs()
     for name, proved in proofs.items():
-        scope = "L in (0, 1], every mu" if name == "FS" else "L in (0, 1]"
+        scope = "L in (0, 1], every mu" if FUNCTIONALS[name].takes_mu else "L in (0, 1]"
         lines.append(f"{name} exact proof ({scope}): {'OK' if proved else 'FAIL'}")
 
     passed = sound and attained and all(proofs.values())
@@ -401,6 +402,8 @@ def cmd_verify(args):
 def cmd_scan(args):
     if not args.functional:
         raise CliError("scan needs at least one --functional")
+    if args.mu_grid is not None and not any(FUNCTIONALS[f].takes_mu for f in args.functional):
+        raise CliError("--mu-grid is given, but no requested functional takes mu")
     lambda_grid = _parse_grid(args.lambda_grid, "--lambda-grid")
     mu_grid = _parse_grid(args.mu_grid, "--mu-grid") if args.mu_grid else None
     search = _search_config({}, args)

@@ -1,5 +1,6 @@
-"""Coefficient formulas, extremal functions, and membership testing for the
-one-parameter class of normalized analytic functions
+"""Coefficient formulas, the table of functionals with their sharp bounds,
+extremal functions, and membership testing for the one-parameter class of
+normalized analytic functions
 
     |(z/f(z))^2 f'(z) - 1| < L  on the unit disk,  0 < L <= 1,
 
@@ -13,13 +14,14 @@ equalities.
 Conventions. Every function takes L itself, and the type of L is the
 mode: an int or a Fraction computes exactly (jets and mu are converted to
 QComplex), a float computes in complex doubles (scalars.class_parameter).
-Coefficients and bounds come back as plain tuples. As membership reads
+Coefficients come back as plain tuples. As membership reads
 g, a terminating polynomial g (a closed form) is judged without
 truncation error.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 from .scalars import as_scalar, class_parameter, maybe_exact_abs
@@ -134,22 +136,62 @@ def corner_jet(lam):
 def fekete_szego(lam, jet, mu):
     """|A3 - mu A2^2| computed from the inverse coefficients."""
     lam, c1, c2, c3, mu = _operands(lam, jet, mu)
-    A2, A3, _ = inverse_from_jet(lam, c1, c2, c3)
-    return maybe_exact_abs(A3 - mu * A2 * A2)
+    return maybe_exact_abs(FUNCTIONALS["FS"].value(*inverse_from_jet(lam, c1, c2, c3), mu))
 
 
-def theoretical_bounds(lam):
-    """Sharp bounds (B2, B3, B4) for |A2|, |A3|, |A4|:
-    1+L, 1+3L+L^2, (1+L)(1+5L+L^2)."""
-    q1, q2, _, q4 = inverse_weights(class_parameter(lam)[0])
-    return q1, q2, q4
-
-
-def fekete_szego_bound(lam, mu):
-    """Sharp bound L + |1-mu| (1+L)^2 (sharp for real mu <= 1)."""
+def functional_bound(name, lam, mu=None):
+    """The sharp bound of the named functional at L, and at mu if it takes one."""
     lam, mode = class_parameter(lam)
-    q1 = inverse_weights(lam)[0]
-    return lam + maybe_exact_abs(1 - as_scalar(mu, mode)) * q1 * q1
+    f = FUNCTIONALS[name]
+    return f.bound(lam, maybe_exact_abs(1 - as_scalar(mu, mode)) if f.takes_mu else None)
+
+
+# -- the functionals ----------------------------------------------------------
+
+def _s(lam, c1, c2):
+    """s = (1+L) c2 - L c1^2, which the class disk for c2 bounds by |s| <= L."""
+    return (1 + lam) * c2 - lam * c1 * c1
+
+
+class Functional(namedtuple("Functional", "value bound regrouped majorant takes_mu sharp_at",
+                            defaults=(False, lambda mu: True))):
+    """A functional of the inverse coefficients and the facts of its sharp
+    bound, written once for the search, the exact proofs and the CLI.
+
+    value(A2, A3, A4, mu): the functional, for QComplex, complex, numpy
+        arrays and polynomials alike. One that takes_mu has the value
+        A3 - mu A2^2, which the search ranks over a whole mu grid at once.
+    bound(L, nu): its sharp bound, with nu = |1 - mu|.
+    regrouped(L, c1, c2, c3, mu) and majorant(L, x, u, nu): the value in
+        parts that the disk table bounds, and the triangle inequality on
+        them (the verifier's docstring states the proof).
+    sharp_at(mu): whether the corner jet (1, 0, 0) attains the bound.
+    """
+    __slots__ = ()
+
+
+FUNCTIONALS = {
+    "A2": Functional(lambda A2, A3, A4, mu: A2,
+                     lambda L, nu: inverse_weights(L)[0],
+                     lambda L, c1, c2, c3, mu: -(1 + L) * c1,
+                     lambda L, x, u, nu: (1 + L) * x),
+    "A3": Functional(lambda A2, A3, A4, mu: A3,
+                     lambda L, nu: inverse_weights(L)[1],
+                     lambda L, c1, c2, c3, mu: -_s(L, c1, c2) + (1 + L) ** 2 * c1 ** 2,
+                     lambda L, x, u, nu: L * u + (1 + L) ** 2 * x ** 2),
+    "A4": Functional(lambda A2, A3, A4, mu: A4,
+                     lambda L, nu: inverse_weights(L)[3],
+                     lambda L, c1, c2, c3, mu: -((1 + L) * c3 - 2 * L * c1 * c2)
+                     + 3 * (1 + L) * c1 * _s(L, c1, c2) - (1 + L) ** 3 * c1 ** 3,
+                     lambda L, x, u, nu: L * (1 - u * u) / 2 + 3 * (1 + L) * x * L * u
+                     + (1 + L) ** 3 * x ** 3),
+    "FS": Functional(lambda A2, A3, A4, mu: A3 - mu * (A2 * A2),
+                     lambda L, nu: L + nu * (1 + L) * (1 + L),
+                     lambda L, c1, c2, c3, mu: -_s(L, c1, c2) + (1 - mu) * (1 + L) ** 2 * c1 ** 2,
+                     lambda L, x, u, nu: L * u + nu * (1 + L) ** 2 * x ** 2,
+                     takes_mu=True,
+                     sharp_at=lambda mu: complex(mu).imag == 0.0 and complex(mu).real <= 1.0),
+}
 
 
 # -- membership -------------------------------------------------------------

@@ -3,49 +3,24 @@
 Two routes: (1) seeded constrained search over admissible jets, with the
 extremal corner (1, 0, 0) always forced into the sample so sharpness is
 exact rather than probabilistic; (2) exact_proofs, the paper's proof of
-each bound replayed for every L in (0, 1] in rational arithmetic. With
-s = (1+L)c2 - L c1^2, the regroupings
+each bound replayed for every L in (0, 1] in rational arithmetic. Both
+read each functional's value, bound and proof from ulambda.FUNCTIONALS.
 
-    A3 = -s + (1+L)^2 c1^2,
-    A4 = -((1+L)c3 - 2L c1 c2) + 3(1+L) c1 s - (1+L)^3 c1^3,
-    A3 - mu A2^2 = -s + (1-mu)(1+L)^2 c1^2,
+A proof has four steps, with the formulas of each functional in its
+table entry. (1) The identity value == regrouped holds as polynomials in
+(L, c1, c2, c3, mu), with (A2, A3, A4) from inverse_from_jet. (2) The disk
+table (schwarz.c2_disks, c3_disk) bounds the regrouped parts: |s| = L u
+with u in [0, 1], and |(1+L)c3 - 2L c1 c2| <= L(1 - u^2)/2. (3) The
+triangle inequality bounds the modulus by the majorant in (L, x = |c1|,
+u, nu = |1 - mu|). (4) bound - majorant is a polynomial in nu >= 0 whose
+coefficient of each power of nu, a row in (L, x, u), is nonnegative on
+the unit box [0, 1]^3 by the signs of its Bernstein coefficients. The
+rows hold over the whole disk table, a superset of the true jets.
 
-and A2 = -(1+L) c1 are checked as polynomial identities against
-inverse_from_jet. The disk table (schwarz.c2_disks, c3_disk) gives t = |s|
-<= L and |(1+L)c3 - 2L c1 c2| <= L(1 - u^2)/2 with u = t/L, and the triangle
-inequality leaves, in (L, x = |c1|, u) on the unit box [0, 1]^3,
-
-    A2:  (1+L)(1 - x) >= 0,
-    A3:  1 + 3L + L^2 - (L u + (1+L)^2 x^2) >= 0,
-    A4:  2(1+L)(1 + 5L + L^2) - h >= 0,
-         h = L(1 - u^2) + 6(1+L) L x u + 2(1+L)^3 x^3,
-    FS:  L(1 - u) >= 0 and (1+L)^2 (1 - x^2) >= 0, the two parts of
-         L + nu(1+L)^2 - (L u + nu(1+L)^2 x^2) in nu = |1 - mu| >= 0,
-
-each proved by the signs of its Bernstein coefficients. They hold over the
-whole disk table, a superset of the true jets. The search samples each
-block once for the whole lambda grid, in up to COEFFFORGE_THREADS forked
-worker processes but no more than the CPUs the process may use, and
-reduces blocks in order to the first maximum, so reports are identical for
-any worker count. A request it cannot serve raises ValueError before the
-first block is sampled, so the CLI reports it with nothing on stdout.
-
-A block is evaluated for all tasks in one call. When it carries many
-Fekete-Szego (FS) tasks, one ranking pass orders the block for every real
-mu at once through y = |A3|^2 - 2 mu Re(A3 conj P) + mu^2 |P|^2 with
-P = A2^2, a small matrix product. The reference |A3 - mu P| is then
-computed only on the indices whose y lies within a rounding margin,
-64 eps S^2 with S = max|A3| + |mu| max|P|, of the largest y. The margin
-bounds the rounding of both routes (derived in _fs_maxima), so every
-value and every first-maximum index is the one a whole-block pass gives,
-bit for bit.
-
-The reduction replaces the corner's value of each (L, task) only by a
-strictly larger one, so blocks get these values as floors. As A3 - mu P =
-(A3 - P) + (1 - mu) P, no value on a block exceeds max|A3 - P| +
-|1 - mu| max|P|; a ranked mu whose bound, with a rounding margin (derived
-in _fs_maxima), is at most its floor is skipped. The corner attains the
-sharp bound for real mu <= 1, so a block ranks such mu only if it nears it.
+The search (scan_lambda) samples each block once for the whole lambda
+grid and evaluates it for every task in one call; _search_grid,
+_functional_values and _fs_maxima say how its reports stay the same, bit
+for bit, for any worker count and with Fekete-Szego (FS) tasks ranked.
 """
 
 from __future__ import annotations
@@ -61,21 +36,13 @@ from math import comb, lcm, prod
 from . import schwarz
 from .scalars import is_finite_real
 from .schwarz import SchwarzJet
-from .ulambda import (corner_jet, fekete_szego_bound, inverse_from_jet, inverse_weights,
-                      theoretical_bounds)
+from .ulambda import FUNCTIONALS, corner_jet, functional_bound, inverse_from_jet
 
-FUNCTIONALS = ("A2", "A3", "A4", "FS")
 SOUNDNESS_TOL = 1e-9
 ATTAINMENT_TOL = 1e-3
 
 
 # -- the exact proofs --------------------------------------------------------
-
-def _h(lam, x, u):
-    """h at |c1| = x and t = L u, for numbers or polynomials."""
-    q1 = 1 + lam
-    return lam * (1 - u * u) + 6 * q1 * lam * x * u + 2 * q1 ** 3 * x ** 3
-
 
 class _Poly:
     """A polynomial over Fraction in nvars variables, built from (exponent
@@ -116,6 +83,9 @@ class _Poly:
     def __rsub__(self, other):
         return -self + other
 
+    def __truediv__(self, n):
+        return self * (1 / Fraction(n))
+
     def __pow__(self, n):
         return self * self ** (n - 1) if n else self._lift(1)
 
@@ -144,29 +114,25 @@ def _nonnegative_on_box(p):
 
 
 def _proof_table():
-    """({functional: its identity holds}, {functional: its box polynomials
-    in (L, x, u)}), as the module docstring writes them."""
+    """({functional: its identity holds}, {functional: its box rows}): the
+    rows are bound - majorant split by the power of nu, as polynomials in
+    (L, x, u)."""
     L, c1, c2, c3, mu = _Poly.variables(5)
-    A2, A3, A4 = inverse_from_jet(L, c1, c2, c3)
-    q1 = 1 + L
-    s = q1 * c2 - L * c1 * c1
-    identities = {
-        "A2": A2 == -q1 * c1,
-        "A3": A3 == -s + q1 ** 2 * c1 ** 2,
-        "A4": A4 == -(q1 * c3 - 2 * L * c1 * c2) + 3 * q1 * c1 * s - q1 ** 3 * c1 ** 3,
-        "FS": A3 - mu * A2 * A2 == -s + (1 - mu) * q1 ** 2 * c1 ** 2}
-    L, x, u = _Poly.variables(3)
-    q1, q2, _, q4 = inverse_weights(L)
-    rows = {"A2": [q1 * (1 - x)],
-            "A3": [q2 - (L * u + q1 ** 2 * x ** 2)],
-            "A4": [2 * q4 - _h(L, x, u)],
-            "FS": [L * (1 - u), q1 ** 2 * (1 - x ** 2)]}
+    coeffs = inverse_from_jet(L, c1, c2, c3)
+    identities = {name: f.value(*coeffs, mu) == f.regrouped(L, c1, c2, c3, mu)
+                  for name, f in FUNCTIONALS.items()}
+    L, x, u, nu = _Poly.variables(4)
+    rows = {}
+    for name, f in FUNCTIONALS.items():
+        gap = f.bound(L, nu) - f.majorant(L, x, u, nu)
+        rows[name] = [_Poly([(e[:3], c) for e, c in gap.terms.items() if e[3] == k], 3)
+                      for k in range(max((e[3] for e in gap.terms), default=0) + 1)]
     return identities, rows
 
 
 def exact_proofs():
-    """{functional: proved for every L in (0, 1]} for A2, A3, A4 and FS:
-    its identity holds and its box polynomials are nonnegative."""
+    """{functional: proved for every L in (0, 1]} for each table entry: its
+    identity holds and its box rows are nonnegative."""
     identities, rows = _proof_table()
     return {name: identities[name] and all(map(_nonnegative_on_box, rows[name])) for name in rows}
 
@@ -284,25 +250,24 @@ def _functional_values(tasks, coeffs, floors=None):
     block, from the block's (A2, A3, A4) arrays, or None for a task whose
     floor (a float per task) the block provably cannot exceed.
 
-    Every value is a reference expression: abs(Ak) for a coefficient and
-    abs(A3 - mu * P) with P = A2 * A2 for FS. With _RANK_MIN_TASKS or more FS
-    tasks, _fs_maxima ranks the block for every real mu at once and
-    evaluates the reference only where a maximum can lie, or skips a mu
-    whose block bound is at most its floor; any other FS task evaluates the
-    reference on the whole block.
+    Every value is the reference abs(value) of the task's table entry. The
+    tasks that take mu are Fekete-Szego (FS) tasks, abs(A3 - mu * P) with
+    P = A2 * A2. With _RANK_MIN_TASKS or more of them, _fs_maxima ranks the
+    block for every real mu at once and evaluates the reference only where a
+    maximum can lie, or skips a mu whose block bound is at most its floor;
+    any other task evaluates the reference on the whole block.
     """
-    A2, A3, _ = coeffs
-    fs = [i for i, (name, _) in enumerate(tasks) if name == "FS"]
-    P = A2 * A2 if fs else None
+    fs = [i for i, (name, _) in enumerate(tasks) if FUNCTIONALS[name].takes_mu]
     found = {}
     if len(fs) >= _RANK_MIN_TASKS:
-        found = dict(zip(fs, _fs_maxima(A3, P, [tasks[i][1] for i in fs],
+        A2, A3, _ = coeffs
+        found = dict(zip(fs, _fs_maxima(A3, A2 * A2, [tasks[i][1] for i in fs],
                                         floors and [floors[i] for i in fs])))
     out = []
     for i, (name, mu) in enumerate(tasks):
         hit = found.get(i)
         if hit is None:
-            values = abs(A3 - mu * P) if name == "FS" else abs(coeffs[FUNCTIONALS.index(name)])
+            values = abs(FUNCTIONALS[name].value(*coeffs, mu))
             k = int(values.argmax())
             hit = (float(values[k]), k)
         out.append(None if hit is _PRUNED else hit)
@@ -405,12 +370,6 @@ def _fs_maxima(A3, P, mus, floors=None):
     return out
 
 
-def _theoretical(name, mu, lam):
-    if name == "FS":
-        return float(fekete_szego_bound(lam, mu))
-    return theoretical_bounds(lam)[FUNCTIONALS.index(name)]
-
-
 def _requested(functionals, mus):
     """Normalize to a list of (name, mu-or-None) tasks."""
     if not functionals:
@@ -419,12 +378,10 @@ def _requested(functionals, mus):
     for name in functionals:
         if name not in FUNCTIONALS:
             raise ValueError(f"unknown functional {name!r}")
-        if name == "FS":
-            if not mus:
-                raise ValueError("the Fekete-Szego functional needs mu")
-            tasks.extend(("FS", mu) for mu in mus)
-        else:
-            tasks.append((name, None))
+        takes_mu = FUNCTIONALS[name].takes_mu
+        if takes_mu and not mus:
+            raise ValueError(f"the {name} functional needs mu")
+        tasks.extend((name, mu) for mu in (mus if takes_mu else [None]))
     return tasks
 
 
@@ -505,7 +462,7 @@ def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):
     tasks = _requested(functionals, mu_grid)
     if not all(0 < lam <= 1 for lam in grid):
         raise ValueError("grid points must lie in (0, 1]")
-    bounds = [[_theoretical(name, mu, lam) for name, mu in tasks] for lam in grid]
+    bounds = [[float(functional_bound(name, lam, mu)) for name, mu in tasks] for lam in grid]
     for lam, row in zip(grid, bounds):
         for (name, mu), bound in zip(tasks, row):
             if not is_finite_real(bound):
@@ -515,10 +472,6 @@ def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):
 
 
 def sharpness_claimed(report):
-    """Whether the theorem asserts the searched bound is attained: always
-    for the coefficient functionals, for FS when mu is real and at most 1,
-    where the corner's value L + (1-mu)(1+L)^2 is the bound."""
-    if report.functional != "FS":
-        return True
-    mu = complex(report.mu)
-    return mu.imag == 0.0 and mu.real <= 1.0
+    """Whether the theorem asserts the searched bound is attained, by the
+    table entry's sharp_at."""
+    return FUNCTIONALS[report.functional].sharp_at(report.mu)

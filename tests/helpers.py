@@ -8,11 +8,12 @@ skip the terms above it, which cannot reach the compared coefficients.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter, zf_jet
 from coeffforge.scalars import as_scalar
 from coeffforge.schwarz import sample_block_arrays
-from coeffforge.verifier import _h
+from coeffforge.ulambda import FUNCTIONALS
 
 
 def poly_add(a, b):
@@ -200,11 +201,23 @@ def _as_q(x):
     return QComplex(Fraction(x))
 
 
+def patched_bound(name, bound):
+    """A patch of the table that gives the named functional bound(L, nu),
+    read alike by the search and the exact proofs."""
+    return mock.patch.dict(FUNCTIONALS, {name: FUNCTIONALS[name]._replace(bound=bound)})
+
+
+def h_poly(lam, x, u):
+    """h at |c1| = x and t = L u, for numbers or polynomials: twice the A4
+    majorant of the table."""
+    return 2 * FUNCTIONALS["A4"].majorant(lam, x, u, 0)
+
+
 def h_function(lam, c1_abs, t):
     """h(t) = L - t^2/L + 6(1+L)|c1| t + 2(1+L)^3 |c1|^3 on 0 <= t <= L.
 
     Twice the |A4| candidate after the triangle-inequality regrouping, as
-    the A4 proof row writes it (verifier._h), with its arguments checked.
+    the A4 proof row reads it (h_poly), with its arguments checked.
     Accepts floats or Fractions (exact in, exact out).
     """
     lam, _ = class_parameter(lam)
@@ -212,4 +225,4 @@ def h_function(lam, c1_abs, t):
         raise ValueError("|c1| must lie in [0, 1]")
     if not 0 <= t <= lam:
         raise ValueError("t must lie in [0, lam]")
-    return _h(lam, c1_abs, t / lam)
+    return h_poly(lam, c1_abs, t / lam)

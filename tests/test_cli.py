@@ -7,13 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import coeffforge
-from coeffforge import inverse_weights, schwarz, verifier
-from coeffforge.cli import main
+from coeffforge import FUNCTIONALS, exact_proofs, inverse_weights, schwarz
+from coeffforge.cli import DEFAULT_VERIFY_CONFIG, build_parser, main
+from helpers import patched_bound
 
 # the child interpreter imports the same package the tests import
 SRC = os.path.dirname(os.path.dirname(coeffforge.__file__))
@@ -817,24 +817,53 @@ def test_verify_exact_proof_lines(capsys):
 
 
 def test_verify_fails_when_a_proof_fails(capsys, tmp_path):
-    def weights(lam):  # |A4| <= q4 - 1/100 is false at the corner jet
-        q1, q2, q3, q4 = inverse_weights(lam)
-        return q1, q2, q3, q4 - Fraction(1, 100)
-
     base = str(tmp_path / "rep")
-    with mock.patch.object(verifier, "inverse_weights", weights):
+    # |A4| <= q4 - 1/100 is false at the corner jet, for the proof and the search alike
+    with patched_bound("A4", lambda L, nu: inverse_weights(L)[3] - Fraction(1, 100)):
         code, out, err = run(capsys, "verify", "--lambda", "1/3", "--samples", "200",
                              "--out", base)
     assert code == 1
     lines = out.splitlines()
     assert "A4 exact proof (L in (0, 1]): FAIL" in lines
     assert "A3 exact proof (L in (0, 1]): OK" in lines
+    (a4,) = [line for line in lines if line.startswith("A4 lambda=")]
+    assert a4.endswith(" VIOLATION")
+    assert all(line.endswith(" OK") for line in lines if " lambda=" in line and line != a4)
     assert lines[-1] == "FAIL"
     assert err == "error: bound verification failed (see report)\n"
     payload = json.loads(Path(base + ".json").read_text())
-    assert payload["checks"] == {"sound": True, "attained": True,
+    assert payload["checks"] == {"sound": False, "attained": True,
                                  "proofs": {"A2": True, "A3": True, "A4": False, "FS": True}}
     assert payload["passed"] is False
+
+
+def test_every_list_of_functionals_is_the_table_in_order(capsys):
+    names = list(FUNCTIONALS)
+    scan = build_parser()._subparsers._group_actions[0].choices["scan"]
+    (functional,) = [a for a in scan._actions if a.dest == "functional"]
+    assert functional.choices == names
+    assert DEFAULT_VERIFY_CONFIG["functionals"] == names
+    assert list(exact_proofs()) == names
+    code, out, _ = run(capsys, "verify", "--lambda", "1", "--samples", "10")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines() if " exact proof " in line] == names
+
+
+def test_scan_rejects_a_mu_grid_that_no_functional_takes(capsys, tmp_path):
+    code, out, err = run(capsys, "scan", "--functional", "A2", "--mu-grid", "0.5",
+                         "--lambda-grid", "1", "--samples", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--mu-grid" in err and err.count("\n") == 1
+    code, out, _ = run(capsys, "scan", "--functional", "A2", "--functional", "FS",
+                       "--mu-grid", "0.5", "--lambda-grid", "1", "--samples", "10")
+    assert code == 0 and len(out.splitlines()) == 3
+    # verify keeps its default mu grid beside a config of coefficients alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"functionals": ["A2"]}))
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--lambda", "1",
+                       "--samples", "10")
+    assert code == 0 and out.splitlines()[0].startswith("A2 lambda=1.0 ")
 
 
 def test_scan_rejects_zero_samples(capsys):

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (EXACT, FLOAT, MembershipVerdict, QComplex, SchwarzJet,
+from coeffforge import (EXACT, FLOAT, FUNCTIONALS, MembershipVerdict, QComplex, SchwarzJet,
                         TruncatedSeries, class_parameter, corner_jet,
                         direct_coeffs, extremal_function, extremal_inverse,
-                        fekete_szego, fekete_szego_bound,
+                        fekete_szego, functional_bound,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_from_jet, membership_scan,
-                        revert, theoretical_bounds, zf_from_schwarz, zf_jet)
+                        revert, zf_from_schwarz, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
 from coeffforge.verifier import _Poly, _proof_table
 from helpers import (assert_series_exact, block_jets, defect, exact_jet, floats,
@@ -238,10 +238,23 @@ def test_modulus_whose_square_is_beyond_the_float_range():
         maybe_exact_abs(QComplex(F("1e318"), F("1e318")))
 
 
-def test_extremal_saturation():
-    for lam in (F(1, 4), F(7, 10), F(1)):
-        moduli = tuple(map(maybe_exact_abs, inverse_coeffs(lam, corner_jet(lam))))
-        assert moduli == theoretical_bounds(lam)
+# the paper's sharp bounds (for FS at real mu <= 1), written apart from the table
+PAPER_BOUNDS = {"A2": lambda L, mu: 1 + L,
+                "A3": lambda L, mu: 1 + 3 * L + L * L,
+                "A4": lambda L, mu: (1 + L) * (1 + 5 * L + L * L),
+                "FS": lambda L, mu: L + (1 - mu) * (1 + L) ** 2}
+
+
+@pytest.mark.parametrize("name", list(FUNCTIONALS))
+def test_extremal_saturation(name):
+    # the corner jet attains each bound where the table claims sharpness
+    f = FUNCTIONALS[name]
+    mus = [F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1)] if f.takes_mu else [None]
+    for lam in (F(1, 4), F(7, 10), F(1), F(1, 3), F(2, 7)):
+        for mu in mus:
+            assert f.sharp_at(mu)
+            value = maybe_exact_abs(f.value(*inverse_coeffs(lam, corner_jet(lam)), mu))
+            assert value == functional_bound(name, lam, mu) == PAPER_BOUNDS[name](lam, mu)
 
 
 def test_corner_jet_mode():
@@ -289,26 +302,28 @@ def test_fekete_szego_regrouping_exact():
 
 
 def test_theoretical_bounds_koebe():
-    assert theoretical_bounds(1) == (2, 5, 14)
+    assert [functional_bound(name, 1) for name in ("A2", "A3", "A4")] == [2, 5, 14]
 
 
 def test_theoretical_bounds_half():
-    assert theoretical_bounds(F(1, 2)) == (F(3, 2), F(11, 4), F(45, 8))
+    assert [functional_bound(name, F(1, 2)) for name in ("A2", "A3", "A4")] \
+        == [F(3, 2), F(11, 4), F(45, 8)]
 
 
 def test_theoretical_bounds_small_lambda_limit():
-    assert theoretical_bounds(1e-9) == pytest.approx((1.0, 1.0, 1.0), abs=1e-8)
+    assert [functional_bound(name, 1e-9) for name in ("A2", "A3", "A4")] \
+        == pytest.approx([1.0, 1.0, 1.0], abs=1e-8)
 
 
 def test_fekete_szego_bound_values():
-    assert fekete_szego_bound(F(1, 2), 1) == F(1, 2)
-    assert fekete_szego_bound(F(1, 2), 0) == 1 + 3 * F(1, 2) + F(1, 4)  # equals B3
-    assert fekete_szego_bound(1, 2) == 5
+    assert functional_bound("FS", F(1, 2), 1) == F(1, 2)
+    assert functional_bound("FS", F(1, 2), 0) == 1 + 3 * F(1, 2) + F(1, 4)  # equals B3
+    assert functional_bound("FS", 1, 2) == 5
 
 
 def test_fekete_szego_bound_complex_mu():
     mu = 1 + 1j
-    assert fekete_szego_bound(1.0, mu) == pytest.approx(1.0 + abs(1 - mu) * 4.0)
+    assert functional_bound("FS", 1.0, mu) == pytest.approx(1.0 + abs(1 - mu) * 4.0)
 
 
 # -- defect and membership -----------------------------------------------------------

@@ -11,15 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffforge import (BoundReport, SchwarzJet, SearchConfig, c2_disks, c3_disk, corner_jet,
-                        exact_proofs, fekete_szego, fekete_szego_bound,
-                        inverse_from_jet, inverse_weights, reports_to_csv, reports_to_json,
-                        scan_lambda, sharpness_claimed, theoretical_bounds)
+                        exact_proofs, functional_bound, inverse_from_jet, inverse_weights,
+                        reports_to_csv, reports_to_json, scan_lambda, sharpness_claimed)
 from coeffforge import ulambda, verifier
 from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
 from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _bernstein, _fs_maxima,
-                                 _functional_values, _h, _nonnegative_on_box, _Poly,
+                                 _functional_values, _nonnegative_on_box, _Poly,
                                  _proof_table, worker_count)
-from helpers import functional_maxima_oracle, h_function
+from helpers import functional_maxima_oracle, h_function, h_poly, patched_bound
 
 F = Fraction
 
@@ -60,18 +59,24 @@ def test_the_rows_read_the_disk_table():
 
 
 def test_a_bound_one_hundredth_too_small_is_refuted_at_a_corner():
-    def weights(lam):
-        q1, q2, q3, q4 = inverse_weights(lam)
-        return q1, q2, q3, q4 - F(1, 100)
-
-    with mock.patch.object(verifier, "inverse_weights", weights):
+    with patched_bound("A4", lambda L, nu: inverse_weights(L)[3] - F(1, 100)):
         (row,) = _proof_table()[1]["A4"]
         assert exact_proofs() == {"A2": True, "A3": True, "A4": False, "FS": True}
     assert not _nonnegative_on_box(row)
-    # the row is 2 q4 - h, so it reads -2/100 at L = x = u = 1
+    # the row is (q4 - 1/100) - h/2, so it reads -1/100 at L = x = u = 1
     corner = tuple(max(e[k] for e in row.terms) for k in range(3))
-    assert _bernstein(row)[corner] == at_corner(row, (1, 1, 1)) == -F(1, 50)
-    assert 2 * (theoretical_bounds(F(1))[2] - F(1, 100)) - h_function(F(1), 1, 1) == -F(1, 50)
+    assert _bernstein(row)[corner] == at_corner(row, (1, 1, 1)) == -F(1, 100)
+    assert functional_bound("A4", F(1)) - F(1, 100) - h_function(F(1), 1, 1) / 2 == -F(1, 100)
+
+
+def test_an_fs_bound_one_hundredth_too_small_is_refuted_at_a_corner():
+    # nu (1+L)^2 lowered to nu ((1+L)^2 - 1/100): the nu^1 row fails, the nu^0 row holds
+    with patched_bound("FS", lambda L, nu: L + nu * ((1 + L) ** 2 - F(1, 100))):
+        rows = _proof_table()[1]["FS"]
+        assert exact_proofs() == {"A2": True, "A3": True, "A4": True, "FS": False}
+    assert len(rows) == 2 and _nonnegative_on_box(rows[0]) and not _nonnegative_on_box(rows[1])
+    corner = tuple(max(e[k] for e in rows[1].terms) for k in range(3))
+    assert _bernstein(rows[1])[corner] == at_corner(rows[1], (1, 1, 1)) == -F(1, 100)
 
 
 def test_a_wrong_weight_fails_the_identity():
@@ -123,7 +128,7 @@ def test_h_case_two_corner_value():
     for lam in (F(1, 4), F(1, 2), F(1)):
         assert h_function(lam, 1, lam) == 2 * (1 + lam) * (1 + 5 * lam + lam * lam)
     L, x, u = _Poly.variables(3)
-    assert _h(L, 1, 1) == 2 * inverse_weights(L)[3]
+    assert h_poly(L, 1, 1) == 2 * inverse_weights(L)[3]
 
 
 def test_h_at_case_boundary():
@@ -197,7 +202,7 @@ def test_vertex_is_argmax():
     # h(u0) - h(u) = L (u - u0)^2 with u0 = 3(1+L)|c1|
     L, x, u = _Poly.variables(3)
     u0 = 3 * (1 + L) * x
-    assert _h(L, x, u0) - _h(L, x, u) == L * (u - u0) ** 2
+    assert h_poly(L, x, u0) - h_poly(L, x, u) == L * (u - u0) ** 2
     rng = np.random.default_rng(4)
     for _ in range(30):
         lam = F(int(rng.integers(1, 41)), 40)
@@ -236,7 +241,7 @@ def test_global_bound_equals_b4_at_random_rationals():
     for _ in range(20):
         den = int(rng.integers(1, 1000))
         lam = F(int(rng.integers(1, den + 1)), den)
-        assert h_function(lam, 1, lam) / 2 == theoretical_bounds(lam)[2]
+        assert h_function(lam, 1, lam) / 2 == functional_bound("A4", lam)
 
 
 def test_global_bound_lambda_validation():
@@ -255,7 +260,7 @@ def test_case_one_cap():
     for lam in [F(1), F(1, 2)] + [F(int(rng.integers(1, 101)), 100) for _ in range(18)]:
         assert h_function(lam, threshold(lam), lam) / 2 == lam + F(1, 27)
         yv, uv = F(int(rng.integers(0, 9)), 8), F(int(rng.integers(0, 9)), 8)
-        assert _h(lam, yv * threshold(lam), uv) \
+        assert h_poly(lam, yv * threshold(lam), uv) \
             == lam * (1 - uv * uv) + 2 * lam * yv * uv + 2 * yv ** 3 / 27
 
 
@@ -303,13 +308,6 @@ def test_argmax_index_selects_the_argmax_jet():
     block, k = divmod(past_one.argmax_index - 1, block_size())  # the corner is index 0
     c1, c2, c3 = sample_block_arrays(1.0, search.seed, block, search.strategy)
     assert past_one.argmax_jet == SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
-
-
-@pytest.mark.parametrize("lam", [F(1), F(1, 3), F(2, 7)])
-def test_fs_corner_attains_the_bound_for_every_real_mu_at_most_one(lam):
-    for mu in (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1)):
-        value = fekete_szego(lam, corner_jet(lam), mu)
-        assert value == fekete_szego_bound(lam, mu) == lam + (1 - mu) * (1 + lam) ** 2
 
 
 def test_sharpness_claimed_for_real_mu_at_most_one():
