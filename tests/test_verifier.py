@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffforge import (BoundReport, SchwarzJet, SearchConfig, c2_disks, c3_disk, corner_jet,
-                        exact_proofs, functional_bound, inverse_from_jet, inverse_weights,
-                        reports_to_csv, reports_to_json, scan_lambda, sharpness_claimed)
+                        exact_proofs, fekete_szego, functional_bound, inverse_from_jet,
+                        inverse_weights, reports_to_csv, reports_to_json, scan_lambda,
+                        sharpness_claimed)
 from coeffforge import ulambda, verifier
 from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
 from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _bernstein, _fs_maxima,
@@ -308,6 +309,13 @@ def test_argmax_index_selects_the_argmax_jet():
     block, k = divmod(past_one.argmax_index - 1, block_size())  # the corner is index 0
     c1, c2, c3 = sample_block_arrays(1.0, search.seed, block, search.strategy)
     assert past_one.argmax_jet == SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
+
+
+@pytest.mark.parametrize("lam", [F(1), F(1, 3), F(2, 7)])
+def test_fs_corner_attains_the_bound_for_every_real_mu_at_most_one(lam):
+    for mu in (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1)):
+        value = fekete_szego(lam, corner_jet(lam), mu)
+        assert value == functional_bound("FS", lam, mu) == lam + (1 - mu) * (1 + lam) ** 2
 
 
 def test_sharpness_claimed_for_real_mu_at_most_one():
