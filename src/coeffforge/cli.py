@@ -189,7 +189,7 @@ def cmd_revert(args):
     if lam is not None and args.mode == FLOAT:
         # the nearest doubles of the same values, by the closed form: cheap
         # where the exact reversion of the extremal jet takes seconds
-        inverse = extremal_inverse(lam, args.order)
+        inverse = extremal_inverse(lam, args.order, FLOAT)
     else:
         if series is None:
             series = (TruncatedSeries.identity(args.order, EXACT) if lam is None

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
-from .scalars import as_scalar, class_parameter, maybe_exact_abs
+from .scalars import EXACT, FLOAT, as_scalar, class_parameter, maybe_exact_abs
 from .series import TruncatedSeries, inverse_from_zf
 from .schwarz import SchwarzJet
 
@@ -112,20 +113,23 @@ def extremal_function(lam, N):
     return TruncatedSeries(coeffs, mode)
 
 
-def extremal_inverse(lam, N):
+def extremal_inverse(lam, N, mode=None):
     """Inverse jet of the extremal function in closed form: the coefficient
     of w^n is (-1)^(n-1) N_n(L), with the Narayana polynomials N_1 = 1,
     N_2 = 1+L and (n+1) N_n = (2n-1)(1+L) N_(n-1) - (n-2)(1-L)^2 N_(n-2).
-    O(N) operations, against the O(N^3) of a reversion."""
-    lam, mode = class_parameter(lam)
+    O(N) operations, against the O(N^3) of a reversion; for L = p/q they run
+    on the integers q^(n-1) N_n(L), and mode float gives the nearest doubles."""
+    lam, lam_mode = class_parameter(lam)
     if N < 1:
         raise ValueError("need N >= 1")
-    narayana = [0, 1, 1 + lam]
+    p, q = (lam, 1.0) if lam_mode == FLOAT else lam.as_integer_ratio()
+    scaled = [0, 1, q + p]
     for n in range(3, N + 1):
-        step = ((2 * n - 1) * (1 + lam) * narayana[n - 1]
-                - (n - 2) * (1 - lam) ** 2 * narayana[n - 2])
-        narayana.append(step / (n + 1))
-    return TruncatedSeries([0] + [(-1) ** (n - 1) * narayana[n] for n in range(1, N + 1)], mode)
+        step = (2 * n - 1) * (q + p) * scaled[n - 1] - (n - 2) * (q - p) ** 2 * scaled[n - 2]
+        scaled.append(step / (n + 1) if lam_mode == FLOAT else step // (n + 1))
+    scale = Fraction(q) if (mode or lam_mode) == EXACT else q  # int / int rounds once
+    return TruncatedSeries([0] + [(-1) ** (n - 1) * scaled[n] / scale ** (n - 1)
+                                  for n in range(1, N + 1)])
 
 
 def corner_jet(lam):

@@ -18,9 +18,11 @@ the unit box [0, 1]^3 by the signs of its Bernstein coefficients. The
 rows hold over the whole disk table, a superset of the true jets.
 
 The search (scan_lambda) samples each block once for the whole lambda
-grid and evaluates it for every task in one call; _search_grid,
-_functional_values and _fs_maxima say how its reports stay the same, bit
-for bit, for any worker count and with Fekete-Szego (FS) tasks ranked.
+grid and evaluates it for every task in one call; forked worker k of n
+takes blocks k, k + n, ... as one task, and search processes keep their
+heap. _search_grid, _functional_values and _fs_maxima say how its reports
+stay the same, bit for bit, for any worker count and with Fekete-Szego
+(FS) tasks ranked.
 """
 
 from __future__ import annotations
@@ -393,9 +395,11 @@ def _search_grid(grid, tasks, bounds, search):
     for the whole grid in process or in a forked worker. Reduction is a
     strict-max in index order, so ties resolve to the first attaining sample
     (the corner, whenever extremal); the corner's values are every block's
-    floors, and a block reports None where it cannot exceed one.
+    floors, and a block reports None where it cannot exceed one. Each worker
+    takes every workers-th block as one task (_forked); _keep_heap holds the heap.
     """
     import numpy as np
+    _keep_heap()
     best = []
     for lam in grid:
         corner = corner_jet(lam)
@@ -438,14 +442,29 @@ def _eval_block(grid, tasks, search, remaining, floors, b):
 
 
 def _forked(evaluate, blocks, workers):
-    """Yield evaluate(b) for each block in order, from forked worker processes."""
+    """Yield evaluate(b) for each block in order, from forked worker processes:
+    worker k evaluates blocks[k::workers] as one task while the parent waits."""
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     from multiprocessing import get_context
     try:
         with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            yield from pool.map(evaluate, blocks)
+            # one item per worker: a map pickles as its function and range
+            shares = list(pool.map(list, [map(evaluate, blocks[k::workers])
+                                          for k in range(workers)]))
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a search worker process died: {exc}") from None
+    return (shares[b % workers][b // workers] for b in range(len(blocks)))
+
+
+def _keep_heap():
+    """Have glibc keep 16 MiB of free heap rather than hand it back after each
+    block for the next to fault in again; forked workers inherit it."""
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")  # no confstr on Windows; an error on other libcs
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes
+    ctypes.CDLL(None).mallopt(-2, 16 << 20)  # int mallopt(int, int), ctypes' default; M_TOP_PAD
 
 
 def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):

@@ -309,6 +309,19 @@ def test_float_alias_revert_needs_no_reversion(capsys, monkeypatch):
     assert out == "w" + "".join(f" {'-+'[n % 2]} w^{n}" for n in range(2, 41)) + "\n"
 
 
+# sha256 of the stdout of `revert f_1e-300 --order 128 --mode float` as text
+# and as JSON, recorded when each double was the nearest to a reduced Fraction
+# of up to 126k bits; the coefficients now run on integers with one division
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "a1f060b6010d2ccb8e43419c399809865b32b0bbe301840108c08ffad746a55d"),
+    ("json", "2f34183dfc4c2be31498d0ce12779833db0feea42468e4b131716d3a71cbbb7d")])
+def test_float_revert_of_a_large_denominator_is_pinned(capsys, fmt, digest):
+    code, out, err = run(capsys, "revert", "f_1e-300", "--order", "128", "--mode", "float",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_revert_unknown_alias(capsys):
     code, _, err = run(capsys, "revert", "bieberbach")
     assert code == 2
@@ -1005,6 +1018,74 @@ def test_a_worker_that_dies_exits_2_with_one_error_line(capsys, tmp_path, monkey
     assert out == ""
     assert err.startswith("error: a search worker process died") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []  # no report files
+
+
+def test_an_error_in_a_worker_is_the_cli_error_line(capsys, tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def fail(*args):
+        if os.getpid() != parent:
+            raise ValueError("a block could not be sampled")
+        raise AssertionError("a block was sampled outside the worker processes")
+    monkeypatch.setattr(schwarz, "sample_grid_block", fail)
+    monkeypatch.setenv("COEFFFORGE_THREADS", "2")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--samples", "20000", "--out", "x")
+    assert (code, out, err) == (2, "", "error: a block could not be sampled\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+_DYING_WORKER_PROBE = """
+import os, sys
+from coeffforge import cli, schwarz
+parent = os.getpid()
+def die(*args):
+    os._exit(1) if os.getpid() != parent else sys.exit("a block was sampled in the parent")
+schwarz.sample_grid_block = die
+sys.exit(cli.main(["verify", "--samples", "50000"]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+@pytest.mark.parametrize("argv", [["-m", "coeffforge", "verify", "--samples", "50000"],
+                                  ["-c", _DYING_WORKER_PROBE]], ids=["verify", "dying-worker"])
+def test_no_search_leaves_a_process_behind(argv):
+    env = dict(os.environ, COEFFFORGE_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    _, err = proc.communicate(timeout=120)
+    if argv[0] == "-m":
+        assert (proc.returncode, err) == (0, "")
+    else:
+        assert proc.returncode == 2 and err.startswith("error: a search worker process died")
+    # the session's group is the CLI's pid; it is empty once every worker is reaped
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def _minor_faults(argv):
+    env = dict(os.environ, COEFFFORGE_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "coeffforge", *argv], env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "confstr"),
+                    reason="needs wait4 and glibc")
+def test_a_long_search_does_not_fault_its_heap_in_again_for_each_block():
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+    except ValueError:
+        pytest.skip("needs glibc")
+    argv = ["scan", "--functional", "A4", "--lambda-grid", "0.5", "--seed", "1", "--samples"]
+    short, long = (_minor_faults(argv + [str(1 + blocks * 8192)]) for blocks in (2, 40))
+    # the heap handed back after each block cost about 480 faults a block
+    assert long - short < 38 * 100, (short, long)
 
 
 # -- cold start: the exact subcommands never import numpy --------------------------

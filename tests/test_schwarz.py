@@ -137,6 +137,35 @@ def test_disk_table_on_every_scalar_type():
         assert np.ravel(a)[0] == pytest.approx(f, abs=1e-15)
 
 
+@settings(max_examples=40, deadline=None)
+@given(lam=st.fractions(F(1, 50), 1, max_denominator=50),
+       parts=st.lists(st.fractions(-1, 1, max_denominator=30), min_size=5, max_size=5))
+def test_exact_disk_centres_are_the_quotients_by_one_plus_lambda(lam, parts):
+    # the centres multiply by 1/(1+L); in exact arithmetic that is the quotient
+    c1, c2 = QComplex(*parts[:2]), QComplex(*parts[2:4])
+    (schur, (m2, R2)), (m3, R3) = (c2_disks(lam, c1, c1.abs2()),
+                                   c3_disk(lam, c1, c2, parts[4] ** 2))
+    assert schur == (0, 1 - c1.abs2())
+    assert isinstance(m2, QComplex) and m2 == lam * c1 * c1 / (1 + lam)
+    assert isinstance(m3, QComplex) and m3 == 2 * lam * c1 * c2 / (1 + lam)
+    assert isinstance(R2, F) and R2 == lam / (1 + lam)
+    assert isinstance(R3, F) and R3 == (lam - parts[4] ** 2 / lam) / (2 * (1 + lam))
+    (_, (m2, _)), (m3, _) = c2_disks(lam, parts[0], parts[0] ** 2), c3_disk(lam, 1, 1, 0)
+    assert isinstance(m2, F) and m2 == lam * parts[0] ** 2 / (1 + lam)
+    assert isinstance(m3, F) and m3 == 2 * lam / (1 + lam)
+
+
+@pytest.mark.parametrize("lam", [0.02, 0.3, 1 / 3, 0.999, 1.0])
+def test_array_disk_centres_have_the_bits_of_the_quotients(lam):
+    # numpy divides complex by real as a product with the reciprocal of the
+    # real, so the sample stream did not move when the centres began to multiply
+    c1, c2 = (_disk_points(np.random.default_rng([7, k]), block_size()) for k in (1, 2))
+    m2 = c2_disks(lam, c1, abs(c1) ** 2)[1][0]
+    m3 = c3_disk(lam, c1, c2, 0.0)[0]
+    assert np.array_equal((lam * c1 * c1 / (1 + lam)).view(np.int64), m2.view(np.int64))
+    assert np.array_equal((2 * lam * c1 * c2 / (1 + lam)).view(np.int64), m3.view(np.int64))
+
+
 def test_carlson_and_class_c3_disks_can_be_disjoint():
     # (9/10, 19/100) at L = 1 lies in both c2 disks, on the Schur rim, yet no
     # c3 lies in both the Carlson disk and the class disk

@@ -220,6 +220,17 @@ def test_extremal_inverse_closed_form_equals_reversion(lam):
         assert extremal_inverse(lam, N) == revert(extremal_function(lam, N))
 
 
+@pytest.mark.parametrize("lam", [F(1), F(1, 3), F(2, 7), F(1, 10 ** 300), F(7, 10 ** 6),
+                                 F(2 ** -1074), F(10 ** 40 - 1, 10 ** 40)])
+def test_float_extremal_inverse_of_an_exact_lambda_is_the_nearest_doubles(lam):
+    exact = extremal_inverse(lam, 90)
+    rounded = extremal_inverse(lam, 90, FLOAT)
+    assert rounded.mode == FLOAT
+    # the nearest double of each exact coefficient, bit for bit
+    assert [(c.real.hex(), c.imag.hex()) for c in rounded.coeffs] == \
+        [(float(c.re).hex(), float(c.im).hex()) for c in exact.coeffs]
+
+
 @pytest.mark.parametrize("lam", [1e-5, 0.3, 0.999])
 def test_extremal_inverse_of_a_float_lambda_computes_in_floats(lam):
     exact = extremal_inverse(F(lam), 60)  # at the binary value of L

@@ -462,6 +462,67 @@ def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
     assert recorded == ([min(cpus, 5)] if cpus > 1 else []) + [3]
 
 
+@pytest.mark.parametrize("workers, blocks", [(2, range(7)), (3, range(7)), (3, range(3))])
+def test_each_worker_takes_one_task_and_blocks_come_back_in_order(monkeypatch, workers,
+                                                                   blocks):
+    from concurrent.futures.process import ProcessPoolExecutor
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", lambda pool, *args:
+                        submitted.append(args) or submit(pool, *args))
+    assert list(verifier._forked(abs, blocks, workers)) == list(blocks)
+    assert len(submitted) == workers
+
+
+def test_a_search_on_three_workers_submits_three_tasks(monkeypatch):
+    from concurrent.futures.process import ProcessPoolExecutor
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", lambda pool, *args:
+                        submitted.append(args) or submit(pool, *args))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cfg = SearchConfig(samples=1 + 7 * block_size() + 5, seed=11)
+    args = (["A2", "A4", "FS"], [0.3, 1.0], [0.5, 1.5], cfg)
+    monkeypatch.setenv("COEFFFORGE_THREADS", "1")
+    sequential = reports_to_csv(scan_lambda(*args))
+    assert submitted == []
+    monkeypatch.setenv("COEFFFORGE_THREADS", "3")
+    assert reports_to_csv(scan_lambda(*args)) == sequential
+    assert len(submitted) == 3
+
+
+def test_the_search_keeps_its_heap_on_glibc(monkeypatch):
+    import ctypes
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    scan_lambda(["A2"], [0.5], search=SearchConfig(samples=10))
+    assert calls == [(-2, 16 << 20)]  # M_TOP_PAD
+
+
+@pytest.mark.parametrize("libc", ["unknown name", "name without a value", "no confstr"])
+def test_off_glibc_the_heap_is_left_alone_and_the_scan_is_unchanged(monkeypatch, libc):
+    import ctypes
+    args = (["A4", "FS"], [0.3, 1.0], [0.5, 1.5], SearchConfig(samples=2 * block_size() + 3))
+    expected = reports_to_csv(scan_lambda(*args))
+
+    def confstr(name):
+        if libc == "unknown name":  # a libc whose headers lack the name
+            raise ValueError("unrecognized configuration name")
+        raise OSError(22, "Invalid argument")  # a libc that rejects it, as musl does
+    if libc == "no confstr":  # as on Windows
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", mock.Mock(side_effect=AssertionError("CDLL loaded")))
+    assert reports_to_csv(scan_lambda(*args)) == expected
+
+
 def test_results_independent_of_workers(monkeypatch):
     cfg = SearchConfig(samples=3 * 8192 + 5, seed=13)
     grid = [0.3, 0.9]
