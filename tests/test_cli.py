@@ -310,8 +310,8 @@ def test_float_alias_revert_needs_no_reversion(capsys, monkeypatch):
 
 
 # sha256 of the stdout of `revert f_1e-300 --order 128 --mode float` as text
-# and as JSON, recorded when each double was the nearest to a reduced Fraction
-# of up to 126k bits; the coefficients now run on integers with one division
+# and as JSON, recorded from the nearest doubles of the reduced Fractions; the
+# recurrence on integers must print the same bytes
 @pytest.mark.parametrize("fmt, digest", [
     ("text", "a1f060b6010d2ccb8e43419c399809865b32b0bbe301840108c08ffad746a55d"),
     ("json", "2f34183dfc4c2be31498d0ce12779833db0feea42468e4b131716d3a71cbbb7d")])
@@ -1080,7 +1080,7 @@ def _minor_faults(argv):
 def test_a_long_search_does_not_fault_its_heap_in_again_for_each_block():
     try:
         os.confstr("CS_GNU_LIBC_VERSION")
-    except ValueError:
+    except (ValueError, OSError):
         pytest.skip("needs glibc")
     argv = ["scan", "--functional", "A4", "--lambda-grid", "0.5", "--seed", "1", "--samples"]
     short, long = (_minor_faults(argv + [str(1 + blocks * 8192)]) for blocks in (2, 40))

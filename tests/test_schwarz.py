@@ -158,7 +158,7 @@ def test_exact_disk_centres_are_the_quotients_by_one_plus_lambda(lam, parts):
 @pytest.mark.parametrize("lam", [0.02, 0.3, 1 / 3, 0.999, 1.0])
 def test_array_disk_centres_have_the_bits_of_the_quotients(lam):
     # numpy divides complex by real as a product with the reciprocal of the
-    # real, so the sample stream did not move when the centres began to multiply
+    # real, so multiplying by 1/(1+L) leaves the sample stream's bits as they are
     c1, c2 = (_disk_points(np.random.default_rng([7, k]), block_size()) for k in (1, 2))
     m2 = c2_disks(lam, c1, abs(c1) ** 2)[1][0]
     m3 = c3_disk(lam, c1, c2, 0.0)[0]

@@ -462,24 +462,23 @@ def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
     assert recorded == ([min(cpus, 5)] if cpus > 1 else []) + [3]
 
 
-@pytest.mark.parametrize("workers, blocks", [(2, range(7)), (3, range(7)), (3, range(3))])
-def test_each_worker_takes_one_task_and_blocks_come_back_in_order(monkeypatch, workers,
-                                                                   blocks):
+@pytest.fixture
+def submitted(monkeypatch):
+    """The arguments of every task the parent submits to a process pool."""
     from concurrent.futures.process import ProcessPoolExecutor
-    submitted = []
-    submit = ProcessPoolExecutor.submit
+    calls, submit = [], ProcessPoolExecutor.submit
     monkeypatch.setattr(ProcessPoolExecutor, "submit", lambda pool, *args:
-                        submitted.append(args) or submit(pool, *args))
+                        calls.append(args) or submit(pool, *args))
+    return calls
+
+
+@pytest.mark.parametrize("workers, blocks", [(2, range(7)), (3, range(7)), (3, range(3))])
+def test_each_worker_takes_one_task_and_blocks_come_back_in_order(submitted, workers, blocks):
     assert list(verifier._forked(abs, blocks, workers)) == list(blocks)
     assert len(submitted) == workers
 
 
-def test_a_search_on_three_workers_submits_three_tasks(monkeypatch):
-    from concurrent.futures.process import ProcessPoolExecutor
-    submitted = []
-    submit = ProcessPoolExecutor.submit
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", lambda pool, *args:
-                        submitted.append(args) or submit(pool, *args))
+def test_a_search_on_three_workers_submits_three_tasks(monkeypatch, submitted):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     cfg = SearchConfig(samples=1 + 7 * block_size() + 5, seed=11)
     args = (["A2", "A4", "FS"], [0.3, 1.0], [0.5, 1.5], cfg)
@@ -505,7 +504,7 @@ def test_the_search_keeps_its_heap_on_glibc(monkeypatch):
     assert calls == [(-2, 16 << 20)]  # M_TOP_PAD
 
 
-@pytest.mark.parametrize("libc", ["unknown name", "name without a value", "no confstr"])
+@pytest.mark.parametrize("libc", ["unknown name", "rejected name", "no confstr"])
 def test_off_glibc_the_heap_is_left_alone_and_the_scan_is_unchanged(monkeypatch, libc):
     import ctypes
     args = (["A4", "FS"], [0.3, 1.0], [0.5, 1.5], SearchConfig(samples=2 * block_size() + 3))
