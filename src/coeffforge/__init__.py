@@ -12,6 +12,6 @@ from .ulambda import (FUNCTIONALS, MembershipVerdict, corner_jet, direct_coeffs,
                       inverse_coeffs, inverse_coeffs_by_reversion, inverse_from_jet,
                       inverse_weights, membership_profile, membership_scan, zf_from_schwarz)
 from .verifier import (BoundReport, SearchConfig, exact_proofs, reports_to_csv, reports_to_json,
-                       scan_lambda, sharpness_claimed)
+                       scan_lambda)
 
 __version__ = "0.1.0"

@@ -169,7 +169,10 @@ class Functional(namedtuple("Functional", "value bound regrouped majorant takes_
     regrouped(L, c1, c2, c3, mu) and majorant(L, x, u, nu): the value in
         parts that the disk table bounds, and the triangle inequality on
         them (the verifier's docstring states the proof).
-    sharp_at(mu): whether the corner jet (1, 0, 0) attains the bound.
+    sharp_at(mu): whether the corner jet (1, 0, 0) attains the bound. The
+        exact proof's corner identity, value = +-bound(L, 1 - mu), proves
+        it wherever nu = |1 - mu| is 1 - mu, which takes in every mu that
+        sharp_at accepts (real mu <= 1 for FS).
     """
     __slots__ = ()
 

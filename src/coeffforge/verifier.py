@@ -1,12 +1,12 @@
 """Independent verification of the sharp coefficient bounds.
 
 Two routes: (1) seeded constrained search over admissible jets, with the
-extremal corner (1, 0, 0) always forced into the sample so sharpness is
-exact rather than probabilistic; (2) exact_proofs, the paper's proof of
-each bound replayed for every L in (0, 1] in rational arithmetic. Both
-read each functional's value, bound and proof from ulambda.FUNCTIONALS.
+extremal corner (1, 0, 0) always forced into the sample as index 0; (2)
+exact_proofs, the paper's proof of each bound and of its attainment
+replayed for every L in (0, 1] in rational arithmetic. Both read each
+functional's value, bound and proof from ulambda.FUNCTIONALS.
 
-A proof has four steps, with the formulas of each functional in its
+A proof has five steps, with the formulas of each functional in its
 table entry. (1) The identity value == regrouped holds as polynomials in
 (L, c1, c2, c3, mu), with (A2, A3, A4) from inverse_from_jet. (2) The disk
 table (schwarz.c2_disks, c3_disk) bounds the regrouped parts: |s| = L u
@@ -16,6 +16,9 @@ u, nu = |1 - mu|). (4) bound - majorant is a polynomial in nu >= 0 whose
 coefficient of each power of nu, a row in (L, x, u), is nonnegative on
 the unit box [0, 1]^3 by the signs of its Bernstein coefficients. The
 rows hold over the whole disk table, a superset of the true jets.
+(5) The bound is attained: the value at the corner jet (1, 0, 0) is
++-bound(L, 1 - mu) as polynomials in (L, mu), which is +-bound(L, nu)
+exactly where nu = |1 - mu| = 1 - mu, for real mu <= 1 (sharp_at).
 
 The search (scan_lambda) samples each block once for the whole lambda
 grid and evaluates it for every task in one call; forked worker k of n
@@ -41,7 +44,6 @@ from .schwarz import SchwarzJet
 from .ulambda import FUNCTIONALS, corner_jet, functional_bound, inverse_from_jet
 
 SOUNDNESS_TOL = 1e-9
-ATTAINMENT_TOL = 1e-3
 
 
 # -- the exact proofs --------------------------------------------------------
@@ -132,11 +134,24 @@ def _proof_table():
     return identities, rows
 
 
+def _corner_identities():
+    """{functional: its value at the corner jet (1, 0, 0) is +-bound(L, 1 - mu)},
+    as polynomials in (L, mu)."""
+    L, mu = _Poly.variables(2)
+    corner = inverse_from_jet(L, 1, 0, 0)
+    return {name: f.bound(L, 1 - mu) in (value := f.value(*corner, mu), -value)
+            for name, f in FUNCTIONALS.items()}
+
+
 def exact_proofs():
     """{functional: proved for every L in (0, 1]} for each table entry: its
-    identity holds and its box rows are nonnegative."""
+    identity holds and its box rows are nonnegative, so the bound holds
+    for every mu, and its corner identity holds, so the corner jet attains
+    the bound wherever sharp_at says so (for FS, real mu <= 1)."""
     identities, rows = _proof_table()
-    return {name: identities[name] and all(map(_nonnegative_on_box, rows[name])) for name in rows}
+    corners = _corner_identities()
+    return {name: identities[name] and all(map(_nonnegative_on_box, rows[name]))
+            and corners[name] for name in rows}
 
 
 # -- search -------------------------------------------------------------------
@@ -146,7 +161,6 @@ class SearchConfig:
     samples: int = 20000
     seed: int = 20250810
     strategy: str = "boundary-biased"
-    tolerance: float = SOUNDNESS_TOL
 
     def __post_init__(self):
         for name in ("samples", "seed"):
@@ -159,8 +173,6 @@ class SearchConfig:
             raise ValueError("seed must be >= 0")
         if self.strategy not in schwarz.STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not (is_finite_real(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be a finite positive number, got {self.tolerance!r}")
 
     @classmethod
     def from_json(cls, data):
@@ -186,15 +198,10 @@ class BoundReport:
     samples: int
     seed: int
 
-    def sound(self, tol=SOUNDNESS_TOL):
-        """Whether gap >= -tol in units of max(1, theoretical): the float
-        rounding of the corner's value grows with the bound."""
-        return self.gap >= -tol * max(1.0, self.theoretical)
-
-    def attained(self, tol=ATTAINMENT_TOL):
-        """Whether gap <= tol, in the same units, where the theorem says the
-        bound is attained (sharpness_claimed); elsewhere True."""
-        return not sharpness_claimed(self) or self.gap <= tol * max(1.0, self.theoretical)
+    def sound(self):
+        """Whether gap >= -SOUNDNESS_TOL in units of max(1, theoretical): the
+        float rounding of the corner's value grows with the bound."""
+        return self.gap >= -SOUNDNESS_TOL * max(1.0, self.theoretical)
 
     def text_line(self):
         """The report as verify and scan print it, without a status."""
@@ -488,9 +495,3 @@ def scan_lambda(functionals, lambda_grid, mu_grid=None, search=None):
                 raise ValueError(f"the {name} bound overflows float arithmetic "
                                  f"at lambda={lam!r}, mu={mu!r}")
     return _search_grid(grid, tasks, bounds, search)
-
-
-def sharpness_claimed(report):
-    """Whether the theorem asserts the searched bound is attained, by the
-    table entry's sharp_at."""
-    return FUNCTIONALS[report.functional].sharp_at(report.mu)

@@ -54,6 +54,18 @@ def test_revert_extremal_alias_needs_lambda(capsys):
     assert "2.75w^3" in out
 
 
+@pytest.mark.parametrize("name", ["koebe", "f_1/3", "identity", "series.json"])
+def test_revert_refuses_lambda_for_an_input_other_than_extremal(capsys, tmp_path, monkeypatch,
+                                                                name):
+    # such an input fixes its own L, or has none; --lambda would be ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.json").write_text(json.dumps([[0, 0], [1, 0], [1, 0]]))
+    code, out, err = run(capsys, "revert", name, "--order", "6", "--lambda", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--lambda" in err and err.count("\n") == 1
+
+
 def test_revert_series_file(capsys, tmp_path):
     path = tmp_path / "series.json"
     path.write_text(json.dumps([[0, 1, 0, 1], [1, 1, 0, 1], [2, 1, 0, 1],
@@ -570,7 +582,8 @@ def test_an_invalid_request_fails_before_any_sampling(capsys, tmp_path, monkeypa
 def test_unnormalized_series_gives_the_normalization_message(capsys, tmp_path, command):
     path = tmp_path / "series.json"
     path.write_text(json.dumps([[0, 1, 0, 1], [2, 1, 0, 1], [1, 1, 0, 1]]))
-    code, out, err = run(capsys, command, str(path), "--lambda", "1/2")
+    lam = ["--lambda", "1/2"] if command == "membership" else []  # revert refuses it here
+    code, out, err = run(capsys, command, str(path), *lam)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -724,11 +737,13 @@ def test_verify_corner_attains_a_bound_near_1e15(capsys, tmp_path):
 
 # sha256 of the stdout, CSV and JSON of `verify --seed 1` with the default
 # config. The corner attains every bound, so they hold while the sample
-# stream moves; recorded before the boundary-biased c2 became a ray walk.
+# stream moves; recorded before the boundary-biased c2 became a ray walk. The
+# JSON was recorded again when its config echo and checks lost the attainment
+# tolerance and the search's soundness tolerance.
 VERIFY_SEED_1_DIGESTS = {
     "stdout": "cdb76dbf4f9c55cc020484ba452af2bfdcd5b4a9070d5dafbc635fd1853c57aa",
     "csv": "cba78f53c4bcd9095e4a2aae4c2931de57af55c421c877953aa0029c94d5f257",
-    "json": "bb8a141e4545e911de599644691da363402c6dada9fffaefb22a10744219d62e",
+    "json": "05ac785195be6798f1f24c8a88ed6a51a05aee84bb1660ba0f7908a3ae0cb9be",
 }
 
 
@@ -778,10 +793,10 @@ def test_verify_rejects_unknown_field(capsys, tmp_path):
 @pytest.mark.parametrize("config", [
     {"mu_grid": ["abc"]}, {"mu_grid": [None]}, {"mu_grid": [[0.5, 0.1]]},
     {"mu_grid": [True]}, {"lambda_grid": 0.5}, {"lambda_grid": ["0.5"]},
-    {"functionals": "A2"}, {"attainment_tol": None}, {"search": 5}, 5,
+    {"functionals": "A2"}, {"functionals": []}, {"search": 5}, 5,
     {"search": {"samples": 1.5}}, {"search": {"seed": 1.5}},
     {"search": {"samples": True}}, {"search": {"seed": True}},
-    {"search": {"tolerance": True}}, {"search": {"tolerance": float("inf")}},
+    {"search": {"strategy": 5}}, {"mu_grid": [float("nan")]},
 ])
 def test_verify_rejects_mistyped_config(capsys, tmp_path, config):
     cfg = tmp_path / "cfg.json"
@@ -810,13 +825,21 @@ def test_grid_strategy_flag_removed(capsys, argv):
     assert err.startswith("error:") and "grid" in err
 
 
-@pytest.mark.parametrize("field", ["gap_grid_points", "h_reduction"])
+REMOVED_FIELDS = {"gap_grid_points": {"gap_grid_points": 1000},
+                  "h_reduction": {"h_reduction": 1000},
+                  "attainment_tol": {"attainment_tol": 1e-3},
+                  "search.tolerance": {"search": {"tolerance": 1e-9}}}
+
+
+@pytest.mark.parametrize("field", list(REMOVED_FIELDS))
 def test_verify_rejects_removed_fields(capsys, tmp_path, field):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({field: 1000}))
-    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    cfg.write_text(json.dumps(REMOVED_FIELDS[field]))
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
-    assert "unknown config fields" in err
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "config fields" in err and repr(field.split(".")[-1]) in err
 
 
 def test_verify_exact_proof_lines(capsys):
@@ -845,9 +868,28 @@ def test_verify_fails_when_a_proof_fails(capsys, tmp_path):
     assert lines[-1] == "FAIL"
     assert err == "error: bound verification failed (see report)\n"
     payload = json.loads(Path(base + ".json").read_text())
-    assert payload["checks"] == {"sound": False, "attained": True,
+    assert payload["checks"] == {"sound": False,
                                  "proofs": {"A2": True, "A3": True, "A4": False, "FS": True}}
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("name, bound, lam", [
+    ("A4", lambda L, nu: inverse_weights(L)[3] + Fraction(1, 300), "1/3"),
+    ("FS", lambda L, nu: L + nu * (1 + L) ** 2 + Fraction(1, 1000), None),
+], ids=["A4", "FS"])
+def test_verify_fails_on_a_bound_that_is_not_sharp(capsys, name, bound, lam):
+    # the raised bound still holds, so every search line is OK; the corner
+    # identity of the exact proof refuses it
+    argv = ["verify", "--samples", "200"] + ([] if lam is None else ["--lambda", lam])
+    with patched_bound(name, bound):
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert all(line.endswith(" OK") for line in lines if " lambda=" in line)
+    proof_lines = [line for line in lines if " exact proof " in line]
+    assert [line.split()[0] for line in proof_lines if line.endswith(": FAIL")] == [name]
+    assert lines[-1] == "FAIL"
+    assert err == "error: bound verification failed (see report)\n"
 
 
 def test_every_list_of_functionals_is_the_table_in_order(capsys):

@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import (BoundReport, SchwarzJet, SearchConfig, c2_disks, c3_disk, corner_jet,
-                        exact_proofs, fekete_szego, functional_bound, inverse_from_jet,
-                        inverse_weights, reports_to_csv, reports_to_json, scan_lambda,
-                        sharpness_claimed)
+from coeffforge import (FUNCTIONALS, BoundReport, QComplex, SchwarzJet, SearchConfig, c2_disks,
+                        c3_disk, corner_jet, exact_proofs, fekete_szego, functional_bound,
+                        inverse_coeffs, inverse_from_jet, inverse_weights, reports_to_csv,
+                        reports_to_json, scan_lambda)
 from coeffforge import ulambda, verifier
 from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
-from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, _bernstein, _fs_maxima,
-                                 _functional_values, _nonnegative_on_box, _Poly,
-                                 _proof_table, worker_count)
+from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, SOUNDNESS_TOL, _bernstein,
+                                 _corner_identities, _fs_maxima, _functional_values,
+                                 _nonnegative_on_box, _Poly, _proof_table, worker_count)
 from helpers import functional_maxima_oracle, h_function, h_poly, patched_bound
 
 F = Fraction
@@ -39,6 +39,21 @@ def at_corner(p, corner):
 def test_every_bound_is_proved():
     assert exact_proofs() == {"A2": True, "A3": True, "A4": True, "FS": True}
     assert all(_proof_table()[0].values())
+    assert all(_corner_identities().values())
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("A4", lambda L, nu: inverse_weights(L)[3] + F(1, 300)),
+    ("FS", lambda L, nu: L + nu * (1 + L) ** 2 + F(1, 1000)),
+    ("FS", lambda L, nu: L + nu * ((1 + L) ** 2 + F(1, 1000))),
+], ids=["A4", "FS", "FS-nu"])
+def test_a_bound_above_the_corner_is_refused_by_the_corner_identity(name, bound):
+    # the raised bound still holds, so only the corner identity refuses it
+    with patched_bound(name, bound):
+        identities, rows = _proof_table()
+        assert identities[name] and all(map(_nonnegative_on_box, rows[name]))
+        assert _corner_identities() == {**dict.fromkeys(FUNCTIONALS, True), name: False}
+        assert exact_proofs() == {**dict.fromkeys(FUNCTIONALS, True), name: False}
 
 
 def test_every_box_row_is_sharp_at_the_corner_jet():
@@ -294,7 +309,7 @@ def test_verify_bound_fs_outside_sharp_range():
     (report,) = scan_lambda(["FS"], [0.5], [2.0], SearchConfig(samples=20000, seed=5))
     assert report.theoretical == pytest.approx(0.5 + (1.5) ** 2, abs=1e-15)
     assert report.sound()
-    assert not sharpness_claimed(report)
+    assert not FUNCTIONALS["FS"].sharp_at(report.mu)
     # corner value |A3 - 2 A2^2| = |2.75 - 2*2.25| = 1.75 stays below the bound
     assert report.gap > 0.1
 
@@ -319,11 +334,25 @@ def test_fs_corner_attains_the_bound_for_every_real_mu_at_most_one(lam):
 
 
 def test_sharpness_claimed_for_real_mu_at_most_one():
-    def claimed(mu):
-        return sharpness_claimed(BoundReport("FS", 0.5, mu, 0.0, 0.0, corner_jet(0.5), 0,
-                                             0.0, 1, 0))
+    claimed = FUNCTIONALS["FS"].sharp_at
     assert all(map(claimed, (-1e3, -3.0, -0.5, 0.0, 1.0)))
     assert not any(map(claimed, (1.0 + 1e-12, 2.0, 0.5 + 0.5j)))
+
+
+@pytest.mark.parametrize("lam", [F(1), F(1, 3), F(2, 7)])
+def test_the_fs_corner_is_below_the_bound_where_sharpness_is_not_claimed(lam):
+    # for mu > 1 the corner's A3 - mu A2^2 is L - (mu - 1)(1 + L)^2 against the
+    # bound L + (mu - 1)(1 + L)^2; for complex mu, the triangle inequality
+    # |L + (1 - mu)(1 + L)^2| <= L + |1 - mu|(1 + L)^2 is strict; |1 - mu| is 1
+    # or 5 for the complex mu here, so the bound is rational
+    for mu in (QComplex(F(1) + F(1, 10**9)), QComplex(F(2)), QComplex(F(7, 2)),
+               QComplex(F(2, 5), F(-4, 5)), QComplex(F(8, 5), F(4, 5)), QComplex(F(-2), F(-4))):
+        assert not FUNCTIONALS["FS"].sharp_at(mu.to_complex())
+        value = FUNCTIONALS["FS"].value(*inverse_coeffs(lam, corner_jet(lam)), mu)
+        bound = functional_bound("FS", lam, mu)
+        assert isinstance(bound, F) and value.abs2() < bound ** 2
+        if mu.im == 0:
+            assert bound - abs(value.re) == 2 * min(lam, (mu.re - 1) * (1 + lam) ** 2)
 
 
 def test_scan_lambda_a3_gaps():
@@ -339,7 +368,7 @@ def test_scan_lambda_fs_mu_grid():
                           search=SearchConfig(samples=3000, seed=2))
     assert [r.theoretical for r in reports] == [5.0, 3.0, 1.0]
     for r in reports:
-        assert sharpness_claimed(r)
+        assert FUNCTIONALS["FS"].sharp_at(r.mu)
         assert abs(r.gap) <= 1e-9
 
 
@@ -360,7 +389,7 @@ def test_scan_lambda_validation():
 
 
 def test_search_config_json_roundtrip():
-    cfg = SearchConfig(samples=123, seed=9, strategy="uniform", tolerance=1e-8)
+    cfg = SearchConfig(samples=123, seed=9, strategy="uniform")
     assert SearchConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -369,14 +398,13 @@ def test_search_config_validation():
         SearchConfig(samples=0)
     with pytest.raises(ValueError):
         SearchConfig(strategy="annealing")
-    with pytest.raises(ValueError):
-        SearchConfig(tolerance=0.0)
-    for bad in ({"samples": 1.5}, {"seed": 1.5}, {"samples": True}, {"seed": False},
-                {"tolerance": True}, {"tolerance": float("nan")}, {"tolerance": "1e-9"}):
+    for bad in ({"samples": 1.5}, {"seed": 1.5}, {"samples": True}, {"seed": False}):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
     with pytest.raises(ValueError):
         SearchConfig.from_json({"samples": 10, "threads": 4})
+    with pytest.raises(ValueError, match="tolerance"):  # the soundness tolerance is fixed
+        SearchConfig.from_json({"samples": 10, "tolerance": 1e-9})
     with pytest.raises(ValueError):
         SearchConfig.from_json({"samples": 10, "grid": 201})
 
@@ -409,20 +437,23 @@ def test_report_json_shape_is_pinned(functional, mu, mu_json):
 
 
 def test_search_config_json_shape_is_pinned():
-    assert SearchConfig(samples=123, seed=9, strategy="uniform", tolerance=1e-8).to_json() == {
-        "samples": 123, "seed": 9, "strategy": "uniform", "tolerance": 1e-08}
+    assert SearchConfig(samples=123, seed=9, strategy="uniform").to_json() == {
+        "samples": 123, "seed": 9, "strategy": "uniform"}
     assert SearchConfig().to_json() == {"samples": 20000, "seed": 20250810,
-                                        "strategy": "boundary-biased", "tolerance": 1e-09}
+                                        "strategy": "boundary-biased"}
 
 
 @settings(max_examples=200, deadline=None)
 @given(lam=st.floats(0.0, 1.0, exclude_min=True),
        mu=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
 def test_a_corner_only_search_is_ok_at_every_scale(lam, mu):
-    # samples 1 is the corner alone, which attains every bound; only float
-    # rounding at the scale of the bound separates its value from the bound
+    # samples 1 is the corner alone, which attains every bound where sharp_at
+    # claims it; only float rounding at the scale of the bound separates its
+    # value from the bound there
     for report in scan_lambda(["A2", "A3", "A4", "FS"], [lam], [mu], SearchConfig(samples=1)):
-        assert report.sound() and report.attained(), report
+        scale = SOUNDNESS_TOL * max(1.0, report.theoretical)
+        assert report.gap >= -scale, report
+        assert report.gap <= scale or not FUNCTIONALS[report.functional].sharp_at(mu), report
 
 
 def test_gaps_are_read_in_units_of_a_bound_above_one():
@@ -434,8 +465,6 @@ def test_gaps_are_read_in_units_of_a_bound_above_one():
     assert not report(1.0, -2e-9).sound()
     assert not report(0.25, -2e-9).sound()
     assert report(1e6, -1e-4).sound() and not report(1e6, -2e-3).sound()
-    assert report(1e6, 999.0).attained() and not report(1e6, 1001.0).attained()
-    assert report(0.5, 1e-3).attained() and not report(0.5, 2e-3).attained()
 
 
 def test_worker_count_env(monkeypatch):
@@ -569,7 +598,7 @@ def test_soundness_sweep_small():
     reports = scan_lambda(["A2", "A3", "A4"], [k / 10 for k in range(1, 11)],
                           search=SearchConfig(samples=20000, seed=20250810))
     for r in reports:
-        assert r.sound(1e-9), f"{r.functional} at {r.lam}: gap {r.gap}"
+        assert r.sound(), f"{r.functional} at {r.lam}: gap {r.gap}"
 
 
 # -- the block evaluator --------------------------------------------------------
