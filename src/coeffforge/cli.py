@@ -9,6 +9,10 @@ nonzero after one line starting with ``error:`` and prints nothing on
 stdout: verify writes its --out artifacts before its first line.
 COEFFFORGE_THREADS caps the verifier's worker processes, which never
 outnumber the CPUs the process may use; results do not depend on it.
+main() only returns a status. cli_entry(), the one entry point, flushes stdout
+and stderr and ends by os._exit: interpreter teardown (module cleanup, a last
+collection over numpy's objects) took 6-18 ms a run on 2 vCPUs, for memory the
+OS frees anyway. Every file main() writes is closed, every worker joined.
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ def _emit(text, out_path):
         with open(out_path, "w") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        print(text, end="")  # a no-op where stdout is closed (>&-), as for every print
 
 
 def _load_function_input(name, lam_text):
@@ -512,8 +516,18 @@ def main(argv=None):
 
 
 def cli_entry():
-    raise SystemExit(main())
+    status = main()  # an exception, argparse's SystemExit too, exits the usual way
+    try:
+        if sys.stdout is not None:  # None where stdout is closed (>&-)
+            sys.stdout.flush()
+    except OSError as exc:  # a full disk or a closed pipe
+        if status != 2:  # main() has printed no error line
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            status = 2
+    with suppress(AttributeError, OSError):  # a closed or full stderr
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    cli_entry()

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, artifacts, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import coeffforge
-from coeffforge import FUNCTIONALS, exact_proofs, inverse_weights, schwarz
+from coeffforge import FUNCTIONALS, cli, exact_proofs, inverse_weights, schwarz
 from coeffforge.cli import DEFAULT_VERIFY_CONFIG, build_parser, main
 from helpers import patched_bound
 
@@ -1206,3 +1207,142 @@ def test_sampling_subcommands_without_numpy_exit_2(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "numpy" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+# -- the entry point: flush stdout and stderr, then os._exit -------------------------
+
+ENTRY_MODULES = ["coeffforge", "coeffforge.cli"]
+ENTRY_CASES = [(["bounds", "--lambda", "1/2"], 0),
+               (["membership", "koebe", "--lambda", "1/10", "--radius", "0.9"], 1),
+               (["bounds", "--lambda", "2"], 2)]
+
+
+def _child_env():
+    """The tests' package on the path, and PYTHONUNBUFFERED unset: with it set,
+    a failed write fails inside main() rather than at the final flush."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _child(module, argv, **streams):
+    """Run ``python -m module argv``; its output is captured unless streams are given."""
+    return subprocess.run([sys.executable, "-m", module, *argv], env=_child_env(),
+                          **(streams or {"capture_output": True}))
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+@pytest.mark.parametrize("argv, status", ENTRY_CASES, ids=["exit-0", "exit-1", "exit-2"])
+def test_each_entry_module_matches_main_in_process(capsys, module, argv, status):
+    code, out, err = run(capsys, *argv)
+    assert code == status
+    proc = _child(module, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("module", ENTRY_MODULES)
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--lambda", "1/2"],
+    ["scan", "--functional", "A2", "--lambda-grid", "0.5", "--samples", "10"],
+], ids=["print", "emit"])
+def test_a_closed_stdout_exits_0(module, argv):
+    # the shell closes descriptor 1, so the child's sys.stdout is None
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", module,
+                           *argv], env=_child_env(), stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a_stdout_larger_than_a_pipe_buffer_arrives_whole(capsys):
+    argv = ["scan", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "0:1:3000",
+            "--samples", "1"]
+    code, out, err = run(capsys, *argv)
+    proc = _child("coeffforge", argv)
+    assert len(proc.stdout) > 200_000
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("argv, suffixes", [
+    (["verify", "--samples", "20000", "--seed", "3"], [".csv", ".json"]),
+    (["scan", "--functional", "A4", "--functional", "FS", "--lambda-grid", "0.5,1",
+      "--mu-grid", "0.5", "--samples", "20000", "--format", "json"], [""]),
+    (["membership", "f_1/2", "--lambda", "1/2", "--samples", "720"], [""]),
+], ids=["verify", "scan", "membership"])
+def test_out_files_of_a_child_match_main_in_process(capsys, tmp_path, argv, suffixes):
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "main"))
+    proc = _child("coeffforge", [*argv, "--out", str(tmp_path / "child")])
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+    for suffix in suffixes:
+        main_bytes = (tmp_path / ("main" + suffix)).read_bytes()
+        assert (tmp_path / ("child" + suffix)).read_bytes() == main_bytes and main_bytes
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--lambda", "1/2"],  # buffered until the final flush
+    ["scan", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "0:1:3000",
+     "--samples", "1"],  # beyond the buffer: the write fails inside main()
+], ids=["at-the-flush", "inside-main"])
+def test_a_failed_stdout_write_exits_2_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = _child("coeffforge", argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+class _Stream(io.StringIO):
+    """A stdout or stderr that records its flushes, and can fail them."""
+
+    def __init__(self, events, name, fail=False):
+        super().__init__()
+        self.events, self.name, self.fail = events, name, fail
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        if self.fail:
+            raise OSError(28, "No space left on device")
+
+
+def _cli_entry(monkeypatch, argv, fail=False):
+    """cli_entry() with os._exit recorded; returns (events, stdout, stderr)."""
+    events = []
+    out, err = _Stream(events, "stdout", fail), _Stream(events, "stderr")
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(sys, "argv", ["coeffforge", *argv])
+
+    class Exited(Exception):
+        pass
+
+    def _exit(status):
+        events.append(f"exit {status}")
+        raise Exited
+    monkeypatch.setattr(os, "_exit", _exit)
+    with pytest.raises(Exited):
+        cli.cli_entry()
+    return events, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, status", ENTRY_CASES, ids=["exit-0", "exit-1", "exit-2"])
+def test_cli_entry_flushes_then_exits_with_the_status_of_main(monkeypatch, argv, status):
+    events, out, err = _cli_entry(monkeypatch, argv)
+    assert events == ["flush stdout", "flush stderr", f"exit {status}"]
+    assert (out == "", err.startswith("error:")) == (status == 2, status == 2)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["bounds", "--lambda", "1/2"],
+     "error: cannot write stdout: [Errno 28] No space left on device"),
+    (["bounds", "--lambda", "2"], "error: lambda must lie in (0, 1], got 2"),
+], ids=["after-success", "after-an-error"])
+def test_cli_entry_turns_a_failed_flush_into_one_error_line(monkeypatch, argv, line):
+    events, _, err = _cli_entry(monkeypatch, argv, fail=True)
+    assert (events[-1], err) == ("exit 2", line + "\n")
+
+
+def test_an_exception_from_main_keeps_the_ordinary_exit(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["coeffforge", "--help"])
+    monkeypatch.setattr(os, "_exit", lambda status: pytest.fail("os._exit after --help"))
+    with pytest.raises(SystemExit) as exc:
+        cli.cli_entry()
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: coeffforge")
