@@ -6,7 +6,7 @@ coefficients and the Fekete-Szego functional."""
 
 from .scalars import EXACT, FLOAT, QComplex, class_parameter
 from .series import TruncatedSeries, inverse_from_zf, require_normalized, revert, zf_jet
-from .schwarz import BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible
+from .schwarz import SchwarzJet, c2_disks, c3_disk, is_admissible
 from .ulambda import (FUNCTIONALS, MembershipVerdict, corner_jet, direct_coeffs,
                       extremal_function, extremal_inverse, fekete_szego, functional_bound,
                       inverse_coeffs, inverse_coeffs_by_reversion, inverse_from_jet,

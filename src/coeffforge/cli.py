@@ -9,10 +9,10 @@ nonzero after one line starting with ``error:`` and prints nothing on
 stdout: verify writes its --out artifacts before its first line.
 COEFFFORGE_THREADS caps the verifier's worker processes, which never
 outnumber the CPUs the process may use; results do not depend on it.
-main() only returns a status. cli_entry(), the one entry point, flushes stdout
-and stderr and ends by os._exit: interpreter teardown (module cleanup, a last
-collection over numpy's objects) took 6-18 ms a run on 2 vCPUs, for memory the
-OS frees anyway. Every file main() writes is closed, every worker joined.
+main() only returns a status, --help's too. cli_entry(), the one entry point,
+flushes stdout and stderr and ends by os._exit, skipping interpreter teardown
+(6-18 ms a run on 2 vCPUs): every file main() writes is closed, every worker
+joined. A closed or full stderr drops the error line, not the status 2.
 """
 
 from __future__ import annotations
@@ -54,6 +54,13 @@ class CliError(ValueError):
 def _cut(text):
     """An argument as an error line echoes it: a long one by a short prefix."""
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _error(message):
+    """Write ``error: message`` on stderr if it takes the line; return 2."""
+    with suppress(AttributeError, OSError):  # a closed (None) or full stderr
+        sys.stderr.write(f"error: {message}\n")
+    return 2
 
 
 def _parse_rational(text):
@@ -187,6 +194,8 @@ def _load_function_input(name, lam_text):
 # -- commands -----------------------------------------------------------------
 
 def cmd_revert(args):
+    if args.order < 1:  # before the input is read, for every input
+        raise CliError(f"--order must be at least 1, got {args.order}")
     series, lam = _load_function_input(args.input, args.lam)
     if args.lam is not None and (series is not None or args.input.lower() != "extremal"):
         raise CliError(f"--lambda applies to the extremal input only, not {_cut(args.input)!r}")
@@ -243,7 +252,7 @@ def _show(value):
 
 def _jet_from_args(args):
     if args.jet:
-        return SchwarzJet.from_json(_read_json(args.jet, "jet file")).as_exact()
+        return SchwarzJet.from_json(_read_json(args.jet, "jet file"))
     if args.c1 is None:
         return None
     return SchwarzJet(*map(_parse_complex, (args.c1, args.c2, args.c3)))
@@ -391,7 +400,7 @@ def cmd_verify(args):
             handle.write(reports_to_json(reports, extra))
     print("\n".join([*lines, "PASS" if passed else "FAIL"]))
     if not passed:
-        print("error: bound verification failed (see report)", file=sys.stderr)
+        _error("bound verification failed (see report)")
         return 1
     return 0
 
@@ -503,27 +512,24 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's, after it printed --help
+        return exc.code
     except (ValueError, OSError) as exc:  # CliError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     except OverflowError as exc:  # a rational input beyond the float range
-        print(f"error: a value is out of the float range: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"a value is out of the float range: {exc}")
     except ModuleNotFoundError as exc:  # numpy, for the sampling subcommands
-        print(f"error: this subcommand needs {exc.name}, which is not installed",
-              file=sys.stderr)
-        return 2
+        return _error(f"this subcommand needs {exc.name}, which is not installed")
 
 
 def cli_entry():
-    status = main()  # an exception, argparse's SystemExit too, exits the usual way
+    status = main()  # an unexpected exception exits the usual way, with its traceback
     try:
         if sys.stdout is not None:  # None where stdout is closed (>&-)
             sys.stdout.flush()
     except OSError as exc:  # a full disk or a closed pipe
         if status != 2:  # main() has printed no error line
-            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-            status = 2
+            status = _error(f"cannot write stdout: {exc}")
     with suppress(AttributeError, OSError):  # a closed or full stderr
         sys.stderr.flush()
     os._exit(status)

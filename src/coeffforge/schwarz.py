@@ -28,18 +28,18 @@ free of L: c1 and the c3 offsets v (unit-disk points, by rejection from the
 square), and for the biased strategy |c1|, the ray and depth of c2 and
 the two rim masks. sample_grid_block shares these over a grid of L; only
 the uniform strategy draws per L, restoring the generator state after
-them to draw c2 by rejection. Then c3 = m3 + R3 v. Extremal points sit on
-the boundary, so float admissibility tests allow a 1e-12 band while exact
-jets are compared exactly (via squared moduli, which stay rational).
+them to draw c2 by rejection. Then c3 = m3 + R3 v. Extremal jets sit on
+the boundary, so is_admissible judges a jet exactly: a float L or part
+enters by its binary value, and moduli are compared squared, as rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, QComplex, as_scalar, class_parameter, is_finite_real
+from .scalars import EXACT, FLOAT, as_scalar, class_parameter, is_finite_real
 
-BOUNDARY_TOL = 1e-12
 STRATEGIES = ("uniform", "boundary-biased")
 _BLOCK = 8192
 
@@ -49,15 +49,6 @@ class SchwarzJet:
     c1: object
     c2: object
     c3: object
-
-    @property
-    def mode(self):
-        return EXACT if isinstance(self.c1, QComplex) else FLOAT
-
-    def as_exact(self):
-        """Exact jet with the same value (floats convert by binary value)."""
-        return SchwarzJet(as_scalar(self.c1, EXACT), as_scalar(self.c2, EXACT),
-                          as_scalar(self.c3, EXACT))
 
     def to_json(self):
         c1, c2, c3 = (as_scalar(c, FLOAT) for c in (self.c1, self.c2, self.c3))
@@ -95,31 +86,21 @@ def c3_disk(lam, c1, c2, t_sq):
     return 2 * lam * c1 * c2 * (1 / (1 + lam)), (lam - t_sq / lam) / (2 * (1 + lam))
 
 
-def is_admissible(lam, jet, tol=BOUNDARY_TOL):
-    """Whether the jet lies in every disk: exact for an exact jet and a
-    rational L, otherwise in floats with a band of tol."""
-    lam, mode = class_parameter(lam)
-    if mode == EXACT and jet.mode == EXACT:
-        c1, c2, c3, abs2 = jet.c1, jet.c2, jet.c3, QComplex.abs2
-    else:
-        # a product, not ** 2: a float square beyond the range is inf, not OverflowError
-        lam, abs2 = float(lam), lambda z: abs(z) * abs(z)
-        c1, c2, c3 = (as_scalar(c, FLOAT) for c in (jet.c1, jet.c2, jet.c3))
-    schur, cls = c2_disks(lam, c1, abs2(c1))
-    if not (_in_disk(c1, (0, 1), tol) and _in_disk(c2, schur, tol)
-            and _in_disk(c2, cls, tol)):
+def is_admissible(lam, jet):
+    """Whether the jet lies in every disk, judged exactly: a float L and
+    float parts are taken by their binary values."""
+    lam = Fraction(class_parameter(lam)[0])
+    c1, c2, c3 = (as_scalar(c, EXACT) for c in (jet.c1, jet.c2, jet.c3))
+    schur, cls = c2_disks(lam, c1, c1.abs2())
+    if not (_in_disk(c1, (0, 1)) and _in_disk(c2, schur) and _in_disk(c2, cls)):
         return False
-    return _in_disk(c3, c3_disk(lam, c1, c2, (1 + lam) ** 2 * abs2(c2 - cls[0])), tol)
+    return _in_disk(c3, c3_disk(lam, c1, c2, (1 + lam) ** 2 * (c2 - cls[0]).abs2()))
 
 
-def _in_disk(z, disk, tol):
-    """|z - centre| <= radius: on squared moduli for an exact z, else on
-    moduli within tol, where a negative radius counts as 0."""
+def _in_disk(z, disk):
+    """|z - centre| <= radius, on squared moduli; a negative radius holds no point."""
     centre, radius = disk
-    d = z - centre
-    if isinstance(d, QComplex):
-        return radius >= 0 and d.abs2() <= radius * radius
-    return abs(d) <= max(radius, 0.0) + tol
+    return radius >= 0 and (z - centre).abs2() <= radius * radius
 
 
 # -- sampling ---------------------------------------------------------------

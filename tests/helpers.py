@@ -194,11 +194,11 @@ def exact_jet(c1, c2, c3):
 
 
 def _as_q(x):
-    if isinstance(x, QComplex):
-        return x
+    """An exact part from a QComplex, a rational, a (re, im) pair or a float
+    (by its binary value)."""
     if isinstance(x, tuple):
         return QComplex(Fraction(x[0]), Fraction(x[1]))
-    return QComplex(Fraction(x))
+    return as_scalar(x, EXACT)
 
 
 def patched_bound(name, bound):

@@ -67,6 +67,17 @@ def test_revert_refuses_lambda_for_an_input_other_than_extremal(capsys, tmp_path
     assert err.startswith("error:") and "--lambda" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["identity", "f_1/3", "koebe", "series.json"])
+def test_revert_order_below_one_is_one_error_line_naming_the_option(capsys, tmp_path,
+                                                                    monkeypatch, name, mode):
+    # a series file fixes its own order, but --order 0 is refused all the same
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.json").write_text(json.dumps([[0, 0], [1, 0], [1, 0]]))
+    code, out, err = run(capsys, "revert", name, "--order", "0", "--mode", mode)
+    assert (code, out, err) == (2, "", "error: --order must be at least 1, got 0\n")
+
+
 def test_revert_series_file(capsys, tmp_path):
     path = tmp_path / "series.json"
     path.write_text(json.dumps([[0, 1, 0, 1], [1, 1, 0, 1], [2, 1, 0, 1],
@@ -566,6 +577,7 @@ def test_results_beyond_the_float_range_exit_2(capsys, tmp_path, monkeypatch, ar
     ["verify", "--config", {"lambda_grid": [0.5], "mu_grid": [0.5, 1e308]}],
     ["verify", "--config", {"lambda_grid": [0.5], "functionals": ["A2", "A5"]}],
     ["verify", "--config", {"lambda_grid": [0.5], "functionals": ["A2", "FS"], "mu_grid": []}],
+    ["scan", "--functional", "A2", "--lambda-grid", ","],  # error: empty lambda grid
 ])
 def test_an_invalid_request_fails_before_any_sampling(capsys, tmp_path, monkeypatch, argv):
     def no_sampling(*args):
@@ -681,6 +693,10 @@ def test_membership_series_file_jet_approximate(capsys, tmp_path):
                        "--radius", "0.5", "--samples", "32", "--format", "json")
     assert code == 0
     assert json.loads(out)["approximate"] is True
+    code, out, _ = run(capsys, "membership", str(path), "--lambda", "0.5",
+                       "--radius", "0.5", "--samples", "32")
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict vs lambda=0.5: member-at-radius (jet-approximate)"
 
 
 def test_membership_non_finite_defect(capsys, tmp_path):
@@ -1282,7 +1298,8 @@ def test_out_files_of_a_child_match_main_in_process(capsys, tmp_path, argv, suff
     ["bounds", "--lambda", "1/2"],  # buffered until the final flush
     ["scan", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "0:1:3000",
      "--samples", "1"],  # beyond the buffer: the write fails inside main()
-], ids=["at-the-flush", "inside-main"])
+    ["--help"],  # argparse prints the help, and main() returns its status
+], ids=["at-the-flush", "inside-main", "help"])
 def test_a_failed_stdout_write_exits_2_with_one_error_line(argv):
     with open("/dev/full", "w") as full:
         proc = _child("coeffforge", argv, stdout=full, stderr=subprocess.PIPE, text=True)
@@ -1323,7 +1340,8 @@ def _cli_entry(monkeypatch, argv, fail=False):
     return events, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv, status", ENTRY_CASES, ids=["exit-0", "exit-1", "exit-2"])
+@pytest.mark.parametrize("argv, status", [*ENTRY_CASES, (["--help"], 0)],
+                         ids=["exit-0", "exit-1", "exit-2", "help"])
 def test_cli_entry_flushes_then_exits_with_the_status_of_main(monkeypatch, argv, status):
     events, out, err = _cli_entry(monkeypatch, argv)
     assert events == ["flush stdout", "flush stderr", f"exit {status}"]
@@ -1340,9 +1358,13 @@ def test_cli_entry_turns_a_failed_flush_into_one_error_line(monkeypatch, argv, l
     assert (events[-1], err) == ("exit 2", line + "\n")
 
 
-def test_an_exception_from_main_keeps_the_ordinary_exit(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["coeffforge", "--help"])
-    monkeypatch.setattr(os, "_exit", lambda status: pytest.fail("os._exit after --help"))
-    with pytest.raises(SystemExit) as exc:
-        cli.cli_entry()
-    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: coeffforge")
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+def test_an_error_exits_2_when_stderr_cannot_take_its_line(redirect, unbuffered):
+    # the error line is lost; the status is not, and nothing reaches stdout
+    env = dict(_child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                           "coeffforge", "bounds", "--lambda", "2"], env=env,
+                          stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, b"")

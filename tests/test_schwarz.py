@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffforge import BOUNDARY_TOL, SchwarzJet, c2_disks, c3_disk, is_admissible
-from coeffforge.scalars import FLOAT, QComplex, as_scalar
+from coeffforge import SchwarzJet, c2_disks, c3_disk, is_admissible
+from coeffforge.scalars import EXACT, FLOAT, QComplex, as_scalar
 from coeffforge.schwarz import (STRATEGIES, _disk_points, _fill_c2, block_size,
                                 sample_block_arrays, sample_grid_block)
 from helpers import block_jets, exact_jet
@@ -49,15 +49,20 @@ def test_schur_exact_comparisons():
     assert not is_admissible(1, over)
 
 
-def test_schur_tolerance_band():
-    assert is_admissible(0.5, SchwarzJet(1.0 + 5e-13 + 0j, 0j, 0j))
+def test_a_float_jet_is_judged_by_its_binary_value():
+    # no band round the rim: |c1| = 1 + 5e-13 lies outside the unit disk
+    assert not is_admissible(0.5, SchwarzJet(1.0 + 5e-13 + 0j, 0j, 0j))
     assert not is_admissible(0.5, SchwarzJet(1.0 + 1e-9 + 0j, 0j, 0j))
+    # the double 0.1 exceeds 1/10 by 5.6e-18, which widens the class c2 disk
+    # (0, L/(1+L)) by 4.6e-18; c2 = 1/11 + 1e-18 lies in it only at the double
+    jet = exact_jet(0, F(1, 11) + F(1, 10 ** 18), 0)
+    assert is_admissible(0.1, jet) and not is_admissible(F(1, 10), jet)
 
 
 @pytest.mark.parametrize("jet", [(1e300, 0, 0), (1e300j, 0, 0), (0.5, 1e300, 0),
                                  (0.5, 0.1, 1e300), (2e154, 3e154j, 0)])
 def test_float_jet_beyond_the_square_range_is_rejected(jet):
-    # |c|^2 overflows the float range; the verdict is False, not OverflowError
+    # |c|^2 lies beyond the float range, but is judged as a rational
     assert not is_admissible(0.5, SchwarzJet(*map(complex, jet)))
 
 
@@ -113,11 +118,11 @@ def test_slack_nonnegative_when_first_holds():
         lam = float(rng.uniform(0.05, 1.0))
         arrays = sample_block_arrays(lam, int(rng.integers(1 << 30)), 0)
         for k in rng.choice(block_size(), 20, replace=False):
-            jet = SchwarzJet(*(complex(c[k]) for c in arrays))
-            assert is_admissible(lam, jet)
-            _, (m2, _) = c2_disks(lam, jet.c1, abs(jet.c1) ** 2)
-            t = (1 + lam) * abs(jet.c2 - m2)
-            assert c3_disk(lam, jet.c1, jet.c2, t * t)[1] >= -1e-12
+            c1, c2, c3 = (complex(c[k]) for c in arrays)
+            assert _admissible_arrays(lam, c1, c2, c3)
+            _, (m2, _) = c2_disks(lam, c1, abs(c1) ** 2)
+            t = (1 + lam) * abs(c2 - m2)
+            assert c3_disk(lam, c1, c2, t * t)[1] >= -1e-12
 
 
 def _table(lam, c1, c2, c1_sq, t_sq):
@@ -190,7 +195,8 @@ def test_carlson_rejects_c3_off_its_point():
 # -- samplers --------------------------------------------------------------------
 
 def test_sampler_single_jet_contract():
-    assert is_admissible(0.7, block_jets(0.7, 42, 1)[0])
+    jet = block_jets(0.7, 42, 1)[0]
+    assert _admissible_arrays(0.7, jet.c1, jet.c2, jet.c3)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -203,14 +209,16 @@ def test_sampler_deterministic(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("lam", [0.001, 0.02, 0.05, 0.3, 1.0])
 def test_sampler_emits_only_admissible(strategy, lam):
-    for jet in block_jets(lam, 1, 400, strategy):
-        assert is_admissible(lam, jet)
+    # the first 400 jets of a block, within the oracle's float band: by its
+    # binary value, a biased jet on the rim of its disks may lie outside them
+    c1, c2, c3 = (c[:400] for c in sample_block_arrays(lam, 1, 0, strategy))
+    assert _admissible_arrays(lam, c1, c2, c3).all()
 
 
-def _admissible_arrays(lam, c1, c2, c3, tol=BOUNDARY_TOL):
+def _admissible_arrays(lam, c1, c2, c3, tol=1e-12):
     """Schur-Carlson and both class constraints, elementwise, written apart
     from the disk table in the pair form t <= L, |2(1+L)c3 - 4L c1 c2| <=
-    L - t^2/L, with t = |(1+L)c2 - L c1^2|."""
+    L - t^2/L, with t = |(1+L)c2 - L c1^2|, each within a float band tol."""
     a1 = np.abs(c1)
     t = np.abs((1 + lam) * c2 - lam * c1 * c1)
     slack = np.clip(lam - t * t / lam, 0.0, None)
@@ -364,8 +372,8 @@ def test_rotation_closure():
     for jet in jets:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         w = complex(math.cos(theta), math.sin(theta))  # the jet of omega(w z)
-        rotated = SchwarzJet(w * jet.c1, w * w * jet.c2, w * w * w * jet.c3)
-        assert is_admissible(0.6, rotated, tol=1e-10)
+        # judged in floats: a rotated rim jet may lie outside by rounding
+        assert _admissible_arrays(0.6, w * jet.c1, w * w * jet.c2, w * w * w * jet.c3, tol=1e-10)
 
 
 # sha256 of the three arrays of sample_block_arrays(0.5, 1, 0, strategy), as
@@ -438,11 +446,11 @@ def test_jet_json_accepts_ints_and_a_real_part_alone():
     assert jet == SchwarzJet(1 + 0j, 0.25 + 0j, -1j)
 
 
-def test_as_exact_binary():
-    exact = SchwarzJet(0.5 + 0.25j, 0.125j, 1 / 3 + 0j).as_exact()
-    assert exact.c1.re == F(1, 2) and exact.c1.im == F(1, 4)
-    assert exact.c2.im == F(1, 8)
-    assert exact.c3.re == F(1 / 3) != F(1, 3)  # the binary value, not the nearest rational
+def test_as_scalar_takes_a_float_by_its_binary_value():
+    c1, c2, c3 = (as_scalar(c, EXACT) for c in (0.5 + 0.25j, 0.125j, 1 / 3 + 0j))
+    assert c1.re == F(1, 2) and c1.im == F(1, 4)
+    assert c2.im == F(1, 8)
+    assert c3.re == F(1 / 3) != F(1, 3)  # the binary value, not the nearest rational
 
 
 def test_is_admissible_wrapper():
