@@ -12,7 +12,8 @@ outnumber the CPUs the process may use; results do not depend on it.
 main() only returns a status, --help's too. cli_entry(), the one entry point,
 flushes stdout and stderr and ends by os._exit, skipping interpreter teardown
 (6-18 ms a run on 2 vCPUs): every file main() writes is closed, every worker
-joined. A closed or full stderr drops the error line, not the status 2.
+reaped. A closed or full stderr drops an error line, not the status 2, and a
+warning line, not the result.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # each long word, an echoed argument, by _cut's rule
         raise CliError(re.sub(r"\S{41,}", lambda word: _cut(word[0]), message))
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write from 3.11 on; main() reports it, as on 3.10
+        file = file or sys.stderr
+        if message and file is not None:  # None where the stream is closed
+            file.write(message)
+
 
 class CliError(ValueError):
     pass
@@ -56,10 +63,16 @@ def _cut(text):
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+def _stderr_line(line):
+    """Write a line on stderr if it takes it: a closed or full stderr drops it."""
+    if sys.stderr is not None:  # None where stderr is closed (2>&-)
+        with suppress(OSError):
+            sys.stderr.write(line + "\n")
+
+
 def _error(message):
     """Write ``error: message`` on stderr if it takes the line; return 2."""
-    with suppress(AttributeError, OSError):  # a closed (None) or full stderr
-        sys.stderr.write(f"error: {message}\n")
+    _stderr_line(f"error: {message}")
     return 2
 
 
@@ -261,8 +274,7 @@ def _jet_from_args(args):
 def _warn_outside_class(lam, jet, shown_lam):
     """Warn on stderr if the class excludes the jet; name L as it prints."""
     if jet is not None and not is_admissible(lam, jet):
-        print(f"warning: jet is outside the class for lambda={_show(shown_lam)}",
-              file=sys.stderr)
+        _stderr_line(f"warning: jet is outside the class for lambda={_show(shown_lam)}")
 
 
 def cmd_coeffs(args):

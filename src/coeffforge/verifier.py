@@ -21,11 +21,12 @@ rows hold over the whole disk table, a superset of the true jets.
 exactly where nu = |1 - mu| = 1 - mu, for real mu <= 1 (sharp_at).
 
 The search (scan_lambda) samples each block once for the whole lambda
-grid and evaluates it for every task in one call; forked worker k of n
-takes blocks k, k + n, ... as one task, and search processes keep their
-heap. _search_grid, _functional_values and _fs_maxima say how its reports
-stay the same, bit for bit, for any worker count and with Fekete-Szego
-(FS) tasks ranked.
+grid and evaluates it for every task in one call; forked child k of n
+evaluates blocks k, k + n, ... and sends them back on its own pipe, the
+first error ends the search, and search processes keep their heap.
+_search_grid, _functional_values and _fs_maxima say how its reports stay
+the same, bit for bit, for any worker count and with Fekete-Szego (FS)
+tasks ranked.
 """
 
 from __future__ import annotations
@@ -402,8 +403,8 @@ def _search_grid(grid, tasks, bounds, search):
     for the whole grid in process or in a forked worker. Reduction is a
     strict-max in index order, so ties resolve to the first attaining sample
     (the corner, whenever extremal); the corner's values are every block's
-    floors, and a block reports None where it cannot exceed one. Each worker
-    takes every workers-th block as one task (_forked); _keep_heap holds the heap.
+    floors, and a block reports None where it cannot exceed one. Forked child
+    k evaluates blocks k, k + workers, ... (_forked); _keep_heap holds the heap.
     """
     import numpy as np
     _keep_heap()
@@ -449,18 +450,77 @@ def _eval_block(grid, tasks, search, remaining, floors, b):
 
 
 def _forked(evaluate, blocks, workers):
-    """Yield evaluate(b) for each block in order, from forked worker processes:
-    worker k evaluates blocks[k::workers] as one task while the parent waits."""
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    from multiprocessing import get_context
+    """Yield evaluate(b) for each block in order, from forked child processes:
+    child k evaluates blocks[k::workers] and sends one pickled record, its
+    results or its error, down its own pipe while the parent waits. The first
+    error record kills and reaps every other child, then is raised; a child
+    that ends without a record is a ChildProcessError. No child outlives the
+    call, on any path."""
+    import pickle
+    import selectors
+    import signal
+    pids, reads, shares = {}, {}, [None] * workers  # k -> child k's pid; its read end -> k
     try:
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            # one item per worker: a map pickles as its function and range
-            shares = list(pool.map(list, [map(evaluate, blocks[k::workers])
-                                          for k in range(workers)]))
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"a search worker process died: {exc}") from None
+        for k in range(workers):
+            read, write = os.pipe()
+            reads[read] = k
+            try:
+                pids[k] = os.fork()
+                if not pids[k]:
+                    _send_share(write, evaluate, blocks[k::workers])
+            finally:
+                os.close(write)
+        with selectors.DefaultSelector() as selector:
+            for read in reads:
+                selector.register(read, selectors.EVENT_READ, [])
+            while reads:
+                for key, _ in selector.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    if chunk:
+                        key.data.append(chunk)
+                        continue
+                    selector.unregister(key.fd)
+                    k = reads.pop(key.fd)
+                    os.close(key.fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(k), 0)[1])
+                    if code or not key.data:
+                        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                        raise ChildProcessError(f"a search worker process died ({how})")
+                    ok, shares[k] = pickle.loads(b"".join(key.data))
+                    if not ok:
+                        raise shares[k]
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
     return (shares[b % workers][b // workers] for b in range(len(blocks)))
+
+
+def _send_share(write, evaluate, share):
+    """In a forked child: write (True, results) or (False, error) to the pipe
+    and end by os._exit, on every path. An error that cannot make the round
+    trip through pickle goes as a ChildProcessError with its type and message."""
+    status = 1
+    try:
+        import pickle
+        try:
+            record = (True, list(map(evaluate, share)))
+        except Exception as exc:
+            record = (False, exc)
+        try:
+            data = pickle.dumps(record)
+            if not record[0]:
+                pickle.loads(data)  # an exception can pickle and still fail to unpickle
+        except Exception as exc:
+            error = exc if record[0] else record[1]
+            data = pickle.dumps((False, ChildProcessError(f"{type(error).__name__}: {error}")))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _keep_heap():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -1123,6 +1124,44 @@ def test_no_search_leaves_a_process_behind(argv):
         os.killpg(proc.pid, 0)
 
 
+_BUSY_SIBLING_PROBE = """
+import os, sys, time
+from coeffforge import cli, schwarz
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+
+class TwoArgs(ValueError):  # pickles, but cannot be rebuilt from its args
+    def __init__(self, what, why):
+        super().__init__(f"{what} {why}")
+
+def sample(grid, seed, b, strategy):
+    if b:
+        time.sleep(3600)  # the sibling's blocks
+    raise ValueError("block 0 could not be sampled") if sys.argv[1] == "plain" else TwoArgs("block 0", "failed")
+schwarz.sample_grid_block = sample
+sys.exit(cli.main(["verify", "--samples", "50000"]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+@pytest.mark.parametrize("error, line", [
+    ("plain", "error: block 0 could not be sampled\n"),
+    ("unpicklable", "error: TwoArgs: block 0 failed\n"),
+], ids=["plain", "unpicklable"])
+def test_an_error_ends_a_search_whose_sibling_is_still_busy(error, line):
+    env = dict(os.environ, COEFFFORGE_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", _BUSY_SIBLING_PROBE, error],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:  # a hung search leaves nothing behind either
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert (proc.returncode, out, err) == (2, "", line)
+
+
 def _minor_faults(argv):
     env = dict(os.environ, COEFFFORGE_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -1174,28 +1213,31 @@ def test_exact_subcommands_never_import_numpy():
                                        "coeffs": False, "fekete-szego": False})
 
 
-# -- cold start: one worker never imports the process pool --------------------------
+# -- cold start: no search imports a process pool ------------------------------------
 
 _NO_POOL_PROBE = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 import coeffforge.cli as cli
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
 pool = ("concurrent.futures", "multiprocessing")
 seen = {"import": [m for m in pool if m in sys.modules]}
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["scan", "--functional", "A2", "--lambda-grid", "0.5,1",
-                     "--samples", "20000"]) == 0
-seen["scan"] = [m for m in pool if m in sys.modules]
+for threads in ("1", "2"):
+    os.environ["COEFFFORGE_THREADS"] = threads
+    with contextlib.redirect_stdout(io.StringIO()):  # three blocks
+        assert cli.main(["scan", "--functional", "A2", "--lambda-grid", "0.5,1",
+                         "--samples", "20000"]) == 0
+    seen["scan " + threads] = [m for m in pool if m in sys.modules]
 print(seen)
 """
 
 
-def test_one_worker_never_imports_the_process_pool():
-    env = dict(os.environ, COEFFFORGE_THREADS="1",
+def test_no_search_imports_a_process_pool():
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _NO_POOL_PROBE],
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str({"import": [], "scan": []})
+    assert proc.stdout.strip() == str({"import": [], "scan 1": [], "scan 2": []})
 
 
 # -- the sampling subcommands without numpy ----------------------------------------
@@ -1301,10 +1343,14 @@ def test_out_files_of_a_child_match_main_in_process(capsys, tmp_path, argv, suff
     ["--help"],  # argparse prints the help, and main() returns its status
 ], ids=["at-the-flush", "inside-main", "help"])
 def test_a_failed_stdout_write_exits_2_with_one_error_line(argv):
-    with open("/dev/full", "w") as full:
-        proc = _child("coeffforge", argv, stdout=full, stderr=subprocess.PIPE, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    # PYTHONUNBUFFERED=1 makes every write fail where it is made; argparse from
+    # 3.11 on would drop --help's failed write and exit 0
+    for env in (_child_env(), dict(_child_env(), PYTHONUNBUFFERED="1")):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "coeffforge", *argv], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2, (env.get("PYTHONUNBUFFERED"), proc.stderr)
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class _Stream(io.StringIO):
@@ -1368,3 +1414,23 @@ def test_an_error_exits_2_when_stderr_cannot_take_its_line(redirect, unbuffered)
                            "coeffforge", "bounds", "--lambda", "2"], env=env,
                           stdout=subprocess.PIPE)
     assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+@pytest.mark.parametrize("argv", [["coeffs", "--lambda", "1/2"],
+                                  ["fekete-szego", "--lambda", "1/2", "--mu", "1"]],
+                         ids=["coeffs", "fekete-szego"])
+def test_a_warning_stderr_cannot_take_leaves_the_result_alone(tmp_path, argv, redirect,
+                                                               unbuffered):
+    jet = tmp_path / "jet.json"  # outside the class at lambda 1/2: a warning line
+    jet.write_text('{"c1": [0.9, 0], "c2": [0.5, 0], "c3": [0.3, 0]}')
+    command = [sys.executable, "-m", "coeffforge", *argv, "--jet", str(jet)]
+    env = dict(_child_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    shown = subprocess.run(command, env=env, capture_output=True)
+    assert (shown.returncode, shown.stderr) == (
+        0, b"warning: jet is outside the class for lambda=1/2\n")
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *command], env=env,
+                          stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (0, shown.stdout)

@@ -478,7 +478,7 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
-    # the pool is replaced by an in-process map, so the huge cap starts no process
+    # _forked is replaced by an in-process map, so the huge cap forks no process
     recorded = []
     monkeypatch.setattr(verifier, "_forked", lambda evaluate, blocks, workers:
                         recorded.append(workers) or map(evaluate, blocks))
@@ -492,31 +492,38 @@ def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
 
 
 @pytest.fixture
-def submitted(monkeypatch):
-    """The arguments of every task the parent submits to a process pool."""
-    from concurrent.futures.process import ProcessPoolExecutor
-    calls, submit = [], ProcessPoolExecutor.submit
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", lambda pool, *args:
-                        calls.append(args) or submit(pool, *args))
-    return calls
+def forks(monkeypatch):
+    """The pid of every child the parent forks."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:  # in the parent
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 @pytest.mark.parametrize("workers, blocks", [(2, range(7)), (3, range(7)), (3, range(3))])
-def test_each_worker_takes_one_task_and_blocks_come_back_in_order(submitted, workers, blocks):
+def test_each_worker_takes_one_task_and_blocks_come_back_in_order(forks, workers, blocks):
     assert list(verifier._forked(abs, blocks, workers)) == list(blocks)
-    assert len(submitted) == workers
+    assert len(forks) == workers
+    for pid in forks:  # each child is reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
-def test_a_search_on_three_workers_submits_three_tasks(monkeypatch, submitted):
+def test_a_search_on_three_workers_forks_three_children(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     cfg = SearchConfig(samples=1 + 7 * block_size() + 5, seed=11)
     args = (["A2", "A4", "FS"], [0.3, 1.0], [0.5, 1.5], cfg)
     monkeypatch.setenv("COEFFFORGE_THREADS", "1")
     sequential = reports_to_csv(scan_lambda(*args))
-    assert submitted == []
+    assert forks == []
     monkeypatch.setenv("COEFFFORGE_THREADS", "3")
     assert reports_to_csv(scan_lambda(*args)) == sequential
-    assert len(submitted) == 3
+    assert len(forks) == 3
 
 
 def test_the_search_keeps_its_heap_on_glibc(monkeypatch):
