@@ -459,7 +459,7 @@ def _forked(evaluate, blocks, workers):
     import pickle
     import selectors
     import signal
-    pids, reads, shares = {}, {}, [None] * workers  # k -> child k's pid; its read end -> k
+    pids, reads, shares = {}, {}, [None] * workers  # pid by k; k by its pipe's read end
     try:
         for k in range(workers):
             read, write = os.pipe()

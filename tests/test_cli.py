@@ -1136,7 +1136,9 @@ class TwoArgs(ValueError):  # pickles, but cannot be rebuilt from its args
 def sample(grid, seed, b, strategy):
     if b:
         time.sleep(3600)  # the sibling's blocks
-    raise ValueError("block 0 could not be sampled") if sys.argv[1] == "plain" else TwoArgs("block 0", "failed")
+    if sys.argv[1] == "plain":
+        raise ValueError("block 0 could not be sampled")
+    raise TwoArgs("block 0", "failed")
 schwarz.sample_grid_block = sample
 sys.exit(cli.main(["verify", "--samples", "50000"]))
 """
