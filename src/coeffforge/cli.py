@@ -49,7 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         # argparse drops a failed write from 3.11 on; main() reports it, as on 3.10
-        file = file or sys.stderr
         if message and file is not None:  # None where the stream is closed
             file.write(message)
 
@@ -264,11 +263,19 @@ def _show(value):
 
 
 def _jet_from_args(args):
-    if args.jet:
+    """The jet of --jet FILE or of --c1 [--c2 --c3], whose missing parts are 0,
+    or None for neither; --jet with a --cN, or --c2 or --c3 alone, is an error."""
+    parts = (args.c1, args.c2, args.c3)
+    given = [f"--c{n}" for n, part in enumerate(parts, 1) if part is not None]
+    if args.jet is not None:
+        if given:
+            raise CliError(f"--jet and {given[0]} exclude each other")
         return SchwarzJet.from_json(_read_json(args.jet, "jet file"))
     if args.c1 is None:
+        if given:
+            raise CliError(f"{given[0]} needs --c1")
         return None
-    return SchwarzJet(*map(_parse_complex, (args.c1, args.c2, args.c3)))
+    return SchwarzJet(*(_parse_complex("0" if part is None else part) for part in parts))
 
 
 def _warn_outside_class(lam, jet, shown_lam):
@@ -449,6 +456,11 @@ def build_parser():
                        help="print exact values, or the nearest double of each (float); "
                             "both compute exactly, but a float series file reverts in float")
 
+    def add_jet(p):
+        for part in ("--c1", "--c2", "--c3"):
+            p.add_argument(part)
+        p.add_argument("--jet", help="jet JSON file")
+
     p = sub.add_parser("revert", help="print the compositional inverse jet")
     p.add_argument("input", help="identity | koebe | extremal | f_<lambda> | series.json")
     p.add_argument("--order", type=int, default=4)
@@ -459,10 +471,7 @@ def build_parser():
 
     p = sub.add_parser("coeffs", help="direct and inverse coefficients of a jet")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--c1")
-    p.add_argument("--c2", default="0")
-    p.add_argument("--c3", default="0")
-    p.add_argument("--jet", help="jet JSON file")
+    add_jet(p)
     add_mode(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_coeffs)
@@ -477,10 +486,7 @@ def build_parser():
     p = sub.add_parser("fekete-szego", help="Fekete-Szego bound and values")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--c1")
-    p.add_argument("--c2", default="0")
-    p.add_argument("--c3", default="0")
-    p.add_argument("--jet")
+    add_jet(p)
     add_mode(p)
     p.set_defaults(func=cmd_fekete_szego)
 

@@ -35,7 +35,7 @@ enters by its binary value, and moduli are compared squared, as rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, as_scalar, class_parameter, is_finite_real
@@ -44,14 +44,11 @@ STRATEGIES = ("uniform", "boundary-biased")
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class SchwarzJet:
-    c1: object
-    c2: object
-    c3: object
+class SchwarzJet(namedtuple("SchwarzJet", "c1 c2 c3")):
+    __slots__ = ()
 
     def to_json(self):
-        c1, c2, c3 = (as_scalar(c, FLOAT) for c in (self.c1, self.c2, self.c3))
+        c1, c2, c3 = (as_scalar(c, FLOAT) for c in self)
         return {"c1": [c1.real, c1.imag], "c2": [c2.real, c2.imag], "c3": [c3.real, c3.imag]}
 
     @classmethod
@@ -90,7 +87,7 @@ def is_admissible(lam, jet):
     """Whether the jet lies in every disk, judged exactly: a float L and
     float parts are taken by their binary values."""
     lam = Fraction(class_parameter(lam)[0])
-    c1, c2, c3 = (as_scalar(c, EXACT) for c in (jet.c1, jet.c2, jet.c3))
+    c1, c2, c3 = (as_scalar(c, EXACT) for c in jet)
     schur, cls = c2_disks(lam, c1, c1.abs2())
     if not (_in_disk(c1, (0, 1)) and _in_disk(c2, schur) and _in_disk(c2, cls)):
         return False

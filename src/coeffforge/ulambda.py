@@ -22,7 +22,6 @@ truncation error.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .scalars import EXACT, as_scalar, class_parameter, maybe_exact_abs
@@ -35,7 +34,7 @@ _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
 def _operands(lam, jet, *extra):
     """L, then the jet's parts and any extra scalars in the mode L names."""
     lam, mode = class_parameter(lam)
-    return (lam, *(as_scalar(c, mode) for c in (jet.c1, jet.c2, jet.c3, *extra)))
+    return (lam, *(as_scalar(c, mode) for c in (*jet, *extra)))
 
 
 def direct_coeffs(lam, jet):
@@ -204,21 +203,15 @@ FUNCTIONALS = {
 
 # -- membership -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    label: str
-    lam: float
-    radius: float
-    samples: int
-    max_defect: float
-    argmax_theta: float
-    argmax_index: int
-    member_at_radius: bool
-    approximate: bool  # True when judged from a truncated jet
+class MembershipVerdict(namedtuple("MembershipVerdict", "label lam radius samples max_defect "
+                                   "argmax_theta argmax_index member_at_radius approximate")):
+    """A membership_scan verdict; approximate is True when it was judged from
+    a truncated jet."""
+    __slots__ = ()
 
     def to_json(self):
         """The fields by name, with label as "function" and lam as "lambda"."""
-        out = asdict(self)
+        out = self._asdict()
         out["function"] = out.pop("label")
         out["lambda"] = out.pop("lam")
         return out

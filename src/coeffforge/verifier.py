@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -157,13 +157,12 @@ def exact_proofs():
 
 # -- search -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchConfig:
-    samples: int = 20000
-    seed: int = 20250810
-    strategy: str = "boundary-biased"
+class SearchConfig(namedtuple("SearchConfig", "samples seed strategy",
+                              defaults=(20000, 20250810, "boundary-biased"))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("samples", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -174,30 +173,24 @@ class SearchConfig:
             raise ValueError("seed must be >= 0")
         if self.strategy not in schwarz.STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        return self
 
     @classmethod
     def from_json(cls, data):
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown search config fields: {sorted(unknown)}")
         return cls(**data)
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    functional: str
-    lam: float
-    mu: object  # None for plain coefficient functionals
-    theoretical: float
-    empirical_max: float
-    argmax_jet: SchwarzJet
-    argmax_index: int  # global sample index; 0 is the corner
-    gap: float
-    samples: int
-    seed: int
+class BoundReport(namedtuple("BoundReport", "functional lam mu theoretical empirical_max "
+                             "argmax_jet argmax_index gap samples seed")):
+    """One searched bound: mu is None for the plain coefficient functionals,
+    and argmax_index is the global sample index, 0 being the corner."""
+    __slots__ = ()
 
     def sound(self):
         """Whether gap >= -SOUNDNESS_TOL in units of max(1, theoretical): the
@@ -219,7 +212,7 @@ class BoundReport:
     def to_json(self):
         """The fields by name, with lam as "lambda", mu as [re, im] or None
         and the jet as SchwarzJet.to_json() gives it."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["lambda"] = out.pop("lam")
         if self.mu is not None:
             out["mu"] = [complex(self.mu).real, complex(self.mu).imag]
@@ -411,7 +404,7 @@ def _search_grid(grid, tasks, bounds, search):
     best = []
     for lam in grid:
         corner = corner_jet(lam)
-        coeffs = inverse_from_jet(lam, *(np.array([c]) for c in (corner.c1, corner.c2, corner.c3)))
+        coeffs = inverse_from_jet(lam, *(np.array([c]) for c in corner))
         best.append([(val, 0, corner) for val, _ in _functional_values(tasks, coeffs)])
 
     size = schwarz.block_size()

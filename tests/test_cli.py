@@ -464,6 +464,21 @@ def test_fekete_szego_bad_jet_prints_nothing(capsys):
     assert err.startswith("error:") and "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("options, line", [
+    (["--jet", "JET", "--c1", "1/3"], "error: --jet and --c1 exclude each other"),
+    (["--jet", "JET", "--c3", "0"], "error: --jet and --c3 exclude each other"),
+    (["--c2", "1/4"], "error: --c2 needs --c1"),
+    (["--c3", "1/4"], "error: --c3 needs --c1"),
+], ids=["jet-c1", "jet-c3", "c2-alone", "c3-alone"])
+@pytest.mark.parametrize("command", [["coeffs"], ["fekete-szego", "--mu", "1"]],
+                         ids=["coeffs", "fekete-szego"])
+def test_a_jet_option_that_would_be_ignored_exits_2(capsys, tmp_path, command, options, line):
+    jet = tmp_path / "jet.json"
+    jet.write_text('{"c1": [0.5, 0], "c2": [0.1, 0], "c3": [0, 0]}')
+    options = [str(jet) if option == "JET" else option for option in options]
+    assert run(capsys, *command, "--lambda", "1/2", *options) == (2, "", line + "\n")
+
+
 @pytest.mark.parametrize("part", ["[1e400, 0]", "[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]",
                                   "[true, false]"])
 @pytest.mark.parametrize("argv", [["coeffs", "--mode", "exact"], ["coeffs", "--mode", "float"],
@@ -1215,6 +1230,35 @@ def test_exact_subcommands_never_import_numpy():
                                        "coeffs": False, "fekete-szego": False})
 
 
+# -- cold start: the numpy-free commands import neither dataclasses nor inspect -----
+
+_LIGHT_IMPORT_PROBE = """
+import contextlib, io, sys
+import coeffforge.cli as cli
+heavy = ("dataclasses", "inspect")
+cli.build_parser()
+seen = {"import": [m for m in heavy if m in sys.modules]}
+for argv in (["bounds", "--lambda", "1/2", "--mu", "3/2"],
+             ["revert", "f_1/3", "--order", "8", "--mode", "exact"],
+             ["coeffs", "--lambda", "1/2", "--c1", "1/2,1/3", "--c2", "1/5"],
+             ["fekete-szego", "--lambda", "1/3", "--mu", "2", "--c1", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen[argv[0]] = [m for m in heavy if m in sys.modules]
+print(seen)
+"""
+
+
+def test_the_numpy_free_commands_import_neither_dataclasses_nor_inspect():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LIGHT_IMPORT_PROBE],
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str({"import": [], "bounds": [], "revert": [], "coeffs": [],
+                                       "fekete-szego": []})
+
+
 # -- cold start: no search imports a process pool ------------------------------------
 
 _NO_POOL_PROBE = """
@@ -1305,9 +1349,12 @@ def test_each_entry_module_matches_main_in_process(capsys, module, argv, status)
 @pytest.mark.parametrize("argv", [
     ["bounds", "--lambda", "1/2"],
     ["scan", "--functional", "A2", "--lambda-grid", "0.5", "--samples", "10"],
-], ids=["print", "emit"])
+    ["--help"],
+    ["revert", "--help"],
+], ids=["print", "emit", "help", "revert-help"])
 def test_a_closed_stdout_exits_0(module, argv):
-    # the shell closes descriptor 1, so the child's sys.stdout is None
+    # the shell closes descriptor 1, so the child's sys.stdout is None; the
+    # help it cannot print goes nowhere, not to stderr
     proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", module,
                            *argv], env=_child_env(), stderr=subprocess.PIPE)
     assert (proc.returncode, proc.stderr) == (0, b"")
