@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: revert | coeffs | bounds | verify | scan | membership |
-fekete-szego. bounds, coeffs, fekete-szego and revert compute exactly,
-but a float series file reverts in float; their --mode prints exact values
-or the nearest double of each (float). Search and membership compute in
+fekete-szego. bounds, coeffs, fekete-szego and revert compute exactly, but
+a float series file reverts in float; --mode prints exact values (revert's
+text too) or the nearest double of each. Search and membership compute in
 float. Every error path, a result beyond the float range included, exits
 nonzero after one line starting with ``error:`` and prints nothing on
 stdout: verify writes its --out artifacts before its first line.
@@ -182,10 +182,10 @@ def _emit(text, out_path):
         print(text, end="")  # a no-op where stdout is closed (>&-), as for every print
 
 
-def _load_function_input(name, lam_text):
+def _load_function_input(name):
     """Resolve a serialized-series path or a function alias to (series, L):
     (series, None) for a file, (None, L) for an alias, with L None for the
-    identity and otherwise the exact parameter of the extremal family."""
+    identity and otherwise the exact L of the extremal f_L (koebe is f_1)."""
     if os.path.exists(name):
         return TruncatedSeries.from_json(_read_json(name, "series file")), None
     alias = name.lower()
@@ -193,32 +193,29 @@ def _load_function_input(name, lam_text):
         return None, None
     if alias == "koebe":
         return None, Fraction(1)
-    if alias == "extremal":
-        if lam_text is None:
-            raise CliError("the extremal alias needs --lambda")
-        return None, _parse_lambda(lam_text)
     if alias.startswith("f_"):
         return None, _parse_lambda(name[2:])
     raise CliError(f"unknown function input {_cut(name)!r} "
-                   "(expected identity, koebe, extremal, f_<lambda>, or a series file)")
+                   "(expected identity | koebe | f_<lambda> | series.json)")
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_revert(args):
-    if args.order < 1:  # before the input is read, for every input
+    if args.order is not None and args.order < 1:  # before the input is read, for every input
         raise CliError(f"--order must be at least 1, got {args.order}")
-    series, lam = _load_function_input(args.input, args.lam)
-    if args.lam is not None and (series is not None or args.input.lower() != "extremal"):
-        raise CliError(f"--lambda applies to the extremal input only, not {_cut(args.input)!r}")
+    series, lam = _load_function_input(args.input)
+    if series is not None and args.order is not None:
+        raise CliError("--order applies to an alias only: a series file fixes its own order")
+    order = args.order or 4
     if lam is not None and args.mode == FLOAT:
         # the nearest doubles of the same values, by the closed form: cheap
         # where the exact reversion of the extremal jet takes seconds
-        inverse = extremal_inverse(lam, args.order, FLOAT)
+        inverse = extremal_inverse(lam, order, FLOAT)
     else:
         if series is None:
-            series = (TruncatedSeries.identity(args.order, EXACT) if lam is None
-                      else extremal_function(lam, args.order))
+            series = (TruncatedSeries.identity(order, EXACT) if lam is None
+                      else extremal_function(lam, order))
         try:
             inverse = revert(series)
         except ValueError as exc:
@@ -321,7 +318,7 @@ def cmd_fekete_szego(args):
 
 def cmd_membership(args):
     lam = _float(_parse_lambda(args.lam), "lambda")
-    series, family = _load_function_input(args.input, args.lam)
+    series, family = _load_function_input(args.input)
     if series is not None:
         g, label = zf_jet(series.to_float()), "series"
     elif family is None:  # a closed form: z/f is 1 or the polynomial (1-z)(1-Lz)
@@ -462,9 +459,9 @@ def build_parser():
         p.add_argument("--jet", help="jet JSON file")
 
     p = sub.add_parser("revert", help="print the compositional inverse jet")
-    p.add_argument("input", help="identity | koebe | extremal | f_<lambda> | series.json")
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--lambda", dest="lam", default=None, help="the L of the extremal input")
+    p.add_argument("input", help="identity | koebe | f_<lambda> | series.json")
+    p.add_argument("--order", type=int, default=None,
+                   help="order of an alias's inverse (default 4); a series file fixes its own")
     add_mode(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_revert)
@@ -514,7 +511,7 @@ def build_parser():
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("membership", help="sample the defect on a circle")
-    p.add_argument("input", help="identity | koebe | extremal | f_<lambda> | series.json")
+    p.add_argument("input", help="identity | koebe | f_<lambda> | series.json")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--radius", type=float, default=0.9)
     p.add_argument("--samples", type=int, default=360)

@@ -166,8 +166,8 @@ class TruncatedSeries:
         raise ValueError("coefficients must be [re,im] or [re_num,re_den,im_num,im_den]")
 
     def pretty(self):
-        """Human-readable polynomial in w with decimal coefficients, e.g.
-        ``w - 1.5w^2 + 5w^3``."""
+        """Human-readable polynomial in w, e.g. ``w - (3/2)w^2 + 5w^3`` in
+        exact mode and ``w - 1.5w^2 + 5w^3`` in float mode."""
         pieces = []
         for n, c in enumerate(self._coeffs):
             if c == 0:
@@ -222,21 +222,17 @@ def _exact_product(a, b, n):
 
 
 def _format_coeff(c):
+    """A coefficient's text: an exact integer bare, an exact fraction in
+    parentheses with its sign outside (``-(4/3)``), a complex value in parentheses."""
     if isinstance(c, QComplex):
-        if c.im == 0:
-            return _format_real(c.re)
-        if c.re == 0:
-            return f"{_format_real(c.im)}i"
-        return f"({_format_real(c.re)}{'+' if c.im > 0 else ''}{_format_real(c.im)}i)"
+        if c.re and c.im:
+            return f"({c.re}{'+' if c.im > 0 else ''}{c.im}i)"
+        x = c.re or c.im
+        text = str(abs(x)) if x.denominator == 1 else f"({abs(x)})"
+        return f"{'-' if x < 0 else ''}{text}{'i' if c.im else ''}"
     if c.imag == 0.0:
         return _trim_float(c.real)
     return f"({_trim_float(c.real)}{'+' if c.imag >= 0 else ''}{_trim_float(c.imag)}i)"
-
-
-def _format_real(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return _trim_float(float(q))
 
 
 def _trim_float(x):

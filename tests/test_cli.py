@@ -44,22 +44,20 @@ def test_revert_identity(capsys):
 def test_revert_f_alias(capsys):
     code, out, _ = run(capsys, "revert", "f_0.5", "--order", "4")
     assert code == 0
-    assert out.strip() == "w - 1.5w^2 + 2.75w^3 - 5.625w^4"
+    assert out.strip() == "w - (3/2)w^2 + (11/4)w^3 - (45/8)w^4"
 
 
-def test_revert_extremal_alias_needs_lambda(capsys):
-    code, _, err = run(capsys, "revert", "extremal")
-    assert code == 2
-    assert err.startswith("error:")
-    code, out, _ = run(capsys, "revert", "extremal", "--lambda", "1/2", "--order", "4")
-    assert code == 0
-    assert "2.75w^3" in out
+def test_revert_extremal_is_an_unknown_input(capsys):
+    # f_<L> names the extremal function with its own L
+    for argv in (["revert", "extremal"], ["membership", "extremal", "--lambda", "1/2"]):
+        assert run(capsys, *argv) == (2, "", "error: unknown function input 'extremal' "
+                                             "(expected identity | koebe | f_<lambda> | "
+                                             "series.json)\n")
 
 
 @pytest.mark.parametrize("name", ["koebe", "f_1/3", "identity", "series.json"])
-def test_revert_refuses_lambda_for_an_input_other_than_extremal(capsys, tmp_path, monkeypatch,
-                                                                name):
-    # such an input fixes its own L, or has none; --lambda would be ignored
+def test_revert_has_no_lambda_option(capsys, tmp_path, monkeypatch, name):
+    # every input fixes its own L, or has none
     monkeypatch.chdir(tmp_path)
     (tmp_path / "series.json").write_text(json.dumps([[0, 0], [1, 0], [1, 0]]))
     code, out, err = run(capsys, "revert", name, "--order", "6", "--lambda", "1/2")
@@ -77,6 +75,40 @@ def test_revert_order_below_one_is_one_error_line_naming_the_option(capsys, tmp_
     (tmp_path / "series.json").write_text(json.dumps([[0, 0], [1, 0], [1, 0]]))
     code, out, err = run(capsys, "revert", name, "--order", "0", "--mode", mode)
     assert (code, out, err) == (2, "", "error: --order must be at least 1, got 0\n")
+
+
+@pytest.mark.parametrize("order", ["1", "3", "10"])
+@pytest.mark.parametrize("payload", [[[0, 1, 0, 1], [1, 1, 0, 1], [1, 1, 0, 1]],
+                                     [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]],
+                         ids=["exact", "float"])
+def test_revert_refuses_order_for_a_series_file(capsys, tmp_path, payload, order):
+    # a series file fixes its own order; --order would be ignored
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "revert", str(path), "--order", order) == (
+        2, "", "error: --order applies to an alias only: a series file fixes its own order\n")
+
+
+@pytest.mark.parametrize("c2, shown", [
+    (Fraction(1, 3 * 10 ** 400), f"(1/3{'0' * 400})"),  # its nearest double is 0
+    (Fraction(10 ** 400 + 1, 2), f"(1{'0' * 399}1/2)"),  # beyond the float range
+], ids=["tiny", "huge"])
+def test_exact_revert_text_prints_a_fraction_exactly(capsys, tmp_path, c2, shown):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps([[0, 1, 0, 1], [1, 1, 0, 1],
+                                [c2.numerator, c2.denominator, 0, 1]]))
+    assert run(capsys, "revert", str(path)) == (0, f"w - {shown}w^2\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [["revert", "--order", "9", "--mode", "exact"],
+                                  ["revert", "--order", "9", "--mode", "float"],
+                                  ["membership", "--lambda", "1/2", "--samples", "97"]],
+                         ids=["revert-exact", "revert-float", "membership"])
+def test_koebe_and_f_1_print_the_same_bytes(capsys, argv, fmt):
+    koebe, f_1 = (run(capsys, argv[0], name, *argv[1:], "--format", fmt)
+                  for name in ("koebe", "f_1"))
+    assert koebe[1] and koebe == f_1
 
 
 def test_revert_series_file(capsys, tmp_path):
@@ -108,7 +140,8 @@ def test_revert_non_normalized_series(capsys, tmp_path):
 def test_malformed_series_payload_exits_2(capsys, tmp_path, command, payload):
     path = tmp_path / "series.json"
     path.write_text(payload)
-    code, out, err = run(capsys, command, str(path), "--lambda", "1/2")
+    lam = ["--lambda", "1/2"] if command == "membership" else []  # revert has no --lambda
+    code, out, err = run(capsys, command, str(path), *lam)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "\n" not in err.strip()
@@ -240,7 +273,8 @@ def test_revert_exact_order_32_digest(capsys):
 # forms became plain z/f jets; the reversions of the identity and of the
 # series files were recorded while normalized jets still had a type of their
 # own, and the float reversion of f_1/3 and the float coeffs once float mode
-# printed the nearest doubles of exact results.
+# printed the nearest doubles of exact results; the text of the complex
+# series file's reversion was re-recorded once exact text printed fractions.
 CLOSED_FORM_DIGESTS = {
     ("membership", "koebe", "--lambda", "1/2", "--samples", "997"): {
         "text": "94e2531818a157a0696f05f1f4f57f7718e98151ea75e62e72c26c12c1467c8e",
@@ -262,7 +296,7 @@ CLOSED_FORM_DIGESTS = {
         "text": "b9bb4e6b862f05ef0d03cea987c9221573d17abaa906839f674e3588cf9e5a70",
         "json": "bf584347db7a4f75854de1ca6c5aa57c9e6b6880ecb2d9d7c3d2a71c696e0c4a"},
     ("revert", "complex-series.json"): {
-        "text": "59493162c028fdbe94854f11d7e29ef937d3e1d2051369dfce3966c9e63c0951",
+        "text": "d2a5870e24ce5e9d0de01317142815b1fd51335d6562125103f6d247be5a6ea3",
         "json": "1886ac289eca0b241a5a438daa6cfe7bb8a11b5f4deb48e1d07951062e46bb8e"},
     ("coeffs", "--lambda", "2/7", "--c1", "0.3,0.4", "--c2", "0.1,-0.2", "--c3", "0.05",
      "--mode", "float"): {
@@ -292,7 +326,6 @@ _TINY = "1/1" + "0" * 400  # a positive rational whose nearest double is 0
 
 @pytest.mark.parametrize("argv", [
     ["membership", "f_1e-400", "--lambda", "1/2"],
-    ["membership", "extremal", "--lambda", "1e-400"],
     ["membership", f"f_{_TINY}", "--lambda", "0.5"],
     ["membership", "koebe", "--lambda", _TINY],
     ["verify", "--lambda", _TINY, "--samples", "10"],

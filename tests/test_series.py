@@ -414,4 +414,4 @@ def test_pretty():
     s = TruncatedSeries([0, 1, -2, 5, -14], EXACT)
     assert s.pretty() == "w - 2w^2 + 5w^3 - 14w^4"
     t = TruncatedSeries([0, 1, -F(3, 2)], EXACT)
-    assert t.pretty() == "w - 1.5w^2"
+    assert t.pretty() == "w - (3/2)w^2"
