@@ -4,9 +4,11 @@ Subcommands: revert | coeffs | bounds | verify | scan | membership |
 fekete-szego. bounds, coeffs, fekete-szego and revert compute exactly, but
 a float series file reverts in float; --mode prints exact values (revert's
 text too) or the nearest double of each. Search and membership compute in
-float. Every error path, a result beyond the float range included, exits
-nonzero after one line starting with ``error:`` and prints nothing on
-stdout: verify writes its --out artifacts before its first line.
+float. verify and scan take one search request, by the same flags; verify
+defaults each part of it and adds the exact proofs and a verdict. Every
+error path, a result beyond the float range included, exits nonzero after
+one line starting with ``error:`` and prints nothing on stdout: verify
+writes its --out artifacts before its first line.
 COEFFFORGE_THREADS caps the verifier's worker processes, which never
 outnumber the CPUs the process may use; results do not depend on it.
 main() only returns a status, --help's too. cli_entry(), the one entry point,
@@ -27,21 +29,13 @@ from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
-from .series import TruncatedSeries, revert, zf_jet
+from .series import TruncatedSeries, imag_text, revert, zf_jet
 from .schwarz import STRATEGIES, SchwarzJet, is_admissible
 from .ulambda import (FUNCTIONALS, direct_coeffs, extremal_function, extremal_inverse,
                       fekete_szego, functional_bound, inverse_coeffs,
                       inverse_coeffs_by_reversion, membership_profile, membership_scan,
                       zf_from_schwarz)
 from .verifier import SearchConfig, exact_proofs, reports_to_csv, reports_to_json, scan_lambda
-
-DEFAULT_VERIFY_CONFIG = {
-    "lambda_grid": [0.2, 0.4, 0.6, 0.8, 1.0],
-    "functionals": list(FUNCTIONALS),
-    "mu_grid": [0.5],
-    "search": {},
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # each long word, an echoed argument, by _cut's rule
@@ -109,17 +103,19 @@ def _parse_complex(text):
     return QComplex(re, im)
 
 
-def _parse_grid(text, name):
+def _parse_grid(text, name, parse=_parse_rational):
     """Comma list ``a,b,c`` or linspace form ``lo:hi:count`` of the option
-    name, as floats; every error names the option."""
+    name, as floats; parse reads each point, and lo and hi of a range, before
+    it rounds. Every error names the option."""
     import numpy as np
     pieces = text.split(":")
     try:
         if len(pieces) == 1:
-            return [_float(_parse_rational(p), _cut(p)) for p in text.split(",") if p]
+            return [_float(parse(p), _cut(p)) for p in text.split(",") if p]
         if len(pieces) != 3:
             raise CliError(f"grid range must be lo:hi:count, got {_cut(text)!r}")
-        lo, hi, count = map(_parse_rational, pieces)
+        lo, hi = map(parse, pieces[:2])
+        count = _parse_rational(pieces[2])
         if count.denominator != 1 or count < 1:
             raise CliError(f"grid count must be a positive integer, got {_cut(pieces[2])!r}")
         lo, hi = _float(lo, _cut(pieces[0])), _float(hi, _cut(pieces[1]))
@@ -253,7 +249,7 @@ def _show(value):
         if isinstance(value, QComplex):
             if value.im == 0:
                 return str(value.re)
-            return f"{value.re}{'+' if value.im > 0 else ''}{value.im}i"
+            return f"{value.re}{imag_text(value.im)}"
         if isinstance(value, complex) and value.imag == 0:
             value = value.real
         return str(value) if isinstance(value, Fraction) else repr(value)
@@ -346,48 +342,30 @@ def cmd_membership(args):
     return 0 if verdict.member_at_radius else 1
 
 
-def _load_verify_config(args):
-    config = json.loads(json.dumps(DEFAULT_VERIFY_CONFIG))  # deep copy
-    if args.config:
-        user = _read_json(args.config, "config")
-        if not isinstance(user, dict):
-            raise CliError("config must be a JSON object")
-        unknown = set(user) - set(DEFAULT_VERIFY_CONFIG)
-        if unknown:
-            raise CliError(f"unknown config fields: {sorted(unknown)}")
-        config.update(user)
-    if args.lam is not None:
-        config["lambda_grid"] = [_float(_parse_lambda(args.lam), "lambda")]
-    for name in ("lambda_grid", "mu_grid"):
-        if not (isinstance(config[name], list) and all(map(is_finite_real, config[name]))):
-            raise CliError(f"{name} must be a list of real numbers")
-    names = config["functionals"]
-    if not (isinstance(names, list) and names and all(isinstance(f, str) for f in names)):
-        raise CliError("functionals must be a nonempty list of strings")
-    if not isinstance(config["search"], dict):
-        raise CliError("search must be a JSON object")
-    config["search"] = _search_config(config["search"], args)
-    return config
-
-
-def _search_config(search, args):
-    """SearchConfig from a config's ``search`` object and the command-line
-    overrides --samples, --seed and --strategy."""
-    search = dict(search)
-    for name in ("samples", "seed", "strategy"):
-        if getattr(args, name) is not None:
-            search[name] = getattr(args, name)
+def _search_request(args):
+    """(functionals, lambda grid, mu grid, SearchConfig) of the search flags
+    of verify and scan. The mu grid is the command's default where a
+    requested functional takes mu and --mu-grid is not given, and None where
+    none takes mu."""
+    functionals = args.functional or list(FUNCTIONALS)
+    takes_mu = any(FUNCTIONALS[f].takes_mu for f in functionals)
+    mu_text = args.mu_grid
+    if mu_text is None and takes_mu:
+        mu_text = args.default_mu_grid
+    elif mu_text is not None and not takes_mu:
+        raise CliError("--mu-grid is given, but no requested functional takes mu")
+    lambda_grid = _parse_grid(args.lambda_grid, "--lambda-grid", _parse_lambda)
+    mu_grid = None if mu_text is None else _parse_grid(mu_text, "--mu-grid")
     try:
-        return SearchConfig.from_json(search)
-    except (TypeError, ValueError) as exc:
+        search = SearchConfig(args.samples, args.seed, args.strategy)
+    except ValueError as exc:
         raise CliError(f"invalid search config: {exc}") from exc
+    return functionals, lambda_grid, mu_grid, search
 
 
 def cmd_verify(args):
-    config = _load_verify_config(args)
-    search = config["search"]
-    reports = scan_lambda(config["functionals"], config["lambda_grid"],
-                          config["mu_grid"], search)
+    functionals, lambda_grid, mu_grid, search = _search_request(args)
+    reports = scan_lambda(functionals, lambda_grid, mu_grid, search)
     verdicts = [report.sound() for report in reports]
     sound = all(verdicts)
     lines = [f"{report.text_line()} {'OK' if ok else 'VIOLATION'}"
@@ -400,10 +378,10 @@ def cmd_verify(args):
 
     passed = sound and all(proofs.values())
     extra = {
-        "config": {
-            "lambda_grid": [float(x) for x in config["lambda_grid"]],
-            "functionals": list(config["functionals"]),
-            "mu_grid": [float(m) for m in config["mu_grid"]],
+        "config": {  # the request as searched: no mu grid where no functional takes mu
+            "lambda_grid": lambda_grid,
+            "functionals": functionals,
+            "mu_grid": mu_grid or [],
             "search": search.to_json(),
         },
         "checks": {"sound": sound, "proofs": proofs},
@@ -422,14 +400,7 @@ def cmd_verify(args):
 
 
 def cmd_scan(args):
-    if not args.functional:
-        raise CliError("scan needs at least one --functional")
-    if args.mu_grid is not None and not any(FUNCTIONALS[f].takes_mu for f in args.functional):
-        raise CliError("--mu-grid is given, but no requested functional takes mu")
-    lambda_grid = _parse_grid(args.lambda_grid, "--lambda-grid")
-    mu_grid = _parse_grid(args.mu_grid, "--mu-grid") if args.mu_grid else None
-    search = _search_config({}, args)
-    reports = scan_lambda(args.functional, lambda_grid, mu_grid, search)
+    reports = scan_lambda(*_search_request(args))
     if args.format == "json":
         _emit(reports_to_json(reports), args.out)
     elif args.format == "csv":
@@ -457,6 +428,27 @@ def build_parser():
         for part in ("--c1", "--c2", "--c3"):
             p.add_argument(part)
         p.add_argument("--jet", help="jet JSON file")
+
+    def add_search(p, lambda_grid=None, mu_grid=None):
+        # scan's request; verify's defaults every functional, the lambda grid
+        # and, where a requested functional takes mu, the mu grid
+        optional = lambda_grid is not None
+        p.add_argument("--functional", action="append", choices=list(FUNCTIONALS),
+                       required=not optional,
+                       help="repeatable" + ("; default: every one" if optional else ""))
+        p.add_argument("--lambda-grid", required=not optional, default=lambda_grid,
+                       help="comma list or lo:hi:count, in (0, 1]"
+                            + (" (default %(default)s)" if optional else ""))
+        p.add_argument("--mu-grid", help="comma list or lo:hi:count"
+                       + (f" (default {mu_grid} where a functional takes mu)" if mu_grid else ""))
+        p.set_defaults(default_mu_grid=mu_grid)
+        search = SearchConfig()
+        p.add_argument("--samples", type=int, default=search.samples,
+                       help="jets per lambda, the corner jet included (default %(default)s)")
+        p.add_argument("--seed", type=int, default=search.seed,
+                       help="seed of the sample stream (default %(default)s)")
+        p.add_argument("--strategy", choices=list(STRATEGIES), default=search.strategy,
+                       help="how the jets are drawn (default %(default)s)")
 
     p = sub.add_parser("revert", help="print the compositional inverse jet")
     p.add_argument("input", help="identity | koebe | f_<lambda> | series.json")
@@ -488,24 +480,12 @@ def build_parser():
     p.set_defaults(func=cmd_fekete_szego)
 
     p = sub.add_parser("verify", help="empirical verification of the bounds")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="restrict to a single lambda")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strategy", choices=list(STRATEGIES), default=None)
+    add_search(p, lambda_grid="0.2,0.4,0.6,0.8,1", mu_grid="0.5")
     p.add_argument("--out", help="base path for report artifacts (.csv/.json)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="bound reports over parameter grids")
-    p.add_argument("--functional", action="append", choices=list(FUNCTIONALS),
-                   help="repeatable")
-    p.add_argument("--lambda-grid", dest="lambda_grid", required=True,
-                   help="comma list or lo:hi:count")
-    p.add_argument("--mu-grid", dest="mu_grid", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--strategy", choices=list(STRATEGIES), default=None)
+    add_search(p)
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
     p.set_defaults(func=cmd_scan)

@@ -221,15 +221,27 @@ def _exact_product(a, b, n):
     return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
 
 
+def _rational_text(x):
+    """An exact integer bare, a fraction in parentheses: ``-(4/3)``."""
+    text = str(abs(x)) if x.denominator == 1 else f"({abs(x)})"
+    return f"{'-' if x < 0 else ''}{text}"
+
+
+def imag_text(im):
+    """A nonzero exact imaginary part's text after a real part, its sign
+    first: ``+2i``, ``-(1/3)i``, never ``1/3i``, which reads as 1/(3i)."""
+    return f"{'+' if im > 0 else ''}{_rational_text(im)}i"
+
+
 def _format_coeff(c):
-    """A coefficient's text: an exact integer bare, an exact fraction in
-    parentheses with its sign outside (``-(4/3)``), a complex value in parentheses."""
+    """A coefficient's text: an exact real or imaginary value by _rational_text,
+    a complex value in parentheses (``(1/2-(1/3)i)``)."""
     if isinstance(c, QComplex):
-        if c.re and c.im:
-            return f"({c.re}{'+' if c.im > 0 else ''}{c.im}i)"
-        x = c.re or c.im
-        text = str(abs(x)) if x.denominator == 1 else f"({abs(x)})"
-        return f"{'-' if x < 0 else ''}{text}{'i' if c.im else ''}"
+        if not c.im:
+            return _rational_text(c.re)
+        if not c.re:
+            return _rational_text(c.im) + "i"
+        return f"({c.re}{imag_text(c.im)})"
     if c.imag == 0.0:
         return _trim_float(c.real)
     return f"({_trim_float(c.real)}{'+' if c.imag >= 0 else ''}{_trim_float(c.imag)}i)"

@@ -175,13 +175,6 @@ class SearchConfig(namedtuple("SearchConfig", "samples seed strategy",
             raise ValueError(f"unknown strategy {self.strategy!r}")
         return self
 
-    @classmethod
-    def from_json(cls, data):
-        unknown = set(data) - set(cls._fields)
-        if unknown:
-            raise ValueError(f"unknown search config fields: {sorted(unknown)}")
-        return cls(**data)
-
     def to_json(self):
         return self._asdict()
 

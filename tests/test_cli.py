@@ -14,7 +14,7 @@ import pytest
 
 import coeffforge
 from coeffforge import FUNCTIONALS, cli, exact_proofs, inverse_weights, schwarz
-from coeffforge.cli import DEFAULT_VERIFY_CONFIG, build_parser, main
+from coeffforge.cli import build_parser, main
 from helpers import patched_bound
 
 # the child interpreter imports the same package the tests import
@@ -180,7 +180,6 @@ def test_exact_value_beyond_the_integer_digit_limit_exits_2(capsys, argv):
     (["revert", "{}"], "series file"),
     (["membership", "{}", "--lambda", "1/2"], "series file"),
     (["coeffs", "--lambda", "1/2", "--jet", "{}"], "jet file"),
-    (["verify", "--config", "{}"], "config"),
 ])
 def test_json_file_with_an_integer_beyond_the_digit_limit_exits_2(capsys, tmp_path, argv, what):
     path = tmp_path / "long.json"
@@ -195,7 +194,6 @@ def test_json_file_with_an_integer_beyond_the_digit_limit_exits_2(capsys, tmp_pa
     (["revert", "{}"], "series file"),
     (["membership", "{}", "--lambda", "1/2"], "series file"),
     (["coeffs", "--lambda", "1/2", "--jet", "{}"], "jet file"),
-    (["verify", "--config", "{}"], "config"),
 ])
 def test_json_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv, what):
     path = tmp_path / "latin1.json"
@@ -250,6 +248,22 @@ def test_float_revert_prints_the_nearest_doubles_of_the_exact_inverse(capsys, la
                                    for rn, rd, jn, jd in json.loads(exact)]
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["revert", "series.json"], "w + (1/2-(1/3)i)w^2 + (-49/18-(2/3)i)w^3\n"),
+    (["coeffs", "--lambda", "1/2", "--c1", "0,1/3"],
+     "a2 = 0+(1/2)i   a3 = -7/36   a4 = 0-(5/72)i\n"
+     "A2 = 0-(1/2)i   A3 = -11/36   A4 = 0+(5/24)i\n"
+     "reversion cross-check: agrees\n"),
+], ids=["revert", "coeffs"])
+def test_a_fractional_imaginary_part_prints_in_parentheses(capsys, tmp_path, monkeypatch,
+                                                           argv, text):
+    # 1/3i would read as 1/(3i)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.json").write_text(json.dumps([[0, 1, 0, 1], [1, 1, 0, 1],
+                                                      [-1, 2, 1, 3], [3, 1, 0, 1]]))
+    assert run(capsys, *argv) == (0, text, "")
+
+
 def test_revert_json_format(capsys):
     code, out, _ = run(capsys, "revert", "koebe", "--format", "json")
     assert code == 0
@@ -274,7 +288,8 @@ def test_revert_exact_order_32_digest(capsys):
 # series files were recorded while normalized jets still had a type of their
 # own, and the float reversion of f_1/3 and the float coeffs once float mode
 # printed the nearest doubles of exact results; the text of the complex
-# series file's reversion was re-recorded once exact text printed fractions.
+# series file's reversion was re-recorded once exact text printed fractions,
+# and again once a fractional imaginary part printed as (p/q)i.
 CLOSED_FORM_DIGESTS = {
     ("membership", "koebe", "--lambda", "1/2", "--samples", "997"): {
         "text": "94e2531818a157a0696f05f1f4f57f7718e98151ea75e62e72c26c12c1467c8e",
@@ -296,7 +311,7 @@ CLOSED_FORM_DIGESTS = {
         "text": "b9bb4e6b862f05ef0d03cea987c9221573d17abaa906839f674e3588cf9e5a70",
         "json": "bf584347db7a4f75854de1ca6c5aa57c9e6b6880ecb2d9d7c3d2a71c696e0c4a"},
     ("revert", "complex-series.json"): {
-        "text": "d2a5870e24ce5e9d0de01317142815b1fd51335d6562125103f6d247be5a6ea3",
+        "text": "e0ae422ec4b14bb00f45d18fa36ed0ef8734e20643971c0e84d81c6d61ecc1b5",
         "json": "1886ac289eca0b241a5a438daa6cfe7bb8a11b5f4deb48e1d07951062e46bb8e"},
     ("coeffs", "--lambda", "2/7", "--c1", "0.3,0.4", "--c2", "0.1,-0.2", "--c3", "0.05",
      "--mode", "float"): {
@@ -328,26 +343,38 @@ _TINY = "1/1" + "0" * 400  # a positive rational whose nearest double is 0
     ["membership", "f_1e-400", "--lambda", "1/2"],
     ["membership", f"f_{_TINY}", "--lambda", "0.5"],
     ["membership", "koebe", "--lambda", _TINY],
-    ["verify", "--lambda", _TINY, "--samples", "10"],
-    ["scan", "--functional", "A2", "--lambda-grid", "1e-400", "--samples", "10"],
+    ["verify", "--lambda-grid", _TINY, "--samples", "10"],
+    ["scan", "--functional", "A2", "--lambda-grid", _TINY, "--samples", "10"],
 ])
 def test_alias_lambda_that_rounds_to_zero_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    prefix = "--lambda-grid: 1e-400" if argv[0] == "scan" else "lambda"
-    assert err == f"error: {prefix} underflows float arithmetic: it rounds to 0\n"
+    name = f"--lambda-grid: {_TINY[:40]}..." if argv[0] in ("scan", "verify") else "lambda"
+    assert err == f"error: {name} underflows float arithmetic: it rounds to 0\n"
+
+
+_ABOVE_ONE = "1.00000000000000001"  # above 1, but its nearest double is 1.0
 
 
 @pytest.mark.parametrize("argv, message", [
     (["membership", "koebe", "--lambda", "0"], "lambda must lie in (0, 1], got 0"),
-    (["verify", "--lambda=-1/2", "--samples", "10"], "lambda must lie in (0, 1], got -1/2"),
+    (["verify", "--lambda-grid=-1/2", "--samples", "10"],
+     "--lambda-grid: lambda must lie in (0, 1], got -1/2"),
     (["membership", "f_3/2", "--lambda", "1/2"], "lambda must lie in (0, 1], got 3/2"),
     (["scan", "--functional", "A2", "--lambda-grid", "0", "--samples", "10"],
-     "grid points must lie in (0, 1]"),
+     "--lambda-grid: lambda must lie in (0, 1], got 0"),
     (["scan", "--functional", "A2", "--lambda-grid", "1.5", "--samples", "10"],
-     "grid points must lie in (0, 1]"),
-], ids=["zero", "negative", "above-one", "grid-zero", "grid-above-one"])
+     "--lambda-grid: lambda must lie in (0, 1], got 1.5"),
+    # each grid point, and lo and hi of a range, is checked before it rounds
+    *(([*command, f"--lambda-grid={grid}", "--samples", "10"],
+       f"--lambda-grid: lambda must lie in (0, 1], got {got}")
+      for command in (["scan", "--functional", "A2"], ["verify"])
+      for grid, got in ((_ABOVE_ONE, _ABOVE_ONE), (f"1/2:{_ABOVE_ONE}:3", _ABOVE_ONE),
+                        ("-1e-400:1:3", "-1e-400"))),
+], ids=["zero", "negative", "above-one", "grid-zero", "grid-above-one",
+        *(f"{command}-{grid}" for command in ("scan", "verify")
+          for grid in ("point-above-one", "range-hi-above-one", "range-lo-below-zero"))])
 def test_lambda_out_of_range_keeps_its_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
@@ -530,7 +557,8 @@ def test_jet_file_with_non_finite_or_bool_parts_exits_2(capsys, tmp_path, argv, 
     ["bounds", "--lambda", "1/2", "--mu", "1e400", "--mode", "float"],
     ["scan", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "1e400",
      "--samples", "10"],
-    ["scan", "--functional", "A2", "--lambda-grid", "1e400", "--samples", "10"],
+    ["verify", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "1e400",
+     "--samples", "10"],
     ["coeffs", "--lambda", "1/2", "--c1", "1e400", "--mode", "float"],
     ["fekete-szego", "--lambda", "1/2", "--mu", "1e400,1", "--mode", "float"],
     # exact mode computes fine, but the json report holds floats
@@ -581,12 +609,6 @@ def test_coeffs_warns_on_a_float_jet_beyond_the_square_range(capsys):
     assert err == OUT_OF_RANGE
 
 
-def _write_config(tmp_path, config):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    return str(path)
-
-
 OVERFLOWING_ARGV = [
     ["coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float", "--format", "text"],
     ["coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float", "--format", "json"],
@@ -597,8 +619,8 @@ OVERFLOWING_ARGV = [
     ["bounds", "--lambda", "1/2", "--mu", "1e308", "--mode", "float", "--format", "json"],
     *(["scan", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "1e308",
        "--samples", "10", "--format", fmt] for fmt in ("csv", "json", "text")),
-    ["verify", "--config", {"mu_grid": [1e308], "lambda_grid": [1.0]}],
-    ["verify", "--config", {"mu_grid": [1e308], "lambda_grid": [1.0]}, "--out", "report"],
+    ["verify", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "1e308"],
+    ["verify", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "1e308", "--out", "report"],
 ]
 
 
@@ -606,7 +628,6 @@ OVERFLOWING_ARGV = [
 @pytest.mark.parametrize("argv", OVERFLOWING_ARGV)
 def test_results_beyond_the_float_range_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -615,25 +636,24 @@ def test_results_beyond_the_float_range_exit_2(capsys, tmp_path, monkeypatch, ar
         assert "overflows float arithmetic" in err
     else:  # an exact result rounds to a double only to print
         assert err == OUT_OF_RANGE
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == (["cfg.json"] if argv[0] == "verify" else [])  # no report files
+    assert list(tmp_path.iterdir()) == []  # no report files
 
 
 @pytest.mark.parametrize("argv", [
     ["scan", "--functional", "A2", "--lambda-grid", "0.5,2", "--samples", "2000000"],
     ["scan", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "0.5,1e308"],
-    ["verify", "--config", {"lambda_grid": [0.5, 2.0]}],
-    ["verify", "--config", {"lambda_grid": [0.5], "mu_grid": [0.5, 1e308]}],
-    ["verify", "--config", {"lambda_grid": [0.5], "functionals": ["A2", "A5"]}],
-    ["verify", "--config", {"lambda_grid": [0.5], "functionals": ["A2", "FS"], "mu_grid": []}],
+    ["verify", "--lambda-grid", "0.5,2"],
+    ["verify", "--lambda-grid", "0.5", "--mu-grid", "0.5,1e308"],
+    ["verify", "--lambda-grid", "0.5", "--functional", "A2", "--functional", "A5"],
+    ["verify", "--lambda-grid", "0.5", "--functional", "A2", "--functional", "FS",
+     "--mu-grid", ""],  # error: the FS functional needs mu
     ["scan", "--functional", "A2", "--lambda-grid", ","],  # error: empty lambda grid
 ])
-def test_an_invalid_request_fails_before_any_sampling(capsys, tmp_path, monkeypatch, argv):
+def test_an_invalid_request_fails_before_any_sampling(capsys, monkeypatch, argv):
     def no_sampling(*args):
         raise AssertionError("sampled before the request was checked")
     monkeypatch.setattr(schwarz, "sample_block_arrays", no_sampling)
     monkeypatch.setattr(schwarz, "sample_grid_block", no_sampling)
-    argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -788,13 +808,11 @@ def test_verify_out_to_an_unwritable_path_prints_nothing(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_verify_corner_attains_a_bound_near_1e15(capsys, tmp_path):
+def test_verify_corner_attains_a_bound_near_1e15(capsys):
     # the corner's float value differs from the bound by rounding at the
     # bound's scale: gap -0.25 at L = 0.3 and 0.5 at L = 0.7
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lambda_grid": [0.1, 0.3, 0.7], "functionals": ["FS"],
-                               "mu_grid": [-1e15], "search": {"samples": 1}}))
-    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    code, out, _ = run(capsys, "verify", "--lambda-grid", "0.1,0.3,0.7", "--functional", "FS",
+                       "--mu-grid=-1e15", "--samples", "1")
     assert code == 0
     lines = out.splitlines()
     assert "gap=-0.25 OK" in lines[1] and "gap=0.5 OK" in lines[2]
@@ -829,7 +847,7 @@ def test_verify_seed_1_is_pinned(capsys, tmp_path, monkeypatch, threads):
 
 
 def test_verify_single_lambda_override(capsys):
-    code, out, _ = run(capsys, "verify", "--lambda", "0.5", "--samples", "500")
+    code, out, _ = run(capsys, "verify", "--lambda-grid", "0.5", "--samples", "500")
     assert code == 0
     assert "lambda=0.5" in out
 
@@ -840,46 +858,10 @@ def test_verify_rejects_zero_samples(capsys):
     assert err.startswith("error:")
 
 
-def test_verify_rejects_bad_lambda_config(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lambda_grid": [1.5]}))
-    code, _, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == 2
-    assert err.startswith("error:")
-
-
-def test_verify_rejects_unknown_field(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lambda_gird": [0.5]}))
-    code, _, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == 2
-    assert "unknown config fields" in err
-
-
-@pytest.mark.parametrize("config", [
-    {"mu_grid": ["abc"]}, {"mu_grid": [None]}, {"mu_grid": [[0.5, 0.1]]},
-    {"mu_grid": [True]}, {"lambda_grid": 0.5}, {"lambda_grid": ["0.5"]},
-    {"functionals": "A2"}, {"functionals": []}, {"search": 5}, 5,
-    {"search": {"samples": 1.5}}, {"search": {"seed": 1.5}},
-    {"search": {"samples": True}}, {"search": {"seed": True}},
-    {"search": {"strategy": 5}}, {"mu_grid": [float("nan")]},
-])
-def test_verify_rejects_mistyped_config(capsys, tmp_path, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    code, out, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "\n" not in err.strip()
-
-
-def test_verify_rejects_grid_strategy_in_config(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"search": {"strategy": "grid"}}))
-    code, out, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: invalid search config")
+def test_verify_rejects_bad_lambda_config(capsys):
+    code, out, err = run(capsys, "verify", "--lambda-grid", "1.5")
+    assert (code, out) == (2, "")
+    assert err == "error: --lambda-grid: lambda must lie in (0, 1], got 1.5\n"
 
 
 @pytest.mark.parametrize("argv", [["verify"],
@@ -891,25 +873,8 @@ def test_grid_strategy_flag_removed(capsys, argv):
     assert err.startswith("error:") and "grid" in err
 
 
-REMOVED_FIELDS = {"gap_grid_points": {"gap_grid_points": 1000},
-                  "h_reduction": {"h_reduction": 1000},
-                  "attainment_tol": {"attainment_tol": 1e-3},
-                  "search.tolerance": {"search": {"tolerance": 1e-9}}}
-
-
-@pytest.mark.parametrize("field", list(REMOVED_FIELDS))
-def test_verify_rejects_removed_fields(capsys, tmp_path, field):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(REMOVED_FIELDS[field]))
-    code, out, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "config fields" in err and repr(field.split(".")[-1]) in err
-
-
 def test_verify_exact_proof_lines(capsys):
-    code, out, _ = run(capsys, "verify", "--lambda", "1/3", "--samples", "200")
+    code, out, _ = run(capsys, "verify", "--lambda-grid", "1/3", "--samples", "200")
     assert code == 0
     assert out.splitlines()[-5:] == ["A2 exact proof (L in (0, 1]): OK",
                                      "A3 exact proof (L in (0, 1]): OK",
@@ -922,7 +887,7 @@ def test_verify_fails_when_a_proof_fails(capsys, tmp_path):
     base = str(tmp_path / "rep")
     # |A4| <= q4 - 1/100 is false at the corner jet, for the proof and the search alike
     with patched_bound("A4", lambda L, nu: inverse_weights(L)[3] - Fraction(1, 100)):
-        code, out, err = run(capsys, "verify", "--lambda", "1/3", "--samples", "200",
+        code, out, err = run(capsys, "verify", "--lambda-grid", "1/3", "--samples", "200",
                              "--out", base)
     assert code == 1
     lines = out.splitlines()
@@ -946,7 +911,7 @@ def test_verify_fails_when_a_proof_fails(capsys, tmp_path):
 def test_verify_fails_on_a_bound_that_is_not_sharp(capsys, name, bound, lam):
     # the raised bound still holds, so every search line is OK; the corner
     # identity of the exact proof refuses it
-    argv = ["verify", "--samples", "200"] + ([] if lam is None else ["--lambda", lam])
+    argv = ["verify", "--samples", "200"] + ([] if lam is None else ["--lambda-grid", lam])
     with patched_bound(name, bound):
         code, out, err = run(capsys, *argv)
     assert code == 1
@@ -960,31 +925,45 @@ def test_verify_fails_on_a_bound_that_is_not_sharp(capsys, name, bound, lam):
 
 def test_every_list_of_functionals_is_the_table_in_order(capsys):
     names = list(FUNCTIONALS)
-    scan = build_parser()._subparsers._group_actions[0].choices["scan"]
-    (functional,) = [a for a in scan._actions if a.dest == "functional"]
-    assert functional.choices == names
-    assert DEFAULT_VERIFY_CONFIG["functionals"] == names
+    parser = build_parser()
+    for command in ("scan", "verify"):
+        sub = parser._subparsers._group_actions[0].choices[command]
+        (functional,) = [a for a in sub._actions if a.dest == "functional"]
+        assert functional.choices == names
+    assert cli._search_request(parser.parse_args(["verify"]))[0] == names  # verify's default
     assert list(exact_proofs()) == names
-    code, out, _ = run(capsys, "verify", "--lambda", "1", "--samples", "10")
+    code, out, _ = run(capsys, "verify", "--lambda-grid", "1", "--samples", "10")
     assert code == 0
     assert [line.split()[0] for line in out.splitlines() if " exact proof " in line] == names
 
 
 def test_scan_rejects_a_mu_grid_that_no_functional_takes(capsys, tmp_path):
-    code, out, err = run(capsys, "scan", "--functional", "A2", "--mu-grid", "0.5",
-                         "--lambda-grid", "1", "--samples", "10")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "--mu-grid" in err and err.count("\n") == 1
+    for command in ("scan", "verify"):
+        code, out, err = run(capsys, command, "--functional", "A2", "--mu-grid", "0.5",
+                             "--lambda-grid", "1", "--samples", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: --mu-grid is given, but no requested functional takes mu\n"
     code, out, _ = run(capsys, "scan", "--functional", "A2", "--functional", "FS",
                        "--mu-grid", "0.5", "--lambda-grid", "1", "--samples", "10")
     assert code == 0 and len(out.splitlines()) == 3
-    # verify keeps its default mu grid beside a config of coefficients alone
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"functionals": ["A2"]}))
-    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--lambda", "1",
-                       "--samples", "10")
+    # verify's default mu grid applies only where a requested functional takes mu,
+    # and its JSON echoes the grids it searched
+    base = str(tmp_path / "rep")
+    code, out, _ = run(capsys, "verify", "--functional", "A2", "--lambda-grid", "1",
+                       "--samples", "10", "--out", base)
     assert code == 0 and out.splitlines()[0].startswith("A2 lambda=1.0 ")
+    assert json.loads(Path(base + ".json").read_text())["config"] == {
+        "functionals": ["A2"], "lambda_grid": [1.0], "mu_grid": [],
+        "search": {"samples": 10, "seed": 20250810, "strategy": "boundary-biased"}}
+
+
+def test_verify_reports_the_lines_scan_prints_for_one_request(capsys):
+    request = ["--functional", "FS", "--lambda-grid", "1", "--mu-grid=-1:2:7", "--samples", "3000"]
+    code, scanned, _ = run(capsys, "scan", *request, "--format", "text")
+    assert code == 0 and len(scanned.splitlines()) == 7
+    code, verified, _ = run(capsys, "verify", *request)
+    assert code == 0
+    assert [line.rsplit(" ", 1)[0] for line in verified.splitlines()[:7]] == scanned.splitlines()
 
 
 def test_scan_rejects_zero_samples(capsys):
@@ -1079,6 +1058,8 @@ def test_bad_grid_exits_2_naming_the_option(capsys, option, grid, message):
     argv = ["scan", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "1",
             "--samples", "10"]
     argv[argv.index(option) + 1] = grid
+    if option == "--lambda-grid" and grid == "1e400:1:3":
+        message = "lambda must lie in (0, 1], got 1e400"  # checked before it rounds
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -1093,7 +1074,7 @@ def _run_verify_subprocess(tmp_path, threads, name):
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     base = str(tmp_path / name)
     proc = subprocess.run(
-        [sys.executable, "-m", "coeffforge", "verify", "--lambda", "0.7",
+        [sys.executable, "-m", "coeffforge", "verify", "--lambda-grid", "0.7",
          "--samples", "20000", "--seed", "99", "--out", base],
         capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr

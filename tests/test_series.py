@@ -420,4 +420,4 @@ def test_pretty():
 def test_pretty_prints_imaginary_and_complex_exact_parts_exactly():
     s = TruncatedSeries([0, 1, QComplex(0, F(-1, 2)), QComplex(F(-1, 2), 3), QComplex(0, 2),
                          QComplex(F(15, 2), F(-11, 8))], EXACT)
-    assert s.pretty() == "w - (1/2)iw^2 + (-1/2+3i)w^3 + 2iw^4 + (15/2-11/8i)w^5"
+    assert s.pretty() == "w - (1/2)iw^2 + (-1/2+3i)w^3 + 2iw^4 + (15/2-(11/8)i)w^5"
