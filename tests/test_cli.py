@@ -344,13 +344,14 @@ _TINY = "1/1" + "0" * 400  # a positive rational whose nearest double is 0
     ["membership", f"f_{_TINY}", "--lambda", "0.5"],
     ["membership", "koebe", "--lambda", _TINY],
     ["verify", "--lambda-grid", _TINY, "--samples", "10"],
-    ["scan", "--functional", "A2", "--lambda-grid", _TINY, "--samples", "10"],
+    ["scan", "--functional", "A2", "--lambda-grid", "1e-400", "--samples", "10"],
 ])
 def test_alias_lambda_that_rounds_to_zero_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    name = f"--lambda-grid: {_TINY[:40]}..." if argv[0] in ("scan", "verify") else "lambda"
+    name = {"verify": f"--lambda-grid: {_TINY[:40]}...",
+            "scan": "--lambda-grid: 1e-400"}.get(argv[0], "lambda")
     assert err == f"error: {name} underflows float arithmetic: it rounds to 0\n"
 
 
@@ -859,9 +860,9 @@ def test_verify_rejects_zero_samples(capsys):
 
 
 def test_verify_rejects_bad_lambda_config(capsys):
-    code, out, err = run(capsys, "verify", "--lambda-grid", "1.5")
-    assert (code, out) == (2, "")
-    assert err == "error: --lambda-grid: lambda must lie in (0, 1], got 1.5\n"
+    for option in ("--lambda-grid", "--lambda"):  # argparse reads a unique prefix as the option
+        assert run(capsys, "verify", option, "1.5") == (
+            2, "", "error: --lambda-grid: lambda must lie in (0, 1], got 1.5\n")
 
 
 @pytest.mark.parametrize("argv", [["verify"],
