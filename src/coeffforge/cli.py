@@ -5,7 +5,9 @@ fekete-szego. bounds, coeffs, fekete-szego and revert compute exactly, but
 a float series file reverts in float; --mode prints exact values (revert's
 text too) or the nearest double of each. Search and membership compute in
 float. verify and scan take one search request, by the same flags; verify
-defaults each part of it and adds the exact proofs and a verdict. Every
+defaults each part of it and adds the exact proofs and a verdict. Each
+command loads scalars, series, schwarz and ulambda; membership adds numpy,
+and only verify and scan load the verifier (when they run) and numpy. Every
 error path, a result beyond the float range included, exits nonzero after
 one line starting with ``error:`` and prints nothing on stdout: verify
 writes its --out artifacts before its first line.
@@ -25,19 +27,25 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
 from .series import TruncatedSeries, imag_text, revert, zf_jet
-from .schwarz import STRATEGIES, SchwarzJet, is_admissible
+from .schwarz import STRATEGIES, SchwarzJet, SearchConfig, is_admissible
 from .ulambda import (FUNCTIONALS, direct_coeffs, extremal_function, extremal_inverse,
                       fekete_szego, functional_bound, inverse_coeffs,
                       inverse_coeffs_by_reversion, membership_profile, membership_scan,
                       zf_from_schwarz)
-from .verifier import SearchConfig, exact_proofs, reports_to_csv, reports_to_json, scan_lambda
+
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1/2, -1:2:7 and -.5 are values, as -1 and -0.5 are; no option starts so
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # each long word, an echoed argument, by _cut's rule
         raise CliError(re.sub(r"\S{41,}", lambda word: _cut(word[0]), message))
 
@@ -342,20 +350,30 @@ def cmd_membership(args):
     return 0 if verdict.member_at_radius else 1
 
 
+def _once(values, name):
+    """The values of the option name, unless one repeats (grid points as
+    they round): each would be searched and reported again."""
+    repeated = [value for value, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise CliError(f"{name}: {repeated[0]} is repeated")
+    return values
+
+
 def _search_request(args):
     """(functionals, lambda grid, mu grid, SearchConfig) of the search flags
     of verify and scan. The mu grid is the command's default where a
     requested functional takes mu and --mu-grid is not given, and None where
     none takes mu."""
-    functionals = args.functional or list(FUNCTIONALS)
+    functionals = _once(args.functional or list(FUNCTIONALS), "--functional")
     takes_mu = any(FUNCTIONALS[f].takes_mu for f in functionals)
     mu_text = args.mu_grid
     if mu_text is None and takes_mu:
         mu_text = args.default_mu_grid
     elif mu_text is not None and not takes_mu:
         raise CliError("--mu-grid is given, but no requested functional takes mu")
-    lambda_grid = _parse_grid(args.lambda_grid, "--lambda-grid", _parse_lambda)
-    mu_grid = None if mu_text is None else _parse_grid(mu_text, "--mu-grid")
+    lambda_grid = _once(_parse_grid(args.lambda_grid, "--lambda-grid", _parse_lambda),
+                        "--lambda-grid")
+    mu_grid = None if mu_text is None else _once(_parse_grid(mu_text, "--mu-grid"), "--mu-grid")
     try:
         search = SearchConfig(args.samples, args.seed, args.strategy)
     except ValueError as exc:
@@ -364,6 +382,7 @@ def _search_request(args):
 
 
 def cmd_verify(args):
+    from .verifier import exact_proofs, reports_to_csv, reports_to_json, scan_lambda
     functionals, lambda_grid, mu_grid, search = _search_request(args)
     reports = scan_lambda(functionals, lambda_grid, mu_grid, search)
     verdicts = [report.sound() for report in reports]
@@ -400,6 +419,7 @@ def cmd_verify(args):
 
 
 def cmd_scan(args):
+    from .verifier import reports_to_csv, reports_to_json, scan_lambda
     reports = scan_lambda(*_search_request(args))
     if args.format == "json":
         _emit(reports_to_json(reports), args.out)

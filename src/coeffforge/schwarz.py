@@ -67,6 +67,30 @@ class SchwarzJet(namedtuple("SchwarzJet", "c1 c2 c3")):
         return cls(*(complex(*part) for part in parts))
 
 
+class SearchConfig(namedtuple("SearchConfig", "samples seed strategy",
+                              defaults=(20000, 20250810, "boundary-biased"))):
+    """The sampler's request: jets per lambda, the corner included, the
+    seed of the stream and a strategy of STRATEGIES."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        return self
+
+    def to_json(self):
+        return self._asdict()
+
+
 # -- the disks ----------------------------------------------------------------
 
 def c2_disks(lam, c1, c1_sq):

@@ -6,13 +6,14 @@ well defined at jet level; nothing here knows about convergence. Exact
 mode keeps coefficients as rational complex pairs, float mode as complex
 doubles.
 
-A product of two exact jets does not multiply rational pairs term by term.
-Each operand is written once as integer jets (re, im) over one common
-denominator D, the lcm of all its real and imaginary denominators. The
-truncated convolution then runs on plain ints, one real convolution per
-pair of parts that are not all zero (one to four), and each output
-coefficient is divided by Da*Db once, where Fraction reduces it. Float
-products run the same convolution on the complex coefficients as they are.
+Exact products, reciprocals and reversion do not multiply rational pairs
+term by term. Each operand is written once as integer jets (re, im) over
+one common denominator D, the lcm of all its real and imaginary
+denominators. A product's truncated convolution then runs on plain ints,
+one real convolution per pair of parts that are not all zero (one to
+four), and so do the reciprocal's recurrence and the powers of a
+reversion; one Fraction per part of each output coefficient reduces it.
+Float products and reversion convolve the complex coefficients as they are.
 
 The paper's functions are normalized, f(0) = 0 and f'(0) = 1, and a class
 function is carried by its z/f jet g: membership reads g, and Lagrange
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
 from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
 
@@ -119,14 +122,16 @@ class TruncatedSeries:
         c0 = self._coeffs[0]
         if c0 == 0:
             raise ValueError("reciprocal of a series with zero constant term")
-        inv0 = as_scalar(1, self._mode) / c0
+        if self._mode == EXACT:
+            return TruncatedSeries(_exact_reciprocal(self._coeffs), EXACT)
+        inv0 = 1 / c0
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = as_scalar(0, self._mode)
+            acc = 0j
             for k in range(1, n + 1):
                 acc = acc + self._coeffs[k] * out[n - k]
             out.append(-acc * inv0)
-        return TruncatedSeries(out, self._mode)
+        return TruncatedSeries(out, FLOAT)
 
     # -- conversions -------------------------------------------------------
 
@@ -184,12 +189,13 @@ class TruncatedSeries:
 
 
 def _convolve(a, b, n, zero):
-    """Truncated product of two coefficient lists: entry k is the sum of
-    a[j] * b[k-j] over j = 0..k, added left to right onto ``zero``."""
+    """Truncated product of two coefficient lists, each 0 past its end:
+    entry k of the n + 1 is the sum of a[j] * b[k-j] over j = 0..k, added
+    left to right onto ``zero``."""
     out = []
     for k in range(n + 1):
         acc = zero
-        for j in range(k + 1):
+        for j in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
             acc = acc + a[j] * b[k - j]
         out.append(acc)
     return out
@@ -197,10 +203,12 @@ def _convolve(a, b, n, zero):
 
 def _integer_parts(coeffs):
     """(re, im, D): the coefficients times their common denominator D, as
-    int lists; im is None when every imaginary part is zero."""
+    int lists without the zero coefficients at the end; im is None when
+    every imaginary part is zero."""
     d = math.lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-    re = [c.re.numerator * (d // c.re.denominator) for c in coeffs]
-    im = [c.im.numerator * (d // c.im.denominator) for c in coeffs]
+    end = 1 + max((k for k, c in enumerate(coeffs) if c != 0), default=0)
+    re = [c.re.numerator * (d // c.re.denominator) for c in coeffs[:end]]
+    im = [c.im.numerator * (d // c.im.denominator) for c in coeffs[:end]]
     return re, (im if any(im) else None), d
 
 
@@ -209,16 +217,50 @@ def _exact_product(a, b, n):
     convolutions (see the module docstring)."""
     ar, ai, da = _integer_parts(a[:n + 1])
     br, bi, db = _integer_parts(b[:n + 1])
-    re = _convolve(ar, br, n, 0)
-    im = [0] * (n + 1)
+    re, im = _gaussian_product((ar, ai), (br, bi), n)
+    d = da * db
+    return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im or [0] * (n + 1))]
+
+
+def _gaussian_product(a, b, n):
+    """Coefficients 0..n of the product of two Gaussian-integer jets, each a
+    pair (re, im) of int lists with im None when it is all zero: one real
+    convolution per pair of parts that are not None."""
+    (ar, ai), (br, bi) = a, b
+    re, im = _convolve(ar, br, n, 0), None
     if ai is not None:
         im = _convolve(ai, br, n, 0)
         if bi is not None:
             re = [x - y for x, y in zip(re, _convolve(ai, bi, n, 0))]
     if bi is not None:
-        im = [x + y for x, y in zip(im, _convolve(ar, bi, n, 0))]
-    d = da * db
-    return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+        cross = _convolve(ar, bi, n, 0)
+        im = cross if im is None else [x + y for x, y in zip(im, cross)]
+    return re, im
+
+
+def _exact_reciprocal(coeffs):
+    """The reciprocal of an exact jet A/D with A Gaussian (_integer_parts).
+    With u = conj(A_0), or 1 for a real A_0, uA has a real constant c, and
+    P_0 = 1, P_n = -sum_k (uA)_k c^(k-1) P_(n-k) give D/A = D u P_n / c^(n+1)."""
+    n = len(coeffs) - 1
+    re, im, d = _integer_parts(coeffs)
+    u = (re[0], -im[0]) if im and im[0] else (1, 0)
+    if u[1]:
+        re, im = _gaussian_product((re, im), ([u[0]], [u[1]]), n)
+    powers = [re[0] ** k for k in range(n + 2)]
+    wr, wi = (list(map(mul, part[1:], powers)) for part in (re, im or [0]))
+    pr, pi = [1], [0]
+    for _ in range(n):
+        x, y = _dot(wi, pi) - _dot(wr, pr), -_dot(wr, pi) - _dot(wi, pr)
+        pr.append(x)
+        pi.append(y)
+    pr, pi = _gaussian_product(([d * u[0]], [d * u[1]]), (pr, pi), n)
+    return [QComplex(Fraction(x, c), Fraction(y, c)) for x, y, c in zip(pr, pi, powers[1:])]
+
+
+def _dot(w, p):
+    """The sum of w[k-1] p[m-k] over k = 1..m, with m = len(p)."""
+    return sum(map(mul, w, reversed(p)))
 
 
 def _rational_text(x):
@@ -279,10 +321,24 @@ def inverse_from_zf(g):
     z/f = g, by Lagrange inversion: [w^n] F = [z^(n-1)] g^n / n.
 
     N-1 truncated products of a running power, so O(N^3) ring operations.
+    An exact g runs as the Gaussian integers G = D g of _integer_parts, so
+    g^n = G^n / D^n, and only [z^(n-1)] of each power becomes a QComplex.
     """
-    power = g
+    if g.mode == EXACT:
+        re, im, d = _integer_parts(g.coeffs)
+        base, product = (re, im), partial(_gaussian_product, n=g.order)
+
+        def coefficient(power, n):
+            im = power[1][n - 1] if power[1] else 0
+            return QComplex(Fraction(power[0][n - 1], d ** n), Fraction(im, d ** n))
+    else:
+        base, product = g.coeffs, partial(_convolve, n=g.order, zero=0j)
+
+        def coefficient(power, n):
+            return power[n - 1]
+    power = base
     coeffs = [0, g[0]]
     for n in range(2, g.order + 2):
-        power = power * g
-        coeffs.append(power[n - 1] / n)
+        power = product(power, base)
+        coeffs.append(coefficient(power, n) / n)
     return TruncatedSeries(coeffs, g.mode)

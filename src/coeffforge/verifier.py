@@ -41,7 +41,7 @@ from math import comb, lcm, prod
 
 from . import schwarz
 from .scalars import is_finite_real
-from .schwarz import SchwarzJet
+from .schwarz import SchwarzJet, SearchConfig
 from .ulambda import FUNCTIONALS, corner_jet, functional_bound, inverse_from_jet
 
 SOUNDNESS_TOL = 1e-9
@@ -156,28 +156,6 @@ def exact_proofs():
 
 
 # -- search -------------------------------------------------------------------
-
-class SearchConfig(namedtuple("SearchConfig", "samples seed strategy",
-                              defaults=(20000, 20250810, "boundary-biased"))):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name in ("samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.strategy not in schwarz.STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        return self
-
-    def to_json(self):
-        return self._asdict()
-
 
 class BoundReport(namedtuple("BoundReport", "functional lam mu theoretical empirical_max "
                              "argmax_jet argmax_index gap samples seed")):

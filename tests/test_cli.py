@@ -380,6 +380,22 @@ def test_lambda_out_of_range_keeps_its_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("head, option, value", [
+    (["bounds", "--lambda", "1/2"], "--mu", "-1/2"),
+    (["bounds", "--lambda", "1/2"], "--mu", "-.5"),
+    (["coeffs", "--lambda", "1/2"], "--c1", "-1/2,1/3"),
+    (["scan", "--functional", "FS", "--lambda-grid", "1", "--samples", "5"], "--mu-grid", "-1:2:7"),
+    (["bounds"], "--lambda", "-1"),
+], ids=["rational", "decimal", "complex", "grid", "out-of-range"])
+def test_a_negative_value_after_a_space_reads_as_its_equals_form(capsys, head, option, value):
+    spaced = run(capsys, *head, option, value)
+    assert spaced == run(capsys, *head, f"{option}={value}")
+    if value == "-1":
+        assert spaced == (2, "", "error: lambda must lie in (0, 1], got -1\n")
+    else:
+        assert spaced[0] == 0
+
+
 def test_revert_alias_lambda_that_rounds_to_zero_in_float_mode(capsys):
     # revert computes with the exact L = 10^-400 and prints the nearest doubles
     code, out, err = run(capsys, "revert", "f_1e-400", "--mode", "float")
@@ -659,6 +675,24 @@ def test_an_invalid_request_fails_before_any_sampling(capsys, monkeypatch, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--functional", "A2", "--functional", "A2", "--lambda-grid", "1"], "--functional: A2"),
+    (["--functional", "FS", "--lambda-grid", "1", "--mu-grid", "0.5,0.5"], "--mu-grid: 0.5"),
+    (["--functional", "A2", "--lambda-grid", "1,1"], "--lambda-grid: 1.0"),
+    (["--functional", "A2", "--lambda-grid", "1:1:3"], "--lambda-grid: 1.0"),
+    (["--functional", "A2", "--lambda-grid", "1/3,0.3333333333333333"],
+     "--lambda-grid: 0.3333333333333333"),  # equal once they round
+], ids=["functional", "mu", "lambda", "lambda-range", "lambda-rounded"])
+@pytest.mark.parametrize("command", ["scan", "verify"])
+def test_a_repeated_request_value_exits_2_before_any_sampling(capsys, monkeypatch, command,
+                                                              argv, message):
+    def no_sampling(*args):
+        raise AssertionError("sampled a repeated request")
+    monkeypatch.setattr(schwarz, "sample_grid_block", no_sampling)
+    assert run(capsys, command, *argv, "--samples", "10") == \
+        (2, "", f"error: {message} is repeated\n")
 
 
 @pytest.mark.parametrize("command", ["revert", "membership"])
@@ -1272,6 +1306,74 @@ def test_the_numpy_free_commands_import_neither_dataclasses_nor_inspect():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str({"import": [], "bounds": [], "revert": [], "coeffs": [],
                                        "fekete-szego": []})
+
+
+# -- cold start: only verify and scan load the verifier ------------------------------
+
+_VERIFIER_PROBE = """
+import contextlib, io, sys
+import coeffforge.cli as cli
+cli.build_parser()
+seen = {"import": "coeffforge.verifier" in sys.modules}
+for argv in (["revert", "f_1/3", "--order", "8"],
+             ["bounds", "--lambda", "1/2", "--mu", "3/2"],
+             ["coeffs", "--lambda", "1/2", "--c1", "1/2,1/3", "--c2", "1/5"],
+             ["fekete-szego", "--lambda", "1/3", "--mu", "2", "--c1", "1"],
+             ["membership", "f_1/2", "--lambda", "1/2", "--samples", "36"],
+             ["scan", "--functional", "A2", "--lambda-grid", "1", "--samples", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen[argv[0]] = "coeffforge.verifier" in sys.modules
+print(seen)
+"""
+
+
+def test_only_the_search_commands_load_the_verifier():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _VERIFIER_PROBE],
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str({"import": False, "revert": False, "bounds": False,
+                                       "coeffs": False, "fekete-szego": False,
+                                       "membership": False, "scan": True})
+
+
+# every name the package exported when it imported each module eagerly
+_EXPORTS = ("BoundReport EXACT FLOAT FUNCTIONALS MembershipVerdict QComplex SchwarzJet "
+            "SearchConfig TruncatedSeries c2_disks c3_disk class_parameter corner_jet "
+            "direct_coeffs exact_proofs extremal_function extremal_inverse fekete_szego "
+            "functional_bound inverse_coeffs inverse_coeffs_by_reversion inverse_from_jet "
+            "inverse_from_zf inverse_weights is_admissible membership_profile membership_scan "
+            "reports_to_csv reports_to_json require_normalized revert scan_lambda "
+            "zf_from_schwarz zf_jet").split()
+
+_EXPORT_PROBE = """
+import sys
+import coeffforge
+loaded = sorted(m for m in sys.modules if m.startswith("coeffforge."))
+names = sys.argv[1:]
+assert sorted(coeffforge.__all__) == sorted(names), coeffforge.__all__
+assert set(names) <= set(dir(coeffforge))
+from coeffforge import *
+values = {name: globals()[name] for name in names}
+import coeffforge.schwarz, coeffforge.series, coeffforge.ulambda, coeffforge.verifier
+assert coeffforge.SearchConfig is coeffforge.verifier.SearchConfig
+assert all(values[name] is getattr(coeffforge, name) for name in names)
+try:
+    coeffforge.no_such_name
+except AttributeError as exc:
+    print(loaded, exc)
+"""
+
+
+def test_the_package_resolves_each_export_on_first_access():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _EXPORT_PROBE, *_EXPORTS],
+                          capture_output=True, env=env, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] module 'coeffforge' has no attribute 'no_such_name'\n"
 
 
 # -- cold start: no search imports a process pool ------------------------------------

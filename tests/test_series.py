@@ -139,6 +139,21 @@ def test_reciprocal_is_two_sided_inverse():
         assert r * s == one
 
 
+# Parts with denominators up to 10^6, so that a jet's common denominator is
+# large, and a constant term off the real line.
+_WIDE_PART = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+_WIDE_COEFF = st.builds(QComplex, _WIDE_PART, _WIDE_PART)
+_NOT_REAL = st.builds(QComplex, _WIDE_PART, _WIDE_PART.filter(bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_NOT_REAL, st.lists(_WIDE_COEFF, max_size=9))
+def test_exact_reciprocal_of_a_non_real_constant_multiplies_back_to_one(c0, tail):
+    coeffs = [c0, *tail]
+    inverse = list(TruncatedSeries(coeffs, EXACT).reciprocal().coeffs)
+    assert truncated(poly_mul_full(coeffs, inverse), len(tail)) == [1] + [0] * len(tail)
+
+
 # -- compose -------------------------------------------------------------------
 # The library has no composition: the round trips f(F(w)) = w below compose
 # through the oracle poly_compose_full, pinned here on frozen examples.
@@ -278,6 +293,13 @@ _NORMALIZED = st.integers(1, 9).flatmap(
 @settings(max_examples=30, deadline=None)
 @given(_NORMALIZED)
 def test_revert_matches_triangular_oracle(coeffs):
+    assert_series_exact(revert(TruncatedSeries(coeffs, EXACT)), revert_oracle(coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_WIDE_COEFF, max_size=7))
+def test_revert_matches_triangular_oracle_on_large_denominators(tail):
+    coeffs = [q(0), q(1), *tail]
     assert_series_exact(revert(TruncatedSeries(coeffs, EXACT)), revert_oracle(coeffs))
 
 
