@@ -14,9 +14,9 @@ _EXPORTS = {
     "series": "TruncatedSeries inverse_from_zf require_normalized revert zf_jet",
     "schwarz": "SchwarzJet SearchConfig c2_disks c3_disk is_admissible",
     "ulambda": "FUNCTIONALS MembershipVerdict corner_jet direct_coeffs extremal_function "
-               "extremal_inverse fekete_szego functional_bound inverse_coeffs "
-               "inverse_coeffs_by_reversion inverse_from_jet inverse_weights "
-               "membership_profile membership_scan zf_from_schwarz",
+               "extremal_inverse functional_bound inverse_coeffs inverse_coeffs_by_reversion "
+               "inverse_from_jet inverse_weights membership_profile membership_scan "
+               "zf_from_schwarz",
     "verifier": "BoundReport exact_proofs reports_to_csv reports_to_json scan_lambda",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

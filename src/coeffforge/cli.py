@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Subcommands: revert | coeffs | bounds | verify | scan | membership |
-fekete-szego. bounds, coeffs, fekete-szego and revert compute exactly, but
-a float series file reverts in float; --mode prints exact values (revert's
-text too) or the nearest double of each. Search and membership compute in
-float. verify and scan take one search request, by the same flags; verify
-defaults each part of it and adds the exact proofs and a verdict. Each
-command loads scalars, series, schwarz and ulambda; membership adds numpy,
-and only verify and scan load the verifier (when they run) and numpy. Every
+Subcommands: revert | coeffs | bounds | verify | scan | membership.
+bounds, coeffs and revert compute exactly, but a float series file reverts
+in float; --mode prints exact values (revert's text too) or the nearest
+double of each. Search and membership compute in float. bounds, coeffs
+--mu, verify and scan report every entry of ulambda.FUNCTIONALS; verify and
+scan take one search request, by the same flags, and verify defaults each
+part of it and adds the exact proofs and a verdict. Each command loads
+scalars, series, schwarz and ulambda; membership adds numpy, and only
+verify and scan load the verifier (when they run) and numpy. Every
 error path, a result beyond the float range included, exits nonzero after
 one line starting with ``error:`` and prints nothing on stdout: verify
 writes its --out artifacts before its first line.
@@ -31,13 +32,12 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
+from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real, maybe_exact_abs
 from .series import TruncatedSeries, imag_text, revert, zf_jet
 from .schwarz import STRATEGIES, SchwarzJet, SearchConfig, is_admissible
 from .ulambda import (FUNCTIONALS, direct_coeffs, extremal_function, extremal_inverse,
-                      fekete_szego, functional_bound, inverse_coeffs,
-                      inverse_coeffs_by_reversion, membership_profile, membership_scan,
-                      zf_from_schwarz)
+                      functional_bound, inverse_coeffs, inverse_coeffs_by_reversion,
+                      membership_profile, membership_scan, zf_from_schwarz)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,22 +232,36 @@ def cmd_revert(args):
     return 0
 
 
+def _table(lam, mu_text, inverse=None):
+    """(rows, values) of the table entries, one that takes mu only with
+    mu_text: a row is (name, text, mu note), and values hold each bound, or
+    at the inverse coefficients (A2, A3, A4) each value, bound and margin."""
+    mu = None if mu_text is None else _parse_complex(mu_text)
+    rows, values = [], []
+    for name, f in FUNCTIONALS.items():
+        if mu is not None or not f.takes_mu:
+            rows.append((name, f.text, f" (mu = {mu_text})" if f.takes_mu else ""))
+            bound = functional_bound(name, lam, mu)
+            if inverse is None:
+                values.append(bound)
+            else:
+                value = maybe_exact_abs(f.value(*inverse, mu))
+                values += [value, bound, bound - value]
+    return rows, values
+
+
 def cmd_bounds(args):
     lam = _parse_lambda(args.lam)
-    values = [lam, *(functional_bound(name, lam) for name in ("A2", "A3", "A4"))]
-    if args.mu is not None:
-        values.append(functional_bound("FS", lam, _parse_complex(args.mu)))
+    rows, bounds = _table(lam, args.mu)
+    values = [lam, *bounds]
     if args.format == "json":
-        names = ("lambda", "B2", "B3", "B4", "FS")
+        names = ["lambda", *(name for name, _, _ in rows)]
         doubles = _printed(FLOAT, *values)
         print(json.dumps({k: v.real for k, v in zip(names, doubles)}, sort_keys=True))
         return 0
     lam, *bounds = _printed(args.mode, *values)
-    lines = [f"lambda = {_show(lam)}"] + [f"|A{n}| <= {_show(b)}"
-                                          for n, b in enumerate(bounds[:3], 2)]
-    if args.mu is not None:
-        lines.append(f"|A3 - mu A2^2| <= {_show(bounds[3])} (mu = {args.mu})")
-    print("\n".join(lines))
+    print("\n".join([f"lambda = {_show(lam)}", *(f"{text} <= {_show(b)}{note}"
+                                                 for (_, text, note), b in zip(rows, bounds))]))
     return 0
 
 
@@ -264,8 +278,8 @@ def _show(value):
 
 
 def _jet_from_args(args):
-    """The jet of --jet FILE or of --c1 [--c2 --c3], whose missing parts are 0,
-    or None for neither; --jet with a --cN, or --c2 or --c3 alone, is an error."""
+    """The jet of --jet FILE or of --c1 [--c2 --c3], whose missing parts are 0;
+    neither, --jet with a --cN, or --c2 or --c3 alone, is an error."""
     parts = (args.c1, args.c2, args.c3)
     given = [f"--c{n}" for n, part in enumerate(parts, 1) if part is not None]
     if args.jet is not None:
@@ -273,51 +287,39 @@ def _jet_from_args(args):
             raise CliError(f"--jet and {given[0]} exclude each other")
         return SchwarzJet.from_json(_read_json(args.jet, "jet file"))
     if args.c1 is None:
-        if given:
-            raise CliError(f"{given[0]} needs --c1")
-        return None
+        raise CliError(f"{given[0]} needs --c1" if given
+                       else "coeffs needs a jet: --c1 [--c2 --c3] or --jet FILE")
     return SchwarzJet(*(_parse_complex("0" if part is None else part) for part in parts))
-
-
-def _warn_outside_class(lam, jet, shown_lam):
-    """Warn on stderr if the class excludes the jet; name L as it prints."""
-    if jet is not None and not is_admissible(lam, jet):
-        _stderr_line(f"warning: jet is outside the class for lambda={_show(shown_lam)}")
 
 
 def cmd_coeffs(args):
     lam = _parse_lambda(args.lam)
     jet = _jet_from_args(args)
-    if jet is None:
-        raise CliError("coeffs needs a jet: --c1 [--c2 --c3] or --jet FILE")
     inverse = inverse_coeffs(lam, jet)
     agree = inverse == inverse_coeffs_by_reversion(lam, jet)
-    values = (lam, *direct_coeffs(lam, jet), *inverse)
+    rows, checked = ([], []) if args.mu is None else _table(lam, args.mu, inverse)
+    values = [lam, *direct_coeffs(lam, jet), *inverse, *checked]
     shown_lam, *shown = _printed(args.mode, *values)
-    _warn_outside_class(lam, jet, shown_lam)
+    if not is_admissible(lam, jet):  # L named as it prints
+        _stderr_line(f"warning: jet is outside the class for lambda={_show(shown_lam)}")
     if args.format == "json":  # doubles in either mode
         pairs = [[c.real, c.imag] for c in _printed(FLOAT, *values)]
-        print(json.dumps({"lambda": pairs[0][0], "a": pairs[1:4], "A": pairs[4:],
-                          "reversion_agrees": agree}, sort_keys=True))
+        report = {"lambda": pairs[0][0], "a": pairs[1:4], "A": pairs[4:7],
+                  "reversion_agrees": agree}
+        if rows:
+            reals = [p[0] for p in pairs[7:]]
+            report["functionals"] = {name: {"value": v, "bound": b, "margin": m} for (name, _, _),
+                                     v, b, m in zip(rows, reals[::3], reals[1::3], reals[2::3])}
+        print(json.dumps(report, sort_keys=True))
         return 0
-    print("\n".join(["   ".join(f"{name}{n} = {_show(c)}" for n, c in enumerate(triple, 2))
-                     for name, triple in (("a", shown[:3]), ("A", shown[3:]))]))
-    print(f"reversion cross-check: {'agrees' if agree else 'DISAGREES'}")
+    lines = ["   ".join(f"{name}{n} = {_show(c)}" for n, c in enumerate(triple, 2))
+             for name, triple in (("a", shown[:3]), ("A", shown[3:6]))]
+    lines.append(f"reversion cross-check: {'agrees' if agree else 'DISAGREES'}")
+    rest = shown[6:]
+    lines += [f"{text} = {_show(v)}, bound {_show(b)}, margin {_show(m)}{note}"
+              for (_, text, note), v, b, m in zip(rows, rest[::3], rest[1::3], rest[2::3])]
+    print("\n".join(lines))
     return 0 if agree else 1
-
-
-def cmd_fekete_szego(args):
-    lam = _parse_lambda(args.lam)
-    mu = _parse_complex(args.mu)
-    jet = _jet_from_args(args)
-    values = [lam, functional_bound("FS", lam, mu)]
-    if jet is not None:
-        value = fekete_szego(lam, jet, mu)
-        values += [value, values[1] - value]
-    shown_lam, *shown = _printed(args.mode, *values)
-    _warn_outside_class(lam, jet, shown_lam)
-    print("\n".join(f"{name}: {_show(v)}" for name, v in zip(("bound", "value", "margin"), shown)))
-    return 0
 
 
 def cmd_membership(args):
@@ -444,11 +446,6 @@ def build_parser():
                        help="print exact values, or the nearest double of each (float); "
                             "both compute exactly, but a float series file reverts in float")
 
-    def add_jet(p):
-        for part in ("--c1", "--c2", "--c3"):
-            p.add_argument(part)
-        p.add_argument("--jet", help="jet JSON file")
-
     def add_search(p, lambda_grid=None, mu_grid=None):
         # scan's request; verify's defaults every functional, the lambda grid
         # and, where a requested functional takes mu, the mu grid
@@ -480,7 +477,10 @@ def build_parser():
 
     p = sub.add_parser("coeffs", help="direct and inverse coefficients of a jet")
     p.add_argument("--lambda", dest="lam", required=True)
-    add_jet(p)
+    for part in ("--c1", "--c2", "--c3"):
+        p.add_argument(part)
+    p.add_argument("--jet", help="jet JSON file")
+    p.add_argument("--mu", help="add each functional's value at the jet, bound and margin")
     add_mode(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_coeffs)
@@ -491,13 +491,6 @@ def build_parser():
     add_mode(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("fekete-szego", help="Fekete-Szego bound and values")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    add_jet(p)
-    add_mode(p)
-    p.set_defaults(func=cmd_fekete_szego)
 
     p = sub.add_parser("verify", help="empirical verification of the bounds")
     add_search(p, lambda_grid="0.2,0.4,0.6,0.8,1", mu_grid="0.5")

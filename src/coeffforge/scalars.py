@@ -72,6 +72,8 @@ class QComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)) and other:  # a real divisor divides each part
+            return QComplex(self.re / other, self.im / other)
         other = _coerce(other)
         if other is None:
             return NotImplemented

@@ -21,14 +21,16 @@ since it is a superset of the true set. The Carlson disk cannot just join
 the c3 row: at (9/10, 19/100), in both c2 disks at L = 1, it is the point
 -171/1000, outside the class disk (171/1000, 8151/40000).
 
-The sampler emits only jets in every disk, in aligned blocks of 8192
-(sample_block_arrays) under one of two strategies, "uniform" or
-"boundary-biased". Block b draws from default_rng([seed, b]) first what is
-free of L: c1 and the c3 offsets v (unit-disk points, by rejection from the
-square), and for the biased strategy |c1|, the ray and depth of c2 and
-the two rim masks. sample_grid_block shares these over a grid of L; only
-the uniform strategy draws per L, restoring the generator state after
-them to draw c2 by rejection. Then c3 = m3 + R3 v. Extremal jets sit on
+The sampler emits jets in every disk up to float rounding, in aligned
+blocks of 8192 (sample_block_arrays) under one of two strategies, "uniform"
+or "boundary-biased". Uniform jets pass the exact is_admissible; 39-48% of
+biased jets, drawn on the disk rims, fail it by at most 1.7e-16. Block b
+draws from default_rng([seed, b]) first what is free of L: c1 and the c3
+offsets v (unit-disk points, by rejection from the square), and for the
+biased strategy |c1|, the ray and depth of c2 and the two rim masks.
+sample_grid_block shares these over a grid of L; only the uniform strategy
+draws per L, restoring the generator state after them to draw c2 by
+rejection. Then c3 = m3 + R3 v. Extremal jets sit on
 the boundary, so is_admissible judges a jet exactly: a float L or part
 enters by its binary value, and moduli are compared squared, as rationals.
 """

@@ -31,10 +31,10 @@ from .schwarz import SchwarzJet
 _DEFECT_CHUNK = 8192  # circle points per numpy evaluation of the defect
 
 
-def _operands(lam, jet, *extra):
-    """L, then the jet's parts and any extra scalars in the mode L names."""
+def _operands(lam, jet):
+    """L, then the jet's parts in the mode L names."""
     lam, mode = class_parameter(lam)
-    return (lam, *(as_scalar(c, mode) for c in (*jet, *extra)))
+    return (lam, *(as_scalar(c, mode) for c in jet))
 
 
 def direct_coeffs(lam, jet):
@@ -137,12 +137,6 @@ def corner_jet(lam):
     return SchwarzJet(*_operands(lam, SchwarzJet(1, 0, 0))[1:])
 
 
-def fekete_szego(lam, jet, mu):
-    """|A3 - mu A2^2| computed from the inverse coefficients."""
-    lam, c1, c2, c3, mu = _operands(lam, jet, mu)
-    return maybe_exact_abs(FUNCTIONALS["FS"].value(*inverse_from_jet(lam, c1, c2, c3), mu))
-
-
 def functional_bound(name, lam, mu=None):
     """The sharp bound of the named functional at L, and at mu if it takes one."""
     lam, mode = class_parameter(lam)
@@ -157,11 +151,12 @@ def _s(lam, c1, c2):
     return (1 + lam) * c2 - lam * c1 * c1
 
 
-class Functional(namedtuple("Functional", "value bound regrouped majorant takes_mu sharp_at",
+class Functional(namedtuple("Functional", "text value bound regrouped majorant takes_mu sharp_at",
                             defaults=(False, lambda mu: True))):
     """A functional of the inverse coefficients and the facts of its sharp
     bound, written once for the search, the exact proofs and the CLI.
 
+    text: the functional as bounds and coeffs name it.
     value(A2, A3, A4, mu): the functional, for QComplex, complex, numpy
         arrays and polynomials alike. One that takes_mu has the value
         A3 - mu A2^2, which the search ranks over a whole mu grid at once.
@@ -178,21 +173,21 @@ class Functional(namedtuple("Functional", "value bound regrouped majorant takes_
 
 
 FUNCTIONALS = {
-    "A2": Functional(lambda A2, A3, A4, mu: A2,
+    "A2": Functional("|A2|", lambda A2, A3, A4, mu: A2,
                      lambda L, nu: inverse_weights(L)[0],
                      lambda L, c1, c2, c3, mu: -(1 + L) * c1,
                      lambda L, x, u, nu: (1 + L) * x),
-    "A3": Functional(lambda A2, A3, A4, mu: A3,
+    "A3": Functional("|A3|", lambda A2, A3, A4, mu: A3,
                      lambda L, nu: inverse_weights(L)[1],
                      lambda L, c1, c2, c3, mu: -_s(L, c1, c2) + (1 + L) ** 2 * c1 ** 2,
                      lambda L, x, u, nu: L * u + (1 + L) ** 2 * x ** 2),
-    "A4": Functional(lambda A2, A3, A4, mu: A4,
+    "A4": Functional("|A4|", lambda A2, A3, A4, mu: A4,
                      lambda L, nu: inverse_weights(L)[3],
                      lambda L, c1, c2, c3, mu: -((1 + L) * c3 - 2 * L * c1 * c2)
                      + 3 * (1 + L) * c1 * _s(L, c1, c2) - (1 + L) ** 3 * c1 ** 3,
                      lambda L, x, u, nu: L * (1 - u * u) / 2 + 3 * (1 + L) * x * L * u
                      + (1 + L) ** 3 * x ** 3),
-    "FS": Functional(lambda A2, A3, A4, mu: A3 - mu * (A2 * A2),
+    "FS": Functional("|A3 - mu A2^2|", lambda A2, A3, A4, mu: A3 - mu * (A2 * A2),
                      lambda L, nu: L + nu * (1 + L) * (1 + L),
                      lambda L, c1, c2, c3, mu: -_s(L, c1, c2) + (1 - mu) * (1 + L) ** 2 * c1 ** 2,
                      lambda L, x, u, nu: L * u + nu * (1 + L) ** 2 * x ** 2,

@@ -10,8 +10,9 @@ skip the terms above it, which cannot reach the compared coefficients.
 from fractions import Fraction
 from unittest import mock
 
-from coeffforge import EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter, zf_jet
-from coeffforge.scalars import as_scalar
+from coeffforge import (EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter,
+                        inverse_coeffs, zf_jet)
+from coeffforge.scalars import as_scalar, maybe_exact_abs
 from coeffforge.schwarz import sample_block_arrays
 from coeffforge.ulambda import FUNCTIONALS
 
@@ -205,6 +206,11 @@ def patched_bound(name, bound):
     """A patch of the table that gives the named functional bound(L, nu),
     read alike by the search and the exact proofs."""
     return mock.patch.dict(FUNCTIONALS, {name: FUNCTIONALS[name]._replace(bound=bound)})
+
+
+def fs_value(lam, jet, mu):
+    """|A3 - mu A2^2| at the jet, by the table's FS entry."""
+    return maybe_exact_abs(FUNCTIONALS["FS"].value(*inverse_coeffs(lam, jet), mu))
 
 
 def h_poly(lam, x, u):

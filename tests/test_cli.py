@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import coeffforge
-from coeffforge import FUNCTIONALS, cli, exact_proofs, inverse_weights, schwarz
+from coeffforge import (FUNCTIONALS, QComplex, SchwarzJet, cli, exact_proofs, functional_bound,
+                        inverse_coeffs, inverse_weights, schwarz)
 from coeffforge.cli import build_parser, main
 from helpers import patched_bound
 
@@ -224,7 +225,7 @@ def test_rational_argument_beyond_the_digit_limit_exits_2(capsys, argv):
     ["bounds", "--lambda", "x" * 5000],
     ["revert", "f_" + "7" * 4000],
     ["revert", "x" * 5000],
-    ["fekete-szego", "--lambda", "1/2", "--mu", "1,2," + "3" * 5000],
+    ["coeffs", "--lambda", "1/2", "--c1", "1", "--mu", "1,2," + "3" * 5000],
     # argparse's own errors
     ["scan", "--functional", "x" * 5000],
     ["revert", "identity", "--order", "x" * 5000],
@@ -460,7 +461,7 @@ def test_bounds_json(capsys):
     code, out, _ = run(capsys, "bounds", "--lambda", "0.5", "--mu", "0", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["B4"] == pytest.approx(5.625)
+    assert payload["A4"] == pytest.approx(5.625)
     assert payload["FS"] == pytest.approx(2.75)
 
 
@@ -481,7 +482,28 @@ def test_bounds_bad_mu_prints_nothing(capsys):
     assert err.startswith("error:") and "\n" not in err.strip()
 
 
-# -- coeffs / fekete-szego ----------------------------------------------------------
+def _shown(value):
+    """A printed number: a rational exactly, a double by its repr."""
+    return str(value) if isinstance(value, Fraction) else repr(value)
+
+
+@pytest.mark.parametrize("lam", ["1", "1/2", "2/7", "1/10"])
+@pytest.mark.parametrize("mu_text, mu", [(None, None), ("1/2", Fraction(1, 2)),
+                                         ("-3", Fraction(-3)), ("1/2,1/3", QComplex("1/2", "1/3"))])
+def test_bounds_prints_each_functional_bound(capsys, lam, mu_text, mu):
+    argv = ["bounds", "--lambda", lam, *([] if mu_text is None else ["--mu", mu_text])]
+    entries = [(name, f) for name, f in FUNCTIONALS.items() if mu is not None or not f.takes_mu]
+    bounds = [functional_bound(name, Fraction(lam), mu) for name, _ in entries]
+    lines = [f"{f.text} <= {_shown(b)}" + (f" (mu = {mu_text})" if f.takes_mu else "")
+             for (_, f), b in zip(entries, bounds)]
+    assert run(capsys, *argv)[:2] == (0, "\n".join([f"lambda = {lam}", *lines]) + "\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert (code, json.loads(out)) == (0, {"lambda": float(Fraction(lam)),
+                                           **{name: float(b) for (name, _), b in
+                                              zip(entries, bounds)}})
+
+
+# -- coeffs ----------------------------------------------------------------------
 
 def test_coeffs_corner(capsys):
     code, out, _ = run(capsys, "coeffs", "--lambda", "1/2", "--c1", "1")
@@ -519,23 +541,19 @@ def test_coeffs_requires_jet(capsys):
 
 
 def test_fekete_szego_command(capsys):
-    code, out, _ = run(capsys, "fekete-szego", "--lambda", "1", "--mu", "1", "--c1", "1")
+    code, out, _ = run(capsys, "coeffs", "--lambda", "1", "--mu", "1", "--c1", "1")
     assert code == 0
-    assert "bound: 1" in out
-    assert "value: 1" in out
-    assert "margin: 0" in out
+    assert out.splitlines()[-1] == "|A3 - mu A2^2| = 1, bound 1, margin 0 (mu = 1)"
 
 
 def test_fekete_szego_complex_mu(capsys):
-    code, out, _ = run(capsys, "fekete-szego", "--lambda", "1", "--mu", "1,1",
-                       "--mode", "float")
+    code, out, _ = run(capsys, "bounds", "--lambda", "1", "--mu", "1,1", "--mode", "float")
     assert code == 0
-    assert "bound: 5.0" in out
+    assert out.splitlines()[-1] == "|A3 - mu A2^2| <= 5.0 (mu = 1,1)"
 
 
 def test_fekete_szego_bad_jet_prints_nothing(capsys):
-    code, out, err = run(capsys, "fekete-szego", "--lambda", "1/2", "--mu", "0",
-                         "--c1", "abc")
+    code, out, err = run(capsys, "coeffs", "--lambda", "1/2", "--mu", "0", "--c1", "abc")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "\n" not in err.strip()
@@ -547,8 +565,8 @@ def test_fekete_szego_bad_jet_prints_nothing(capsys):
     (["--c2", "1/4"], "error: --c2 needs --c1"),
     (["--c3", "1/4"], "error: --c3 needs --c1"),
 ], ids=["jet-c1", "jet-c3", "c2-alone", "c3-alone"])
-@pytest.mark.parametrize("command", [["coeffs"], ["fekete-szego", "--mu", "1"]],
-                         ids=["coeffs", "fekete-szego"])
+@pytest.mark.parametrize("command", [["coeffs"], ["coeffs", "--mu", "1"]],
+                         ids=["coeffs", "fekete-szego"])  # with the Fekete-Szego line
 def test_a_jet_option_that_would_be_ignored_exits_2(capsys, tmp_path, command, options, line):
     jet = tmp_path / "jet.json"
     jet.write_text('{"c1": [0.5, 0], "c2": [0.1, 0], "c3": [0, 0]}')
@@ -559,8 +577,8 @@ def test_a_jet_option_that_would_be_ignored_exits_2(capsys, tmp_path, command, o
 @pytest.mark.parametrize("part", ["[1e400, 0]", "[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]",
                                   "[true, false]"])
 @pytest.mark.parametrize("argv", [["coeffs", "--mode", "exact"], ["coeffs", "--mode", "float"],
-                                  ["fekete-szego", "--mu", "1/2", "--mode", "exact"],
-                                  ["fekete-szego", "--mu", "1/2", "--mode", "float"]])
+                                  ["coeffs", "--mu", "1/2", "--mode", "exact"],
+                                  ["coeffs", "--mu", "1/2", "--mode", "float"]])
 def test_jet_file_with_non_finite_or_bool_parts_exits_2(capsys, tmp_path, argv, part):
     path = tmp_path / "jet.json"
     path.write_text(f'{{"c1": {part}, "c2": [0, 0], "c3": [0, 0]}}')
@@ -577,12 +595,12 @@ def test_jet_file_with_non_finite_or_bool_parts_exits_2(capsys, tmp_path, argv, 
     ["verify", "--functional", "FS", "--lambda-grid", "0.5", "--mu-grid", "1e400",
      "--samples", "10"],
     ["coeffs", "--lambda", "1/2", "--c1", "1e400", "--mode", "float"],
-    ["fekete-szego", "--lambda", "1/2", "--mu", "1e400,1", "--mode", "float"],
+    ["bounds", "--lambda", "1/2", "--mu", "1e400,1", "--mode", "float"],
     # exact mode computes fine, but the json report holds floats
     ["bounds", "--lambda", "1/2", "--mu", "1e400", "--format", "json"],
     ["coeffs", "--lambda", "1/2", "--c1", "1e400", "--format", "json"],
     # the bound reads inf and |A3 - mu A2^2| overflows: nothing is printed
-    ["fekete-szego", "--lambda", "1", "--mu", "4e307,4e307", "--c1", "1", "--mode", "float"],
+    ["coeffs", "--lambda", "1", "--mu", "4e307,4e307", "--c1", "1", "--mode", "float"],
 ])
 def test_rational_beyond_the_float_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -629,9 +647,9 @@ def test_coeffs_warns_on_a_float_jet_beyond_the_square_range(capsys):
 OVERFLOWING_ARGV = [
     ["coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float", "--format", "text"],
     ["coeffs", "--lambda", "1/2", "--c1", "1e300", "--mode", "float", "--format", "json"],
-    ["fekete-szego", "--lambda", "1/2", "--mu", "2", "--c1", "1e300", "--mode", "float"],
-    ["fekete-szego", "--lambda", "1/2", "--mu", "0", "--c1", "1e300", "--mode", "float"],
-    ["fekete-szego", "--lambda", "1", "--mu", "1e308", "--mode", "float"],
+    ["coeffs", "--lambda", "1/2", "--mu", "2", "--c1", "1e300", "--mode", "float"],
+    ["coeffs", "--lambda", "1/2", "--mu", "0", "--c1", "1e300", "--mode", "float"],
+    ["bounds", "--lambda", "1", "--mu", "1e308", "--mode", "float"],
     ["bounds", "--lambda", "1/2", "--mu", "1e308", "--mode", "float", "--format", "text"],
     ["bounds", "--lambda", "1/2", "--mu", "1e308", "--mode", "float", "--format", "json"],
     *(["scan", "--functional", "FS", "--lambda-grid", "1", "--mu-grid", "1e308",
@@ -710,8 +728,9 @@ def test_unnormalized_series_gives_the_normalization_message(capsys, tmp_path, c
 @pytest.mark.parametrize("argv, last_line", [
     (["bounds", "--lambda", "1/2", "--mu", "4e307,4e307"],
      "|A3 - mu A2^2| <= 1.2727922061357855e+308 (mu = 4e307,4e307)"),
-    (["fekete-szego", "--lambda", "1/2", "--mu", "4e307,4e307"],
-     "bound: 1.2727922061357855e+308"),
+    (["coeffs", "--lambda", "1/2", "--mu", "4e307,4e307", "--c1", "1/2"],
+     "|A3 - mu A2^2| = 3.1819805153394637e+307, bound 1.2727922061357855e+308, "
+     "margin 9.54594154601839e+307 (mu = 4e307,4e307)"),
 ])
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_fs_bound_whose_square_modulus_is_beyond_the_float_range(capsys, argv, last_line,
@@ -725,7 +744,8 @@ def test_fs_bound_whose_square_modulus_is_beyond_the_float_range(capsys, argv, l
 @pytest.mark.parametrize("argv", [["bounds", "--lambda", "1/2", "--mu", "1e308,1e308"],
                                   ["bounds", "--lambda", "1/2", "--mu", "1e308,1e308",
                                    "--format", "json"],
-                                  ["fekete-szego", "--lambda", "1/2", "--mu", "1e308,1e308"]])
+                                  ["coeffs", "--lambda", "1/2", "--mu", "1e308,1e308",
+                                   "--c1", "0"]])
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_fs_bound_beyond_the_float_range_exits_2(capsys, argv, mode):
     # |1 - mu| is a double, but the bound it gives is inf
@@ -735,18 +755,64 @@ def test_fs_bound_beyond_the_float_range_exits_2(capsys, argv, mode):
 
 
 def test_fekete_szego_warns_outside_class(capsys):
-    code, out, err = run(capsys, "fekete-szego", "--lambda", "1/2", "--mu", "0",
-                         "--c1", "5")
+    code, out, err = run(capsys, "coeffs", "--lambda", "1/2", "--mu", "0", "--c1", "5")
     assert code == 0
-    assert out == "bound: 11/4\nvalue: 275/4\nmargin: -66\n"
+    assert out.splitlines()[-1] == "|A3 - mu A2^2| = 275/4, bound 11/4, margin -66 (mu = 0)"
     assert err == OUTSIDE_WARNING
 
 
 def test_corner_jet_gives_no_warning(capsys):
     for argv in (["coeffs", "--lambda", "1/2", "--c1", "1"],
-                 ["fekete-szego", "--lambda", "1/2", "--mu", "0", "--c1", "1"]):
+                 ["coeffs", "--lambda", "1/2", "--mu", "0", "--c1", "1"]):
         code, _, err = run(capsys, *argv)
         assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("jet", [("1/3", "1/7", "-1/9"), ("-1/2", "1/5", "1/4"),
+                                 ("1", "0", "0")])
+@pytest.mark.parametrize("mu", ["1/2", "-3", "2"])
+def test_coeffs_mu_prints_each_functional_value(capsys, jet, mu):
+    # real jets and mu: each value is the rational |value| of the table entry
+    lam = Fraction(2, 7)
+    argv = ["coeffs", "--lambda", "2/7", "--c1", jet[0], "--c2", jet[1], "--c3", jet[2],
+            "--mu", mu]
+    inverse = inverse_coeffs(lam, SchwarzJet(*map(Fraction, jet)))
+    rows = []
+    for name, f in FUNCTIONALS.items():
+        value = f.value(*inverse, Fraction(mu))
+        assert value.im == 0
+        rows.append((name, f, abs(value.re), functional_bound(name, lam, Fraction(mu))))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[3:] == [f"{f.text} = {v}, bound {b}, margin {b - v}"
+                                    + (f" (mu = {mu})" if f.takes_mu else "")
+                                    for _, f, v, b in rows]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["functionals"] == {
+        name: {"value": float(v), "bound": float(b), "margin": float(b - v)}
+        for name, _, v, b in rows}
+
+
+def test_a_new_table_entry_reaches_every_command(capsys, monkeypatch):
+    # |2 A2| <= 2(1+L), with its proof, added to the table alone
+    monkeypatch.setitem(FUNCTIONALS, "D2", FUNCTIONALS["A2"]._replace(
+        text="|2 A2|", value=lambda A2, A3, A4, mu: 2 * A2, bound=lambda L, nu: 2 * (1 + L),
+        regrouped=lambda L, c1, c2, c3, mu: -2 * (1 + L) * c1,
+        majorant=lambda L, x, u, nu: 2 * (1 + L) * x))
+    assert run(capsys, "bounds", "--lambda", "1/2")[1].splitlines()[-1] == "|2 A2| <= 3"
+    code, out, _ = run(capsys, "bounds", "--lambda", "1/2", "--format", "json")
+    assert json.loads(out)["D2"] == 3.0
+    code, out, _ = run(capsys, "coeffs", "--lambda", "1/2", "--c1", "1/2", "--mu", "0")
+    assert out.splitlines()[-1] == "|2 A2| = 3/2, bound 3, margin 3/2"
+    line = "D2 lambda=0.5 theoretical=3.0 empirical=3.0 gap=0.0"
+    code, out, _ = run(capsys, "scan", "--functional", "D2", "--lambda-grid", "1/2",
+                       "--samples", "100", "--format", "text")
+    assert (code, out) == (0, line + "\n")
+    code, out, _ = run(capsys, "verify", "--lambda-grid", "1/2", "--samples", "100")
+    assert code == 0
+    assert f"{line} OK" in out.splitlines()
+    assert "D2 exact proof (L in (0, 1]): OK" in out.splitlines()
 
 
 # -- membership ---------------------------------------------------------------------
@@ -1261,7 +1327,7 @@ seen = {"import": "numpy" in sys.modules}
 for argv in (["revert", "f_1/3", "--order", "8", "--mode", "exact"],
              ["bounds", "--lambda", "1/2", "--mu", "3/2"],
              ["coeffs", "--lambda", "1/2", "--c1", "1/2,1/3", "--c2", "1/5"],
-             ["fekete-szego", "--lambda", "1/3", "--mu", "2", "--c1", "1"]):
+             ["coeffs", "--lambda", "1/3", "--mu", "2", "--c1", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     seen[argv[0]] = "numpy" in sys.modules
@@ -1276,7 +1342,7 @@ def test_exact_subcommands_never_import_numpy():
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str({"import": False, "revert": False, "bounds": False,
-                                       "coeffs": False, "fekete-szego": False})
+                                       "coeffs": False})
 
 
 # -- cold start: the numpy-free commands import neither dataclasses nor inspect -----
@@ -1290,7 +1356,7 @@ seen = {"import": [m for m in heavy if m in sys.modules]}
 for argv in (["bounds", "--lambda", "1/2", "--mu", "3/2"],
              ["revert", "f_1/3", "--order", "8", "--mode", "exact"],
              ["coeffs", "--lambda", "1/2", "--c1", "1/2,1/3", "--c2", "1/5"],
-             ["fekete-szego", "--lambda", "1/3", "--mu", "2", "--c1", "1"]):
+             ["coeffs", "--lambda", "1/3", "--mu", "2", "--c1", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     seen[argv[0]] = [m for m in heavy if m in sys.modules]
@@ -1304,8 +1370,7 @@ def test_the_numpy_free_commands_import_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", _LIGHT_IMPORT_PROBE],
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str({"import": [], "bounds": [], "revert": [], "coeffs": [],
-                                       "fekete-szego": []})
+    assert proc.stdout.strip() == str({"import": [], "bounds": [], "revert": [], "coeffs": []})
 
 
 # -- cold start: only verify and scan load the verifier ------------------------------
@@ -1318,7 +1383,7 @@ seen = {"import": "coeffforge.verifier" in sys.modules}
 for argv in (["revert", "f_1/3", "--order", "8"],
              ["bounds", "--lambda", "1/2", "--mu", "3/2"],
              ["coeffs", "--lambda", "1/2", "--c1", "1/2,1/3", "--c2", "1/5"],
-             ["fekete-szego", "--lambda", "1/3", "--mu", "2", "--c1", "1"],
+             ["coeffs", "--lambda", "1/3", "--mu", "2", "--c1", "1"],
              ["membership", "f_1/2", "--lambda", "1/2", "--samples", "36"],
              ["scan", "--functional", "A2", "--lambda-grid", "1", "--samples", "5"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1335,14 +1400,13 @@ def test_only_the_search_commands_load_the_verifier():
                           capture_output=True, env=env, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str({"import": False, "revert": False, "bounds": False,
-                                       "coeffs": False, "fekete-szego": False,
-                                       "membership": False, "scan": True})
+                                       "coeffs": False, "membership": False, "scan": True})
 
 
 # every name the package exported when it imported each module eagerly
 _EXPORTS = ("BoundReport EXACT FLOAT FUNCTIONALS MembershipVerdict QComplex SchwarzJet "
             "SearchConfig TruncatedSeries c2_disks c3_disk class_parameter corner_jet "
-            "direct_coeffs exact_proofs extremal_function extremal_inverse fekete_szego "
+            "direct_coeffs exact_proofs extremal_function extremal_inverse "
             "functional_bound inverse_coeffs inverse_coeffs_by_reversion inverse_from_jet "
             "inverse_from_zf inverse_weights is_admissible membership_profile membership_scan "
             "reports_to_csv reports_to_json require_normalized revert scan_lambda "
@@ -1586,8 +1650,8 @@ def test_an_error_exits_2_when_stderr_cannot_take_its_line(redirect, unbuffered)
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
 @pytest.mark.parametrize("argv", [["coeffs", "--lambda", "1/2"],
-                                  ["fekete-szego", "--lambda", "1/2", "--mu", "1"]],
-                         ids=["coeffs", "fekete-szego"])
+                                  ["coeffs", "--lambda", "1/2", "--mu", "1"]],
+                         ids=["coeffs", "fekete-szego"])  # with the Fekete-Szego line
 def test_a_warning_stderr_cannot_take_leaves_the_result_alone(tmp_path, argv, redirect,
                                                                unbuffered):
     jet = tmp_path / "jet.json"  # outside the class at lambda 1/2: a warning line

@@ -364,6 +364,16 @@ def test_closed_form_agreement_random():
 
 # -- modes, construction, serialization ---------------------------------------------
 
+@pytest.mark.parametrize("q", [QComplex(F(7, 3), F(-5, 11)), QComplex(F(-2, 9)), QComplex(0, 3)])
+@pytest.mark.parametrize("n", [1, -6, 24, F(5, 7), F(-3, 2), True])
+def test_division_by_a_real_rational_is_the_complex_quotient(q, n):
+    assert q / n == q / QComplex(n)
+    with pytest.raises(ZeroDivisionError, match="exact complex zero"):
+        q / 0
+    with pytest.raises(ZeroDivisionError, match="exact complex zero"):
+        q / F(0)
+
+
 def test_mode_agreement_on_pipeline():
     rng = np.random.default_rng(113)
     for _ in range(10):

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from coeffforge import (EXACT, FLOAT, FUNCTIONALS, MembershipVerdict, QComplex, SchwarzJet,
                         TruncatedSeries, class_parameter, corner_jet,
                         direct_coeffs, extremal_function, extremal_inverse,
-                        fekete_szego, functional_bound,
+                        functional_bound,
                         inverse_coeffs, inverse_coeffs_by_reversion,
                         inverse_from_jet, membership_scan,
                         revert, zf_from_schwarz, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
 from coeffforge.verifier import _Poly, _proof_table
-from helpers import (assert_series_exact, block_jets, defect, exact_jet, floats,
+from helpers import (assert_series_exact, block_jets, defect, exact_jet, floats, fs_value,
                      inverse_coeffs_closed, poly_add, poly_mul_full, q, random_exact_coeff,
                      subordination_witness, truncated)
 
@@ -280,16 +280,16 @@ def test_corner_jet_mode():
 
 def test_fekete_szego_mu_one_corner():
     for lam in (F(1, 4), F(1, 2), F(1)):
-        assert fekete_szego(lam, exact_jet(1, 0, 0), 1) == lam
+        assert fs_value(lam, exact_jet(1, 0, 0), 1) == lam
 
 
 def test_fekete_szego_mu_zero_corner():
     lam = F(1, 2)
-    assert fekete_szego(lam, exact_jet(1, 0, 0), 0) == 1 + 3 * lam + lam * lam
+    assert fs_value(lam, exact_jet(1, 0, 0), 0) == 1 + 3 * lam + lam * lam
 
 
 def test_fekete_szego_zero_jet():
-    assert fekete_szego(F(1, 2), exact_jet(0, 0, 0), 2 + 1j) == 0
+    assert fs_value(F(1, 2), exact_jet(0, 0, 0), 2 + 1j) == 0
 
 
 def test_fekete_szego_regrouping_identity():
@@ -310,7 +310,7 @@ def test_fekete_szego_regrouping_exact():
     s = (1 + lam) * jet.c2 - lam * jet.c1 * jet.c1
     regrouped = -s + (1 - mu) * ((1 + lam) * (1 + lam)) * jet.c1 * jet.c1
     assert A3 - mu * A2 * A2 == regrouped
-    assert fekete_szego(lam, jet, mu) == maybe_exact_abs(regrouped)
+    assert fs_value(lam, jet, mu) == maybe_exact_abs(regrouped)
 
 
 def test_theoretical_bounds_koebe():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffforge import (FUNCTIONALS, BoundReport, QComplex, SchwarzJet, SearchConfig, c2_disks,
-                        c3_disk, corner_jet, exact_proofs, fekete_szego, functional_bound,
+                        c3_disk, corner_jet, exact_proofs, functional_bound,
                         inverse_coeffs, inverse_from_jet, inverse_weights, reports_to_csv,
                         reports_to_json, scan_lambda)
 from coeffforge import ulambda, verifier
@@ -19,7 +19,7 @@ from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
 from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, SOUNDNESS_TOL, _bernstein,
                                  _corner_identities, _fs_maxima, _functional_values,
                                  _nonnegative_on_box, _Poly, _proof_table, worker_count)
-from helpers import functional_maxima_oracle, h_function, h_poly, patched_bound
+from helpers import functional_maxima_oracle, fs_value, h_function, h_poly, patched_bound
 
 F = Fraction
 
@@ -329,7 +329,7 @@ def test_argmax_index_selects_the_argmax_jet():
 @pytest.mark.parametrize("lam", [F(1), F(1, 3), F(2, 7)])
 def test_fs_corner_attains_the_bound_for_every_real_mu_at_most_one(lam):
     for mu in (F(-3), F(-1), F(-1, 2), F(0), F(1, 2), F(1)):
-        value = fekete_szego(lam, corner_jet(lam), mu)
+        value = fs_value(lam, corner_jet(lam), mu)
         assert value == functional_bound("FS", lam, mu) == lam + (1 - mu) * (1 + lam) ** 2
 
 
