@@ -409,10 +409,8 @@ def cmd_verify(args):
         "passed": passed,
     }
     if args.out:  # before any stdout, so a path that cannot be written prints nothing
-        with open(args.out + ".csv", "w") as handle:
-            handle.write(reports_to_csv(reports))
-        with open(args.out + ".json", "w") as handle:
-            handle.write(reports_to_json(reports, extra))
+        _emit(reports_to_csv(reports), args.out + ".csv")
+        _emit(reports_to_json(reports, extra), args.out + ".json")
     print("\n".join([*lines, "PASS" if passed else "FAIL"]))
     if not passed:
         _error("bound verification failed (see report)")

@@ -13,7 +13,8 @@ denominators. A product's truncated convolution then runs on plain ints,
 one real convolution per pair of parts that are not all zero (one to
 four), and so do the reciprocal's recurrence and the powers of a
 reversion; one Fraction per part of each output coefficient reduces it.
-Float products and reversion convolve the complex coefficients as they are.
+Float products and reversion convolve the complex coefficients as they
+are, and the float reciprocal sums its recurrence with the exact one's _dot.
 
 The paper's functions are normalized, f(0) = 0 and f'(0) = 1, and a class
 function is carried by its z/f jet g: membership reads g, and Lagrange
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
-from operator import mul
+from functools import partial, partialmethod
+from operator import add, mul, sub
 
 from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
 
@@ -67,9 +68,6 @@ class TruncatedSeries:
             return NotImplemented
         return self._mode == other._mode and self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash((self._mode, self._coeffs))
-
     def __repr__(self):
         return f"TruncatedSeries({list(self._coeffs)!r}, mode={self._mode!r})"
 
@@ -88,21 +86,15 @@ class TruncatedSeries:
         if self._mode != other._mode:
             raise ValueError(f"mode mismatch: {self._mode} vs {other._mode}")
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
+        """op on each pair of coefficients, up to the smaller order."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_mode(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)],
-                               self._mode)
+        return TruncatedSeries(map(op, self._coeffs, other._coeffs), self._mode)
 
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_mode(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries([self._coeffs[k] - other._coeffs[k] for k in range(n + 1)],
-                               self._mode)
+    __add__ = partialmethod(_termwise, op=add)
+    __sub__ = partialmethod(_termwise, op=sub)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -124,13 +116,10 @@ class TruncatedSeries:
             raise ValueError("reciprocal of a series with zero constant term")
         if self._mode == EXACT:
             return TruncatedSeries(_exact_reciprocal(self._coeffs), EXACT)
-        inv0 = 1 / c0
+        inv0, tail = 1 / c0, self._coeffs[1:]
         out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = 0j
-            for k in range(1, n + 1):
-                acc = acc + self._coeffs[k] * out[n - k]
-            out.append(-acc * inv0)
+        for _ in tail:
+            out.append(-_dot(tail, out) * inv0)
         return TruncatedSeries(out, FLOAT)
 
     # -- conversions -------------------------------------------------------

@@ -21,19 +21,18 @@ rows hold over the whole disk table, a superset of the true jets.
 exactly where nu = |1 - mu| = 1 - mu, for real mu <= 1 (sharp_at).
 
 The search (scan_lambda) samples each block once for the whole lambda
-grid and evaluates it for every task in one call; forked child k of n
-evaluates blocks k, k + n, ... and sends them back on its own pipe, the
-first error ends the search, and search processes keep their heap.
-_search_grid, _functional_values and _fs_maxima say how its reports stay
-the same, bit for bit, for any worker count and with Fekete-Szego (FS)
-tasks ranked.
+grid and evaluates it for every task in one call; forked children claim
+blocks from one shared pipe, the first error ends the search, and search
+processes keep their heap. _search_grid, _functional_values and _fs_maxima
+say how its reports stay the same, bit for bit, for any worker count and
+with Fekete-Szego (FS) tasks ranked.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import namedtuple
+from collections import ChainMap, namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -367,8 +366,8 @@ def _search_grid(grid, tasks, bounds, search):
     for the whole grid in process or in a forked worker. Reduction is a
     strict-max in index order, so ties resolve to the first attaining sample
     (the corner, whenever extremal); the corner's values are every block's
-    floors, and a block reports None where it cannot exceed one. Forked child
-    k evaluates blocks k, k + workers, ... (_forked); _keep_heap holds the heap.
+    floors, and a block reports None where it cannot exceed one. Forked
+    children claim blocks as they go (_forked); _keep_heap holds the heap.
     """
     import numpy as np
     _keep_heap()
@@ -414,15 +413,20 @@ def _eval_block(grid, tasks, search, remaining, floors, b):
 
 
 def _forked(evaluate, blocks, workers):
-    """Yield evaluate(b) for each block in order, from forked child processes:
-    child k evaluates blocks[k::workers] and sends one pickled record, its
-    results or its error, down its own pipe while the parent waits. The first
-    error record kills and reaps every other child, then is raised; a child
-    that ends without a record is a ChildProcessError. No child outlives the
-    call, on any path."""
+    """Yield evaluate(b) for each block in order, from forked children that
+    claim runs of block positions by 4-byte tokens from one pipe, filled and
+    closed before the first fork; each sends one pickled record down its own
+    pipe, its {position: result} or its error. The first error record kills
+    and reaps every other child, then is raised; a child that ends without a
+    record is a ChildProcessError. No child outlives the call, on any path."""
     import pickle
+    import select
     import selectors
     import signal
+    run = max(1, -(-len(blocks) // (select.PIPE_BUF // 4)))  # 1 while a token per block fits
+    tokens, write = os.pipe()
+    os.write(write, b"".join(i.to_bytes(4, "little") for i in range(-(-len(blocks) // run))))
+    os.close(write)
     pids, reads, shares = {}, {}, [None] * workers  # pid by k; k by its pipe's read end
     try:
         for k in range(workers):
@@ -431,7 +435,7 @@ def _forked(evaluate, blocks, workers):
             try:
                 pids[k] = os.fork()
                 if not pids[k]:
-                    _send_share(write, evaluate, blocks[k::workers])
+                    _send_share(write, evaluate, blocks, tokens, run)
             finally:
                 os.close(write)
         with selectors.DefaultSelector() as selector:
@@ -457,22 +461,30 @@ def _forked(evaluate, blocks, workers):
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for read in reads:
+        for read in (*reads, tokens):
             os.close(read)
-    return (shares[b % workers][b // workers] for b in range(len(blocks)))
+    return map(ChainMap(*shares).__getitem__, range(len(blocks)))
 
 
-def _send_share(write, evaluate, share):
-    """In a forked child: write (True, results) or (False, error) to the pipe
-    and end by os._exit, on every path. An error that cannot make the round
-    trip through pickle goes as a ChildProcessError with its type and message."""
+def _send_share(write, evaluate, blocks, tokens, run):
+    """In a forked child: evaluate each run of positions a token read names,
+    until EOF, and write (True, {position: result}) or (False, error) to the
+    pipe; an error first empties the tokens pipe, so the others stop after
+    their block in hand. End by os._exit on every path. An error that cannot
+    round-trip through pickle goes as a ChildProcessError: type and message."""
     status = 1
     try:
         import pickle
         try:
-            record = (True, list(map(evaluate, share)))
+            results = {}
+            while token := os.read(tokens, 4):
+                i = int.from_bytes(token, "little")
+                for p in range(len(blocks))[i * run:(i + 1) * run]:
+                    results[p] = evaluate(blocks[p])
+            record = (True, results)
         except Exception as exc:
             record = (False, exc)
+            os.read(tokens, 1 << 16)  # one read takes every token left (at most PIPE_BUF)
         try:
             data = pickle.dumps(record)
             if not record[0]:

@@ -139,6 +139,26 @@ def test_reciprocal_is_two_sided_inverse():
         assert r * s == one
 
 
+def test_float_reciprocal_sums_left_to_right_from_complex_zero():
+    # signed zeros and mixed magnitudes pin the order of the float additions
+    rng = np.random.default_rng(29)
+    parts = [0.0, -0.0, 1.0, -1.0, 1e-12, -3e8]
+    for _ in range(600):
+        coeffs = [complex(*(float(rng.standard_normal()) if rng.random() < 0.6
+                            else parts[int(rng.integers(len(parts)))] for _ in "ri"))
+                  for _ in range(int(rng.integers(1, 32)))]
+        if coeffs[0] == 0:
+            coeffs[0] = complex(-0.0, 2.0)
+        want = [1 / coeffs[0]]
+        for n in range(1, len(coeffs)):
+            acc = 0j
+            for k in range(1, n + 1):
+                acc = acc + coeffs[k] * want[n - k]
+            want.append(-acc * want[0])
+        got = TruncatedSeries(coeffs, FLOAT).reciprocal().coeffs
+        assert [repr(c) for c in got] == [repr(c) for c in want]  # repr shows -0.0
+
+
 # Parts with denominators up to 10^6, so that a jet's common denominator is
 # large, and a constant term off the real line.
 _WIDE_PART = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))

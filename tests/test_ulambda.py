@@ -14,7 +14,7 @@ from coeffforge import (EXACT, FLOAT, FUNCTIONALS, MembershipVerdict, QComplex, 
                         direct_coeffs, extremal_function, extremal_inverse,
                         functional_bound,
                         inverse_coeffs, inverse_coeffs_by_reversion,
-                        inverse_from_jet, membership_scan,
+                        inverse_from_jet, inverse_weights, membership_scan,
                         revert, zf_from_schwarz, zf_jet)
 from coeffforge.scalars import maybe_exact_abs
 from coeffforge.verifier import _Poly, _proof_table
@@ -211,6 +211,26 @@ def test_extremal_inverse_half():
 
 def test_extremal_inverse_order_one():
     assert_series_exact(extremal_inverse(F(2, 3), 1), [0, 1])
+
+
+def narayana(n, lam):
+    """N_n(L) = sum over k = 1..n of C(n,k) C(n,k-1) L^(k-1) / n, from its
+    definition, for L a Fraction or a polynomial."""
+    return sum(F(math.comb(n, k) * math.comb(n, k - 1), n) * lam ** (k - 1)
+               for k in range(1, n + 1))
+
+
+def test_the_sharp_weights_are_narayana_polynomials():
+    L, = _Poly.variables(1)
+    q1, q2, _, q4 = inverse_weights(L)
+    assert (q1, q2, q4) == (narayana(2, L), narayana(3, L), narayana(4, L))
+
+
+@pytest.mark.parametrize("lam", [F(1, 3), F(2, 7), 1])
+def test_extremal_inverse_is_the_signed_narayana_polynomials(lam):
+    inverse = extremal_inverse(lam, 10)
+    for n in range(1, 11):
+        assert inverse[n] == (-1) ** (n - 1) * narayana(n, F(lam))
 
 
 @pytest.mark.parametrize("lam", [F(1, 3), F(2, 7), F(7, 8), F(1), F(1, 10 ** 300),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -506,6 +507,26 @@ def test_each_worker_takes_one_task_and_blocks_come_back_in_order(forks, workers
     for pid in forks:  # each child is reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def _slow_block_zero(b):
+    if b == 0:
+        time.sleep(0.2)
+    return b, os.getpid()
+
+
+def test_workers_claim_blocks_so_a_slow_block_holds_up_one_worker(forks):
+    results = list(verifier._forked(_slow_block_zero, range(8), 2))
+    assert [b for b, _ in results] == list(range(8))
+    slow = results[0][1]
+    assert slow in forks  # no block runs in the parent
+    assert sum(pid == slow for _, pid in results) <= 2  # the other claims the rest meanwhile
+
+
+def test_thousands_of_blocks_come_back_once_each_in_order(forks):
+    # more blocks than PIPE_BUF holds 4-byte tokens for, so tokens name runs
+    assert list(verifier._forked(abs, range(5000), 3)) == list(range(5000))
+    assert len(forks) == 3
 
 
 def test_a_search_on_three_workers_forks_three_children(monkeypatch, forks):
