@@ -9,12 +9,11 @@ doubles.
 Exact products, reciprocals and reversion do not multiply rational pairs
 term by term. Each operand is written once as integer jets (re, im) over
 one common denominator D, the lcm of all its real and imaginary
-denominators. A product's truncated convolution then runs on plain ints,
+denominators. Products and the powers of a reversion convolve plain ints,
 one real convolution per pair of parts that are not all zero (one to
-four), and so do the reciprocal's recurrence and the powers of a
-reversion; one Fraction per part of each output coefficient reduces it.
-Float products and reversion convolve the complex coefficients as they
-are, and the float reciprocal sums its recurrence with the exact one's _dot.
+four); the reciprocal sums its recurrence on them and reduces each term
+once. Float products and reversion convolve the complex coefficients as
+they are; the float reciprocal sums its recurrence with the exact _dot.
 
 The paper's functions are normalized, f(0) = 0 and f'(0) = 1, and a class
 function is carried by its z/f jet g: membership reads g, and Lagrange
@@ -228,23 +227,24 @@ def _gaussian_product(a, b, n):
 
 
 def _exact_reciprocal(coeffs):
-    """The reciprocal of an exact jet A/D with A Gaussian (_integer_parts).
-    With u = conj(A_0), or 1 for a real A_0, uA has a real constant c, and
-    P_0 = 1, P_n = -sum_k (uA)_k c^(k-1) P_(n-k) give D/A = D u P_n / c^(n+1)."""
-    n = len(coeffs) - 1
+    """D r for an exact jet A/D with A Gaussian (_integer_parts) and r = 1/A:
+    r_n = conj(A_0) P_n / (|A_0|^2 m), P_0 = 1, P_n = -m sum_(k>=1) A_k r_(n-k), each
+    r_n as (x_n + i y_n)/m. Step n reduces by gcd(x, y, |A_0|^2 m); m and the earlier
+    x_j, y_j take any factor of the reduced denominator that m does not have."""
     re, im, d = _integer_parts(coeffs)
-    u = (re[0], -im[0]) if im and im[0] else (1, 0)
-    if u[1]:
-        re, im = _gaussian_product((re, im), ([u[0]], [u[1]]), n)
-    powers = [re[0] ** k for k in range(n + 2)]
-    wr, wi = (list(map(mul, part[1:], powers)) for part in (re, im or [0]))
-    pr, pi = [1], [0]
-    for _ in range(n):
-        x, y = _dot(wi, pi) - _dot(wr, pr), -_dot(wr, pi) - _dot(wi, pr)
-        pr.append(x)
-        pi.append(y)
-    pr, pi = _gaussian_product(([d * u[0]], [d * u[1]]), (pr, pi), n)
-    return [QComplex(Fraction(x, c), Fraction(y, c)) for x, y, c in zip(pr, pi, powers[1:])]
+    (a, *wr), (b, *wi) = re, (im or [0])
+    norm, xs, ys, m, p, q = a * a + b * b, [], [], 1, 1, 0  # P_n = p + iq
+    for _ in coeffs:
+        x, y = a * p + b * q, a * q - b * p
+        e = norm * m // (g := math.gcd(x, y, norm * m))
+        grow = e // math.gcd(e, m)
+        if grow > 1:
+            m *= grow
+            xs, ys = [v * grow for v in xs], [v * grow for v in ys]
+        xs.append(x // g * (m // e))
+        ys.append(y // g * (m // e))
+        p, q = _dot(wi, ys) - _dot(wr, xs), -_dot(wr, ys) - _dot(wi, xs)
+    return [QComplex(Fraction(d * x, m), Fraction(d * y, m)) for x, y in zip(xs, ys)]
 
 
 def _dot(w, p):

@@ -404,8 +404,8 @@ def test_revert_alias_lambda_that_rounds_to_zero_in_float_mode(capsys):
 
 
 def test_float_alias_revert_needs_no_reversion(capsys, monkeypatch):
-    # float mode takes the extremal inverse from its closed form; an exact
-    # reversion at this L and order costs seconds
+    # float mode takes the extremal inverse from its closed form and calls no
+    # reversion
     monkeypatch.setattr(coeffforge.cli, "revert", None)
     code, out, err = run(capsys, "revert", "f_1e-300", "--order", "40", "--mode", "float")
     assert (code, err) == (0, "")

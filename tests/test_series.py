@@ -160,18 +160,24 @@ def test_float_reciprocal_sums_left_to_right_from_complex_zero():
 
 
 # Parts with denominators up to 10^6, so that a jet's common denominator is
-# large, and a constant term off the real line.
+# large, a constant term off the real line, and 0 to 30 more terms (an order
+# drawn first, so that long jets are common), of which the last 0 to all are
+# zero.
 _WIDE_PART = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
 _WIDE_COEFF = st.builds(QComplex, _WIDE_PART, _WIDE_PART)
 _NOT_REAL = st.builds(QComplex, _WIDE_PART, _WIDE_PART.filter(bool))
+_WIDE_TAIL = st.integers(0, 30).flatmap(lambda n: st.lists(_WIDE_COEFF, min_size=n, max_size=n))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_NOT_REAL, st.lists(_WIDE_COEFF, max_size=9))
-def test_exact_reciprocal_of_a_non_real_constant_multiplies_back_to_one(c0, tail):
-    coeffs = [c0, *tail]
-    inverse = list(TruncatedSeries(coeffs, EXACT).reciprocal().coeffs)
-    assert truncated(poly_mul_full(coeffs, inverse), len(tail)) == [1] + [0] * len(tail)
+@settings(max_examples=40, deadline=None, derandomize=True)  # the same jets on every run
+@given(_NOT_REAL, _WIDE_TAIL, st.integers(0, 30))
+def test_exact_reciprocal_of_a_non_real_constant_multiplies_back_to_one(c0, tail, zeros):
+    kept = tail[:max(len(tail) - zeros, 0)]
+    coeffs = [c0, *kept, *[QComplex(0)] * (len(tail) - len(kept))]
+    series = TruncatedSeries(coeffs, EXACT)
+    inverse = series.reciprocal()
+    assert truncated(poly_mul_full(coeffs, inverse.coeffs), len(tail)) == [1] + [0] * len(tail)
+    assert inverse.reciprocal() == series
 
 
 # -- compose -------------------------------------------------------------------

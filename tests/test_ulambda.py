@@ -236,7 +236,9 @@ def test_extremal_inverse_is_the_signed_narayana_polynomials(lam):
 @pytest.mark.parametrize("lam", [F(1, 3), F(2, 7), F(7, 8), F(1), F(1, 10 ** 300),
                                  F("0.123456789")])
 def test_extremal_inverse_closed_form_equals_reversion(lam):
-    for N in (2, 3, 4, 5, 13):
+    # at order 48 the jet of f_1e-300 has common denominator 10^(300*47); the
+    # exact reciprocal reduces each coefficient, so that power never builds up
+    for N in (2, 3, 4, 5, 13, 48):
         assert extremal_inverse(lam, N) == revert(extremal_function(lam, N))
 
 
