@@ -21,7 +21,8 @@ MODES = (EXACT, FLOAT)
 
 
 class QComplex:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts. Not
+    hashable: it equals ints and Fractions, whose hashes it would have to match."""
 
     __slots__ = ("re", "im")
 
@@ -38,9 +39,6 @@ class QComplex:
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def __add__(self, other):
         other = _coerce(other)

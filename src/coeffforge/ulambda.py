@@ -146,24 +146,18 @@ def functional_bound(name, lam, mu=None):
 
 # -- the functionals ----------------------------------------------------------
 
-def _s(lam, c1, c2):
-    """s = (1+L) c2 - L c1^2, which the class disk for c2 bounds by |s| <= L."""
-    return (1 + lam) * c2 - lam * c1 * c1
-
-
-class Functional(namedtuple("Functional", "text value bound regrouped majorant takes_mu sharp_at",
+class Functional(namedtuple("Functional", "text value bound takes_mu sharp_at",
                             defaults=(False, lambda mu: True))):
-    """A functional of the inverse coefficients and the facts of its sharp
-    bound, written once for the search, the exact proofs and the CLI.
+    """A functional of the inverse coefficients and its sharp bound, written
+    once for the search, the exact proofs and the CLI.
 
     text: the functional as bounds and coeffs name it.
     value(A2, A3, A4, mu): the functional, for QComplex, complex, numpy
         arrays and polynomials alike. One that takes_mu has the value
         A3 - mu A2^2, which the search ranks over a whole mu grid at once.
-    bound(L, nu): its sharp bound, with nu = |1 - mu|.
-    regrouped(L, c1, c2, c3, mu) and majorant(L, x, u, nu): the value in
-        parts that the disk table bounds, and the triangle inequality on
-        them (the verifier's docstring states the proof).
+    bound(L, nu): its sharp bound, with nu = |1 - mu|. The exact proof
+        derives the regrouping and the majorant from value (the verifier's
+        docstring states it).
     sharp_at(mu): whether the corner jet (1, 0, 0) attains the bound. The
         exact proof's corner identity, value = +-bound(L, 1 - mu), proves
         it wherever nu = |1 - mu| is 1 - mu, which takes in every mu that
@@ -173,25 +167,11 @@ class Functional(namedtuple("Functional", "text value bound regrouped majorant t
 
 
 FUNCTIONALS = {
-    "A2": Functional("|A2|", lambda A2, A3, A4, mu: A2,
-                     lambda L, nu: inverse_weights(L)[0],
-                     lambda L, c1, c2, c3, mu: -(1 + L) * c1,
-                     lambda L, x, u, nu: (1 + L) * x),
-    "A3": Functional("|A3|", lambda A2, A3, A4, mu: A3,
-                     lambda L, nu: inverse_weights(L)[1],
-                     lambda L, c1, c2, c3, mu: -_s(L, c1, c2) + (1 + L) ** 2 * c1 ** 2,
-                     lambda L, x, u, nu: L * u + (1 + L) ** 2 * x ** 2),
-    "A4": Functional("|A4|", lambda A2, A3, A4, mu: A4,
-                     lambda L, nu: inverse_weights(L)[3],
-                     lambda L, c1, c2, c3, mu: -((1 + L) * c3 - 2 * L * c1 * c2)
-                     + 3 * (1 + L) * c1 * _s(L, c1, c2) - (1 + L) ** 3 * c1 ** 3,
-                     lambda L, x, u, nu: L * (1 - u * u) / 2 + 3 * (1 + L) * x * L * u
-                     + (1 + L) ** 3 * x ** 3),
+    "A2": Functional("|A2|", lambda A2, A3, A4, mu: A2, lambda L, nu: inverse_weights(L)[0]),
+    "A3": Functional("|A3|", lambda A2, A3, A4, mu: A3, lambda L, nu: inverse_weights(L)[1]),
+    "A4": Functional("|A4|", lambda A2, A3, A4, mu: A4, lambda L, nu: inverse_weights(L)[3]),
     "FS": Functional("|A3 - mu A2^2|", lambda A2, A3, A4, mu: A3 - mu * (A2 * A2),
-                     lambda L, nu: L + nu * (1 + L) * (1 + L),
-                     lambda L, c1, c2, c3, mu: -_s(L, c1, c2) + (1 - mu) * (1 + L) ** 2 * c1 ** 2,
-                     lambda L, x, u, nu: L * u + nu * (1 + L) ** 2 * x ** 2,
-                     takes_mu=True,
+                     lambda L, nu: L + nu * (1 + L) * (1 + L), takes_mu=True,
                      sharp_at=lambda mu: complex(mu).imag == 0.0 and complex(mu).real <= 1.0),
 }
 

@@ -4,21 +4,26 @@ Two routes: (1) seeded constrained search over admissible jets, with the
 extremal corner (1, 0, 0) always forced into the sample as index 0; (2)
 exact_proofs, the paper's proof of each bound and of its attainment
 replayed for every L in (0, 1] in rational arithmetic. Both read each
-functional's value, bound and proof from ulambda.FUNCTIONALS.
+functional's value and bound from ulambda.FUNCTIONALS.
 
-A proof has five steps, with the formulas of each functional in its
-table entry. (1) The identity value == regrouped holds as polynomials in
-(L, c1, c2, c3, mu), with (A2, A3, A4) from inverse_from_jet. (2) The disk
-table (schwarz.c2_disks, c3_disk) bounds the regrouped parts: |s| = L u
-with u in [0, 1], and |(1+L)c3 - 2L c1 c2| <= L(1 - u^2)/2. (3) The
-triangle inequality bounds the modulus by the majorant in (L, x = |c1|,
-u, nu = |1 - mu|). (4) bound - majorant is a polynomial in nu >= 0 whose
-coefficient of each power of nu, a row in (L, x, u), is nonnegative on
-the unit box [0, 1]^3 by the signs of its Bernstein coefficients. The
-rows hold over the whole disk table, a superset of the true jets.
-(5) The bound is attained: the value at the corner jet (1, 0, 0) is
-+-bound(L, 1 - mu) as polynomials in (L, mu), which is +-bound(L, nu)
-exactly where nu = |1 - mu| = 1 - mu, for real mu <= 1 (sharp_at).
+A proof has five steps, read from each table entry's value and bound
+alone. (1) The value depends on the jet only through the coefficients of
+z/f = 1 - C z - s z^2 - r z^3, where C = (1+L)c1, s = (1+L)c2 - L c1^2 and
+r = (1+L)c3 - 2L c1 c2, and in those the inverse coefficients are free of
+L: the value at inverse_from_jet(L, c1, c2, c3) equals the value at
+inverse_from_jet(0, C, s, r) as polynomials in (L, c1, c2, c3, mu).
+(2) The disk table (schwarz.c2_disks, c3_disk) bounds them: |C| = (1+L)x
+with x = |c1| <= 1, |s| = L u with u in [0, 1], and |r| <= L(1 - u^2)/2.
+(3) In (C, s, r, m = 1 - mu) the value is a polynomial with rational
+constant coefficients, so the triangle inequality, term by term, bounds
+its modulus by a majorant in (L, x, u, nu = |1 - mu|). (4) bound -
+majorant is a polynomial in nu >= 0 whose coefficient of each power of
+nu, a row in (L, x, u), is nonnegative on the unit box [0, 1]^3 by the
+signs of its Bernstein coefficients. The rows hold over the whole disk
+table, a superset of the true jets. (5) The bound is attained: the value
+at the corner jet (1, 0, 0) is +-bound(L, 1 - mu) as polynomials in
+(L, mu), which is +-bound(L, nu) exactly where nu = |1 - mu| = 1 - mu,
+for real mu <= 1 (sharp_at).
 
 The search (scan_lambda) samples each block once for the whole lambda
 grid and evaluates it for every task in one call; forked children claim
@@ -120,15 +125,21 @@ def _nonnegative_on_box(p):
 def _proof_table():
     """({functional: its identity holds}, {functional: its box rows}): the
     rows are bound - majorant split by the power of nu, as polynomials in
-    (L, x, u)."""
+    (L, x, u), with the majorant read off the value in (C, s, r, m)."""
     L, c1, c2, c3, mu = _Poly.variables(5)
     coeffs = inverse_from_jet(L, c1, c2, c3)
-    identities = {name: f.value(*coeffs, mu) == f.regrouped(L, c1, c2, c3, mu)
+    by_zf = inverse_from_jet(0, (1 + L) * c1, (1 + L) * c2 - L * c1 * c1,
+                             (1 + L) * c3 - 2 * L * c1 * c2)
+    identities = {name: f.value(*coeffs, mu) == f.value(*by_zf, mu)
                   for name, f in FUNCTIONALS.items()}
+    C, s, r, m = _Poly.variables(4)
+    parts = inverse_from_jet(0, C, s, r)
     L, x, u, nu = _Poly.variables(4)
+    disks = ((1 + L) * x, L * u, L * (1 - u * u) / 2, nu)  # |C|, |s|, the bound of |r|, |m|
     rows = {}
     for name, f in FUNCTIONALS.items():
-        gap = f.bound(L, nu) - f.majorant(L, x, u, nu)
+        gap = f.bound(L, nu) - sum((abs(c) * prod(map(pow, disks, e))
+                                    for e, c in f.value(*parts, 1 - m).terms.items()))
         rows[name] = [_Poly([(e[:3], c) for e, c in gap.terms.items() if e[3] == k], 3)
                       for k in range(max((e[3] for e in gap.terms), default=0) + 1)]
     return identities, rows

@@ -16,6 +16,7 @@ import coeffforge
 from coeffforge import (FUNCTIONALS, QComplex, SchwarzJet, cli, exact_proofs, functional_bound,
                         inverse_coeffs, inverse_weights, schwarz)
 from coeffforge.cli import build_parser, main
+from coeffforge.ulambda import Functional
 from helpers import patched_bound
 
 # the child interpreter imports the same package the tests import
@@ -795,11 +796,9 @@ def test_coeffs_mu_prints_each_functional_value(capsys, jet, mu):
 
 
 def test_a_new_table_entry_reaches_every_command(capsys, monkeypatch):
-    # |2 A2| <= 2(1+L), with its proof, added to the table alone
-    monkeypatch.setitem(FUNCTIONALS, "D2", FUNCTIONALS["A2"]._replace(
-        text="|2 A2|", value=lambda A2, A3, A4, mu: 2 * A2, bound=lambda L, nu: 2 * (1 + L),
-        regrouped=lambda L, c1, c2, c3, mu: -2 * (1 + L) * c1,
-        majorant=lambda L, x, u, nu: 2 * (1 + L) * x))
+    # |2 A2| <= 2(1+L), added to the table as its text, value and bound alone
+    monkeypatch.setitem(FUNCTIONALS, "D2", Functional(
+        "|2 A2|", lambda A2, A3, A4, mu: 2 * A2, lambda L, nu: 2 * (1 + L)))
     assert run(capsys, "bounds", "--lambda", "1/2")[1].splitlines()[-1] == "|2 A2| <= 3"
     code, out, _ = run(capsys, "bounds", "--lambda", "1/2", "--format", "json")
     assert json.loads(out)["D2"] == 3.0

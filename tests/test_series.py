@@ -104,6 +104,13 @@ def test_scalar_mul():
     assert_series_exact(2 * s, [2, 1])
 
 
+def test_qcomplex_is_not_hashable():
+    # it equals the int 3, so a hash of its own would put both in one set twice
+    assert QComplex(3, 0) == 3
+    with pytest.raises(TypeError):
+        hash(QComplex(3, 0))
+
+
 # -- reciprocal ----------------------------------------------------------------
 
 def test_reciprocal_geometric():

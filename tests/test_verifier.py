@@ -20,7 +20,8 @@ from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
 from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, SOUNDNESS_TOL, _bernstein,
                                  _corner_identities, _fs_maxima, _functional_values,
                                  _nonnegative_on_box, _Poly, _proof_table, worker_count)
-from helpers import functional_maxima_oracle, fs_value, h_function, h_poly, patched_bound
+from helpers import (PAPER_MAJORANTS, functional_maxima_oracle, fs_value, h_function, h_poly,
+                     patched_bound)
 
 F = Fraction
 
@@ -41,6 +42,34 @@ def test_every_bound_is_proved():
     assert exact_proofs() == {"A2": True, "A3": True, "A4": True, "FS": True}
     assert all(_proof_table()[0].values())
     assert all(_corner_identities().values())
+
+
+def test_the_derived_rows_are_the_papers():
+    # bound - the paper's hand-written majorant, split by the power of nu
+    L, x, u, nu = _Poly.variables(4)
+    derived = _proof_table()[1]
+    for name, f in FUNCTIONALS.items():
+        gap = f.bound(L, nu) - PAPER_MAJORANTS[name](L, x, u, nu)
+        assert derived[name] == [_Poly([(e[:3], c) for e, c in gap.terms.items() if e[3] == k], 3)
+                                 for k in range(max(e[3] for e in gap.terms) + 1)], name
+
+
+@pytest.mark.parametrize("value, bound, proved", [
+    (lambda A2, A3, A4, mu: A2 * A3 - A4, lambda L, nu: 2 * L * (1 + L), True),
+    (lambda A2, A3, A4, mu: A3 - A2 * A2 / 2, lambda L, nu: (1 + 4 * L + L * L) / 2, True),
+    (lambda A2, A3, A4, mu: A4 - A2 * A3 + A2 * A2 * A2 / 3,
+     lambda L, nu: (1 + L) * (1 + 8 * L + L * L) / 3, True),
+    (lambda A2, A3, A4, mu: A2 * A4 - A3 * A3, lambda L, nu: L * (1 + L + L * L), False),
+], ids=["Z", "2Gamma2", "2Gamma3", "H2"])
+def test_an_entry_of_value_and_bound_alone_is_proved_or_refused(value, bound, proved):
+    # Z = A2 A3 - A4 and the logarithmic inverse coefficients 2 Gamma_2, 2 Gamma_3
+    # prove from the disk table; H2 = A2 A4 - A3^2 needs the Schur disk
+    # |c2| <= 1 - |c1|^2, which the table leaves out, so its row fails
+    with mock.patch.dict(FUNCTIONALS, {"new": ulambda.Functional("new", value, bound)}):
+        identities, rows = _proof_table()
+        assert identities["new"] and _corner_identities()["new"]
+        assert all(map(_nonnegative_on_box, rows["new"])) is proved
+        assert exact_proofs() == {"A2": True, "A3": True, "A4": True, "FS": True, "new": proved}
 
 
 @pytest.mark.parametrize("name, bound", [
