@@ -6,14 +6,14 @@ well defined at jet level; nothing here knows about convergence. Exact
 mode keeps coefficients as rational complex pairs, float mode as complex
 doubles.
 
-Exact products, reciprocals and reversion do not multiply rational pairs
-term by term. Each operand is written once as integer jets (re, im) over
-one common denominator D, the lcm of all its real and imaginary
-denominators. Products and the powers of a reversion convolve plain ints,
-one real convolution per pair of parts that are not all zero (one to
-four); the reciprocal sums its recurrence on them and reduces each term
-once. Float products and reversion convolve the complex coefficients as
-they are; the float reciprocal sums its recurrence with the exact _dot.
+Products convolve the coefficients as they are, in either ring. Exact
+reciprocals and reversion run on integer jets instead: the jet is written
+once as (re, im) over one common denominator D, the lcm of all its real
+and imaginary denominators. The powers of a reversion convolve plain
+ints, one real convolution per pair of parts that are not all zero (one
+to four); the reciprocal sums its recurrence on them and reduces each
+term once. Float reversion convolves the complex coefficients; the float
+reciprocal sums its recurrence with the exact _dot.
 
 The paper's functions are normalized, f(0) = 0 and f'(0) = 1, and a class
 function is carried by its z/f jet g: membership reads g, and Lagrange
@@ -98,10 +98,9 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_mode(other)
+            zero = 0j if self._mode == FLOAT else QComplex()
             n = min(self.order, other.order)
-            if self._mode == FLOAT:
-                return TruncatedSeries(_convolve(self._coeffs, other._coeffs, n, 0j), FLOAT)
-            return TruncatedSeries(_exact_product(self._coeffs, other._coeffs, n), EXACT)
+            return TruncatedSeries(_convolve(self._coeffs, other._coeffs, n, zero), self._mode)
         scale = as_scalar(other, self._mode)
         return TruncatedSeries([c * scale for c in self._coeffs], self._mode)
 
@@ -198,16 +197,6 @@ def _integer_parts(coeffs):
     re = [c.re.numerator * (d // c.re.denominator) for c in coeffs[:end]]
     im = [c.im.numerator * (d // c.im.denominator) for c in coeffs[:end]]
     return re, (im if any(im) else None), d
-
-
-def _exact_product(a, b, n):
-    """Coefficients 0..n of the product of two exact jets, through integer
-    convolutions (see the module docstring)."""
-    ar, ai, da = _integer_parts(a[:n + 1])
-    br, bi, db = _integer_parts(b[:n + 1])
-    re, im = _gaussian_product((ar, ai), (br, bi), n)
-    d = da * db
-    return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im or [0] * (n + 1))]
 
 
 def _gaussian_product(a, b, n):

@@ -153,8 +153,8 @@ class Functional(namedtuple("Functional", "text value bound takes_mu sharp_at",
 
     text: the functional as bounds and coeffs name it.
     value(A2, A3, A4, mu): the functional, for QComplex, complex, numpy
-        arrays and polynomials alike. One that takes_mu has the value
-        A3 - mu A2^2, which the search ranks over a whole mu grid at once.
+        arrays and polynomials alike. The search ranks a whole mu grid at
+        once for an entry that takes_mu and whose value is A3 - mu A2^2.
     bound(L, nu): its sharp bound, with nu = |1 - mu|. The exact proof
         derives the regrouping and the majorant from value (the verifier's
         docstring states it).

@@ -39,7 +39,7 @@ import json
 import os
 from collections import ChainMap, namedtuple
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from math import comb, lcm, prod
 
@@ -235,13 +235,14 @@ def _functional_values(tasks, coeffs, floors=None):
     floor (a float per task) the block provably cannot exceed.
 
     Every value is the reference abs(value) of the task's table entry. The
-    tasks that take mu are Fekete-Szego (FS) tasks, abs(A3 - mu * P) with
-    P = A2 * A2. With _RANK_MIN_TASKS or more of them, _fs_maxima ranks the
-    block for every real mu at once and evaluates the reference only where a
-    maximum can lie, or skips a mu whose block bound is at most its floor;
-    any other task evaluates the reference on the whole block.
+    Fekete-Szego (FS) tasks are those whose entry takes mu and whose value
+    is A3 - mu * P with P = A2 * A2, as polynomials (_is_fs). With
+    _RANK_MIN_TASKS or more of them, _fs_maxima ranks the block for every
+    real mu at once and evaluates the reference only where a maximum can
+    lie, or skips a mu whose block bound is at most its floor; any other
+    task evaluates the reference on the whole block.
     """
-    fs = [i for i, (name, _) in enumerate(tasks) if FUNCTIONALS[name].takes_mu]
+    fs = [i for i, (name, _) in enumerate(tasks) if _is_fs(FUNCTIONALS[name])]
     found = {}
     if len(fs) >= _RANK_MIN_TASKS:
         A2, A3, _ = coeffs
@@ -256,6 +257,13 @@ def _functional_values(tasks, coeffs, floors=None):
             hit = (float(values[k]), k)
         out.append(None if hit is _PRUNED else hit)
     return out
+
+
+@cache
+def _is_fs(f):
+    """Whether the entry f takes mu and its value is A3 - mu A2^2, as polynomials."""
+    A2, A3, A4, mu = _Poly.variables(4)
+    return f.takes_mu and f.value(A2, A3, A4, mu) == A3 - mu * A2 * A2
 
 
 # On 8192-jet blocks the ranking pass costs about three whole-block

@@ -11,7 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 from coeffforge import (EXACT, QComplex, SchwarzJet, TruncatedSeries, class_parameter,
-                        inverse_coeffs, zf_jet)
+                        inverse_coeffs, require_normalized)
 from coeffforge.scalars import as_scalar, maybe_exact_abs
 from coeffforge.schwarz import sample_block_arrays
 from coeffforge.ulambda import FUNCTIONALS
@@ -142,21 +142,28 @@ def defect(g, z):
 
 
 def subordination_witness(lam, f):
-    """Recover the Schwarz jet w from z/f = (1 - w)(1 - L w).
+    """Recover the Schwarz jet w from z/f = (1 - w)(1 - L w), on plain lists.
 
-    This is the fixed point w = (1 - z/f)/(1+L) + L/(1+L) w^2. As w^2
-    starts at z^2, each substitution fixes one more coefficient, so
-    N-2 of them give the jet of w to order N-1.
+    z/f = g is the textbook reciprocal of f/z = h, whose constant is 1
+    since f is normalized: g_n = -(h_1 g_(n-1) + ... + h_n g_0). Then w is
+    the fixed point w = (1 - g)/(1+L) + L/(1+L) w^2. As w^2 starts at z^2,
+    each substitution fixes one more coefficient, so N-2 of them give the
+    jet of w to order N-1.
     """
     lam, mode = class_parameter(lam)
     if f.mode != mode:
         raise ValueError(f"mode mismatch: lambda {mode} vs series {f.mode}")
-    g = zf_jet(f)  # g(0) = 1
-    linear = TruncatedSeries([0, *g.coeffs[1:]], mode) * (-1 / (1 + lam))
+    require_normalized(f)
+    h, g = f.coeffs[1:], [1]
+    for n in range(1, len(h)):
+        g.append(-sum(h[k] * g[n - k] for k in range(1, n + 1)))
+    top = len(h) - 1
+    linear = [0, *(c * (-1 / (1 + lam)) for c in g[1:])]
     omega = linear
-    for _ in range(g.order - 1):
-        omega = linear + omega * omega * (lam / (1 + lam))
-    return omega
+    for _ in range(top - 1):
+        square = poly_mul_full(omega, omega, top)
+        omega = poly_add(linear, [c * (lam / (1 + lam)) for c in square])
+    return TruncatedSeries(truncated(omega, top), mode)
 
 
 def inverse_coeffs_closed(a2, a3, a4):

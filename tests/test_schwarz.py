@@ -13,7 +13,8 @@ from coeffforge import SchwarzJet, c2_disks, c3_disk, is_admissible
 from coeffforge.scalars import EXACT, FLOAT, QComplex, as_scalar
 from coeffforge.schwarz import (STRATEGIES, _disk_points, _fill_c2, block_size,
                                 sample_block_arrays, sample_grid_block)
-from helpers import block_jets, exact_jet
+from coeffforge.ulambda import inverse_from_jet
+from helpers import block_jets, exact_jet, inverse_coeffs_closed
 
 F = Fraction
 
@@ -190,6 +191,18 @@ def test_carlson_and_class_c3_disks_can_be_disjoint():
 def test_carlson_rejects_c3_off_its_point():
     # |c2| = 1 - |c1|^2 forces c3 = -conj(c1) c2^2 / (1 - |c1|^2) = -36/125
     assert not is_admissible(1, exact_jet(F(4, 5), F(9, 25), F(36, 125)))
+
+
+@pytest.mark.xfail(strict=True, reason="the sampled c3 ignores the Carlson condition (ROADMAP "
+                   "item 1, exact admissibility at every order)")
+def test_sampled_a4_keeps_de_branges_bound():
+    # U(1) lies in S, so |a4| <= 4; inverse_coeffs_closed is its own inverse,
+    # so it reads (a2, a3, a4) off (A2, A3, A4). Block 0 reaches 4.68 (uniform)
+    # and 4.85 (boundary-biased) from jets off the Carlson point
+    for strategy in STRATEGIES:
+        c1, c2, c3 = sample_block_arrays(1.0, 1, 0, strategy)
+        a4 = inverse_coeffs_closed(*inverse_from_jet(1.0, c1, c2, c3))[2]
+        assert abs(a4).max() <= 4 * (1 + 1e-12), strategy
 
 
 # -- samplers --------------------------------------------------------------------

@@ -800,3 +800,15 @@ def test_floors_on_adversarial_blocks(coeffs):
     tasks = [("A3", None)] + [("FS", mu) for mu in _ADVERSARIAL_MUS]
     with np.errstate(over="ignore", invalid="ignore"):
         _floored_like_the_oracle(tasks, coeffs, 1.0)
+
+
+def test_an_entry_that_takes_mu_is_ranked_only_if_its_value_is_fs():
+    # |A4 - mu A2 A3| takes mu but is not A3 - mu A2^2: five mu or more must
+    # not send it to the FS ranking, so each report is the one-mu report
+    entry = ulambda.Functional("|A4 - mu A2 A3|", lambda A2, A3, A4, mu: A4 - mu * (A2 * A3),
+                               lambda L, nu: 10 + 10 * nu, takes_mu=True)
+    mus, search = [-1, 0, 0.5, 1.5, 2], SearchConfig(20000, 1)
+    assert len(mus) >= _RANK_MIN_TASKS
+    with mock.patch.dict(FUNCTIONALS, {"G": entry}):
+        reports = scan_lambda(["G"], [0.5], mus, search)
+        assert reports == [scan_lambda(["G"], [0.5], [mu], search)[0] for mu in mus]
