@@ -32,7 +32,7 @@ from collections import Counter
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real, maybe_exact_abs
+from .scalars import EXACT, FLOAT, MODES, QComplex, is_finite_real, maybe_exact_abs
 from .series import TruncatedSeries, imag_text, revert, zf_jet
 from .schwarz import STRATEGIES, SchwarzJet, SearchConfig, is_admissible
 from .ulambda import (FUNCTIONALS, direct_coeffs, extremal_function, extremal_inverse,
@@ -143,7 +143,7 @@ def _printed(mode, *values):
     beyond the float range and for a float result, in either mode, that is
     inf or nan."""
     if mode == FLOAT:
-        values = [as_scalar(v, FLOAT) for v in values]
+        values = [complex(v) for v in values]
     if not all(is_finite_real(v.real) and is_finite_real(v.imag)
                for v in values if isinstance(v, (float, complex))):
         raise OverflowError("inf or nan in float arithmetic")
@@ -326,7 +326,7 @@ def cmd_membership(args):
     lam = _float(_parse_lambda(args.lam), "lambda")
     series, family = _load_function_input(args.input)
     if series is not None:
-        g, label = zf_jet(series.to_float()), "series"
+        g, label = zf_jet(TruncatedSeries(series.coeffs, FLOAT)), "series"
     elif family is None:  # a closed form: z/f is 1 or the polynomial (1-z)(1-Lz)
         g, label = TruncatedSeries([1], FLOAT), "identity"
     else:  # w = z to order 2, or the product drops L z^2

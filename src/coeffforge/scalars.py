@@ -6,8 +6,8 @@ all the arithmetic we ever perform and lets identity checks use literal
 equality instead of tolerances. Float mode is plain ``complex``.
 
 A value's type is its mode: a QComplex is exact, a complex is float.
-``as_scalar`` is the one coercion between them; plain 0 and 1 compare
-equal to the zero and the one of either mode.
+``complex()`` converts any scalar to float (OverflowError past its range)
+and ``as_scalar`` lifts to exact; plain 0 and 1 equal both modes' 0 and 1.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class QComplex:
         """Squared modulus as an exact Fraction."""
         return self.re * self.re + self.im * self.im
 
-    def to_complex(self):
+    def __complex__(self):
         return complex(self.re, self.im)
 
 
@@ -110,8 +110,6 @@ def as_scalar(value, mode):
     Float inputs entering exact mode convert by their exact binary value.
     """
     if mode == FLOAT:
-        if isinstance(value, QComplex):
-            return value.to_complex()
         return complex(value)
     if mode == EXACT:
         coerced = _coerce(value)

@@ -40,17 +40,17 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, as_scalar, class_parameter, is_finite_real
+from .scalars import EXACT, as_scalar, class_parameter, is_finite_real
 
 STRATEGIES = ("uniform", "boundary-biased")
-_BLOCK = 8192
+BLOCK = 8192
 
 
 class SchwarzJet(namedtuple("SchwarzJet", "c1 c2 c3")):
     __slots__ = ()
 
     def to_json(self):
-        c1, c2, c3 = (as_scalar(c, FLOAT) for c in self)
+        c1, c2, c3 = map(complex, self)
         return {"c1": [c1.real, c1.imag], "c2": [c2.real, c2.imag], "c3": [c3.real, c3.imag]}
 
     @classmethod
@@ -128,10 +128,6 @@ def _in_disk(z, disk):
 
 # -- sampling ---------------------------------------------------------------
 
-def block_size():
-    return _BLOCK
-
-
 def sample_block_arrays(lam, seed, block_index, strategy="uniform"):
     """One aligned block of 8192 jets as (c1, c2, c3) complex arrays.
 
@@ -160,7 +156,7 @@ def sample_grid_block(lams, seed, block_index, strategy="uniform"):
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng([seed, block_index])
-    n, walk = _BLOCK, None
+    n, walk = BLOCK, None
     c1, v = _disk_points(rng, n), _disk_points(rng, n)  # c3 = m3 + R3 v
     if strategy == "boundary-biased":
         c1 *= rng.random(n) ** 0.125 / abs(c1)

@@ -1,10 +1,11 @@
 """Truncated formal power-series arithmetic over complex coefficients.
 
-A series is an immutable jet c0 + c1 z + ... + cN z^N. Arithmetic between
-two jets first truncates both to the smaller order, so every operation is
-well defined at jet level; nothing here knows about convergence. Exact
-mode keeps coefficients as rational complex pairs, float mode as complex
-doubles.
+A series is an immutable jet c0 + c1 z + ... + cN z^N. The product of two
+jets stops at the smaller order, so it is well defined at jet level;
+nothing here knows about convergence. Exact mode keeps coefficients as
+rational complex pairs, float mode as complex doubles; the constructor
+lifts each to exact by as_scalar or converts it to float by complex(), so
+TruncatedSeries(s.coeffs, FLOAT) is s in float.
 
 Products convolve the coefficients as they are, in either ring. Exact
 reciprocals and reversion run on integer jets instead: the jet is written
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial, partialmethod
-from operator import add, mul, sub
+from functools import partial
+from operator import mul
 
-from .scalars import EXACT, FLOAT, MODES, QComplex, as_scalar, is_finite_real
+from .scalars import EXACT, FLOAT, QComplex, as_scalar, is_finite_real
 
 
 class TruncatedSeries:
@@ -42,8 +43,6 @@ class TruncatedSeries:
             raise ValueError("a series needs at least its constant coefficient")
         if mode is None:
             mode = FLOAT if any(isinstance(c, (float, complex)) for c in coeffs) else EXACT
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         self._coeffs = tuple(as_scalar(c, mode) for c in coeffs)
         self._mode = mode
 
@@ -85,27 +84,13 @@ class TruncatedSeries:
         if self._mode != other._mode:
             raise ValueError(f"mode mismatch: {self._mode} vs {other._mode}")
 
-    def _termwise(self, other, op):
-        """op on each pair of coefficients, up to the smaller order."""
+    def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_mode(other)
-        return TruncatedSeries(map(op, self._coeffs, other._coeffs), self._mode)
-
-    __add__ = partialmethod(_termwise, op=add)
-    __sub__ = partialmethod(_termwise, op=sub)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_mode(other)
-            zero = 0j if self._mode == FLOAT else QComplex()
-            n = min(self.order, other.order)
-            return TruncatedSeries(_convolve(self._coeffs, other._coeffs, n, zero), self._mode)
-        scale = as_scalar(other, self._mode)
-        return TruncatedSeries([c * scale for c in self._coeffs], self._mode)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+        zero = 0j if self._mode == FLOAT else QComplex()
+        n = min(self.order, other.order)
+        return TruncatedSeries(_convolve(self._coeffs, other._coeffs, n, zero), self._mode)
 
     def reciprocal(self):
         """Multiplicative inverse jet; requires a nonzero constant term."""
@@ -121,11 +106,6 @@ class TruncatedSeries:
         return TruncatedSeries(out, FLOAT)
 
     # -- conversions -------------------------------------------------------
-
-    def to_float(self):
-        if self._mode == FLOAT:
-            return self
-        return TruncatedSeries(self._coeffs, FLOAT)
 
     def to_json(self):
         """Wire format: [re_num, re_den, im_num, im_den] per coefficient in

@@ -201,7 +201,7 @@ def _defect_chunks(g, radius, samples):
     finite, since no verdict can be read from it.
     """
     import numpy as np
-    coeffs = [(1 - k) * c for k, c in enumerate(g.to_float().coeffs)]
+    coeffs = [(1 - k) * c for k, c in enumerate(map(complex, g.coeffs))]
     coeffs[0] -= 1
     coeffs.reverse()
     for start in range(0, samples, _DEFECT_CHUNK):

@@ -123,15 +123,20 @@ def _nonnegative_on_box(p):
 
 
 def _proof_table():
-    """({functional: its identity holds}, {functional: its box rows}): the
-    rows are bound - majorant split by the power of nu, as polynomials in
-    (L, x, u), with the majorant read off the value in (C, s, r, m)."""
+    """({functional: its identity holds}, {functional: its box rows},
+    {functional: its corner identity holds}): the rows are bound - majorant
+    split by the power of nu, as polynomials in (L, x, u), with the majorant
+    read off the value in (C, s, r, m); the corner identity says the value at
+    the corner jet (1, 0, 0) is +-bound(L, 1 - mu), as polynomials in (L, mu)."""
     L, c1, c2, c3, mu = _Poly.variables(5)
     coeffs = inverse_from_jet(L, c1, c2, c3)
     by_zf = inverse_from_jet(0, (1 + L) * c1, (1 + L) * c2 - L * c1 * c1,
                              (1 + L) * c3 - 2 * L * c1 * c2)
+    corner = inverse_from_jet(L, 1, 0, 0)
     identities = {name: f.value(*coeffs, mu) == f.value(*by_zf, mu)
                   for name, f in FUNCTIONALS.items()}
+    corners = {name: f.bound(L, 1 - mu) in (value := f.value(*corner, mu), -value)
+               for name, f in FUNCTIONALS.items()}
     C, s, r, m = _Poly.variables(4)
     parts = inverse_from_jet(0, C, s, r)
     L, x, u, nu = _Poly.variables(4)
@@ -142,16 +147,7 @@ def _proof_table():
                                     for e, c in f.value(*parts, 1 - m).terms.items()))
         rows[name] = [_Poly([(e[:3], c) for e, c in gap.terms.items() if e[3] == k], 3)
                       for k in range(max((e[3] for e in gap.terms), default=0) + 1)]
-    return identities, rows
-
-
-def _corner_identities():
-    """{functional: its value at the corner jet (1, 0, 0) is +-bound(L, 1 - mu)},
-    as polynomials in (L, mu)."""
-    L, mu = _Poly.variables(2)
-    corner = inverse_from_jet(L, 1, 0, 0)
-    return {name: f.bound(L, 1 - mu) in (value := f.value(*corner, mu), -value)
-            for name, f in FUNCTIONALS.items()}
+    return identities, rows, corners
 
 
 def exact_proofs():
@@ -159,8 +155,7 @@ def exact_proofs():
     identity holds and its box rows are nonnegative, so the bound holds
     for every mu, and its corner identity holds, so the corner jet attains
     the bound wherever sharp_at says so (for FS, real mu <= 1)."""
-    identities, rows = _proof_table()
-    corners = _corner_identities()
+    identities, rows, corners = _proof_table()
     return {name: identities[name] and all(map(_nonnegative_on_box, rows[name]))
             and corners[name] for name in rows}
 
@@ -396,7 +391,7 @@ def _search_grid(grid, tasks, bounds, search):
         coeffs = inverse_from_jet(lam, *(np.array([c]) for c in corner))
         best.append([(val, 0, corner) for val, _ in _functional_values(tasks, coeffs)])
 
-    size = schwarz.block_size()
+    size = schwarz.BLOCK
     remaining = search.samples - 1
     blocks = range((remaining + size - 1) // size)
     floors = [[val for val, _, _ in row] for row in best]
@@ -419,7 +414,7 @@ def _search_grid(grid, tasks, bounds, search):
 
 def _eval_block(grid, tasks, search, remaining, floors, b):
     """Block b's [(maximum, index in the block, jet) or None per task] for each L."""
-    take = min(schwarz.block_size(), remaining - b * schwarz.block_size())
+    take = min(schwarz.BLOCK, remaining - b * schwarz.BLOCK)
     out = []
     for lam, row, (c1, c2, c3) in zip(grid, floors, schwarz.sample_grid_block(
             grid, search.seed, b, search.strategy)):

@@ -69,8 +69,7 @@ def revert_oracle(f):
 
 def floats(series):
     """Coefficients of a series as complex numbers."""
-    return [complex(c.to_complex()) if isinstance(c, QComplex) else complex(c)
-            for c in series.coeffs]
+    return [complex(c) for c in series.coeffs]
 
 
 def assert_series_close(series, expected, tol=1e-12):

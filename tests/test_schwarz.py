@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coeffforge import SchwarzJet, c2_disks, c3_disk, is_admissible
 from coeffforge.scalars import EXACT, FLOAT, QComplex, as_scalar
-from coeffforge.schwarz import (STRATEGIES, _disk_points, _fill_c2, block_size,
+from coeffforge.schwarz import (BLOCK, STRATEGIES, _disk_points, _fill_c2,
                                 sample_block_arrays, sample_grid_block)
 from coeffforge.ulambda import inverse_from_jet
 from helpers import block_jets, exact_jet, inverse_coeffs_closed
@@ -118,7 +118,7 @@ def test_slack_nonnegative_when_first_holds():
     for _ in range(10):
         lam = float(rng.uniform(0.05, 1.0))
         arrays = sample_block_arrays(lam, int(rng.integers(1 << 30)), 0)
-        for k in rng.choice(block_size(), 20, replace=False):
+        for k in rng.choice(BLOCK, 20, replace=False):
             c1, c2, c3 = (complex(c[k]) for c in arrays)
             assert _admissible_arrays(lam, c1, c2, c3)
             _, (m2, _) = c2_disks(lam, c1, abs(c1) ** 2)
@@ -134,7 +134,7 @@ def _table(lam, c1, c2, c1_sq, t_sq):
 def test_disk_table_on_every_scalar_type():
     c1, c2 = QComplex(F(1, 2), F(1, 3)), QComplex(F(-1, 5), F(1, 7))
     exact = _table(F(2, 5), c1, c2, c1.abs2(), F(1, 9))
-    z1, z2 = c1.to_complex(), c2.to_complex()
+    z1, z2 = complex(c1), complex(c2)
     floats = _table(0.4, z1, z2, abs(z1) ** 2, 1 / 9)
     arrays = _table(0.4, np.array([z1, 0]), np.array([z2, 0]),
                     np.array([abs(z1) ** 2, 0]), np.array([1 / 9, 0]))
@@ -165,7 +165,7 @@ def test_exact_disk_centres_are_the_quotients_by_one_plus_lambda(lam, parts):
 def test_array_disk_centres_have_the_bits_of_the_quotients(lam):
     # numpy divides complex by real as a product with the reciprocal of the
     # real, so multiplying by 1/(1+L) leaves the sample stream's bits as they are
-    c1, c2 = (_disk_points(np.random.default_rng([7, k]), block_size()) for k in (1, 2))
+    c1, c2 = (_disk_points(np.random.default_rng([7, k]), BLOCK) for k in (1, 2))
     m2 = c2_disks(lam, c1, abs(c1) ** 2)[1][0]
     m3 = c3_disk(lam, c1, c2, 0.0)[0]
     assert np.array_equal((lam * c1 * c1 / (1 + lam)).view(np.int64), m2.view(np.int64))

@@ -1,6 +1,7 @@
 """Series arithmetic: frozen examples against independent oracles, then the
 algebraic laws on seeded random inputs."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from coeffforge import (EXACT, FLOAT, QComplex, TruncatedSeries, inverse_from_zf,
                         require_normalized, revert, zf_jet)
 from helpers import (assert_series_close, assert_series_exact, derivative, floats,
-                     inverse_coeffs_closed, poly_compose_full, poly_mul_full, q,
+                     inverse_coeffs_closed, poly_add, poly_compose_full, poly_mul_full, q,
                      random_exact_normalized, random_float_normalized, revert_oracle,
                      truncated)
 
@@ -99,16 +100,23 @@ def test_float_mul_sums_left_to_right_from_complex_zero():
     assert [repr(c) for c in got] == [repr(c) for c in want]  # repr shows -0.0
 
 
-def test_scalar_mul():
-    s = TruncatedSeries([1, F(1, 2)], EXACT)
-    assert_series_exact(2 * s, [2, 1])
-
-
 def test_qcomplex_is_not_hashable():
     # it equals the int 3, so a hash of its own would put both in one set twice
     assert QComplex(3, 0) == 3
     with pytest.raises(TypeError):
         hash(QComplex(3, 0))
+
+
+def test_complex_converts_a_qcomplex_part_by_part():
+    # complex() is the one float conversion; past the float range it raises
+    # OverflowError, which the CLI reports as a value out of the float range
+    rnd = random.Random(38)
+    for _ in range(500):
+        z = QComplex(*(F(rnd.randint(-10 ** 30, 10 ** 30), rnd.randint(1, 3 ** 40))
+                       for _ in range(2)))
+        assert complex(z) == complex(float(z.re), float(z.im))
+    with pytest.raises(OverflowError):
+        complex(QComplex(10 ** 400))
 
 
 # -- reciprocal ----------------------------------------------------------------
@@ -234,13 +242,13 @@ def test_derivative_koebe_jet():
 def test_derivative_is_linear_and_leibniz():
     rng = np.random.default_rng(31)
     for _ in range(15):
-        a = TruncatedSeries([QComplex(F(int(rng.integers(-3, 4)), 2)) for _ in range(6)], EXACT)
-        b = TruncatedSeries([QComplex(F(int(rng.integers(-3, 4)), 2)) for _ in range(6)], EXACT)
-        lin = derivative(a + b)
-        assert lin == derivative(a) + derivative(b)
-        prod_rule = derivative(a * b)
-        rhs = derivative(a) * b + a * derivative(b)  # products truncate to order 4
-        assert prod_rule == rhs
+        a, b = ([QComplex(F(int(rng.integers(-3, 4)), 2)) for _ in range(6)] for _ in range(2))
+        da, db = (list(derivative(TruncatedSeries(p, EXACT)).coeffs) for p in (a, b))
+        lin = derivative(TruncatedSeries(poly_add(a, b), EXACT))
+        assert lin == TruncatedSeries(poly_add(da, db), EXACT)
+        prod_rule = derivative(TruncatedSeries(truncated(poly_mul_full(a, b), 5), EXACT))
+        rhs = poly_add(poly_mul_full(da, b), poly_mul_full(a, db))  # degree 9, cut to 4
+        assert prod_rule == TruncatedSeries(truncated(rhs, 4), EXACT)
 
 
 def test_mul_commutative_and_associative():
@@ -308,7 +316,7 @@ def test_revert_exact_and_float_agree():
     rng = np.random.default_rng(77)
     for _ in range(10):
         f = random_exact_normalized(rng, 6)
-        exact_inverse = revert(f).to_float()
+        exact_inverse = TruncatedSeries(revert(f).coeffs, FLOAT)
         float_inverse = revert(TruncatedSeries(floats(f), FLOAT))
         scale = max(1.0, max(abs(c) for c in floats(exact_inverse)))
         for a, b in zip(floats(exact_inverse), floats(float_inverse)):
@@ -411,7 +419,7 @@ def test_mode_agreement_on_pipeline():
     rng = np.random.default_rng(113)
     for _ in range(10):
         f = random_exact_normalized(rng, 5)
-        ff = f.to_float()
+        ff = TruncatedSeries(f.coeffs, FLOAT)
         for op_exact, op_float in [
             (f * f, ff * ff),
             (revert(f), revert(ff)),
@@ -432,12 +440,10 @@ def test_empty_series_rejected():
         TruncatedSeries([])
 
 
-def test_truncate():
-    # a sum or difference of two jets stops at the smaller order
-    s = TruncatedSeries([1, 2, 3], EXACT)
-    t = TruncatedSeries([F(1, 2), 1], EXACT)
-    assert_series_exact(s + t, [F(3, 2), 3])
-    assert_series_exact(t - s, [-F(1, 2), -1])
+def test_unknown_mode_rejected():
+    # as_scalar refuses the mode at the first coefficient
+    with pytest.raises(ValueError, match="unknown mode 'rational'"):
+        TruncatedSeries([1, 2], "rational")
 
 
 def test_normalized_series_validation():

@@ -16,10 +16,10 @@ from coeffforge import (FUNCTIONALS, BoundReport, QComplex, SchwarzJet, SearchCo
                         inverse_coeffs, inverse_from_jet, inverse_weights, reports_to_csv,
                         reports_to_json, scan_lambda)
 from coeffforge import ulambda, verifier
-from coeffforge.schwarz import STRATEGIES, block_size, sample_block_arrays
+from coeffforge.schwarz import BLOCK, STRATEGIES, sample_block_arrays
 from coeffforge.verifier import (_RANK_MIN_TASKS, CSV_HEADER, SOUNDNESS_TOL, _bernstein,
-                                 _corner_identities, _fs_maxima, _functional_values,
-                                 _nonnegative_on_box, _Poly, _proof_table, worker_count)
+                                 _fs_maxima, _functional_values, _nonnegative_on_box, _Poly,
+                                 _proof_table, worker_count)
 from helpers import (PAPER_MAJORANTS, functional_maxima_oracle, fs_value, h_function, h_poly,
                      patched_bound)
 
@@ -40,8 +40,8 @@ def at_corner(p, corner):
 
 def test_every_bound_is_proved():
     assert exact_proofs() == {"A2": True, "A3": True, "A4": True, "FS": True}
-    assert all(_proof_table()[0].values())
-    assert all(_corner_identities().values())
+    identities, _, corners = _proof_table()
+    assert all(identities.values()) and all(corners.values())
 
 
 def test_the_derived_rows_are_the_papers():
@@ -66,8 +66,8 @@ def test_an_entry_of_value_and_bound_alone_is_proved_or_refused(value, bound, pr
     # prove from the disk table; H2 = A2 A4 - A3^2 needs the Schur disk
     # |c2| <= 1 - |c1|^2, which the table leaves out, so its row fails
     with mock.patch.dict(FUNCTIONALS, {"new": ulambda.Functional("new", value, bound)}):
-        identities, rows = _proof_table()
-        assert identities["new"] and _corner_identities()["new"]
+        identities, rows, corners = _proof_table()
+        assert identities["new"] and corners["new"]
         assert all(map(_nonnegative_on_box, rows["new"])) is proved
         assert exact_proofs() == {"A2": True, "A3": True, "A4": True, "FS": True, "new": proved}
 
@@ -80,9 +80,9 @@ def test_an_entry_of_value_and_bound_alone_is_proved_or_refused(value, bound, pr
 def test_a_bound_above_the_corner_is_refused_by_the_corner_identity(name, bound):
     # the raised bound still holds, so only the corner identity refuses it
     with patched_bound(name, bound):
-        identities, rows = _proof_table()
+        identities, rows, corners = _proof_table()
         assert identities[name] and all(map(_nonnegative_on_box, rows[name]))
-        assert _corner_identities() == {**dict.fromkeys(FUNCTIONALS, True), name: False}
+        assert corners == {**dict.fromkeys(FUNCTIONALS, True), name: False}
         assert exact_proofs() == {**dict.fromkeys(FUNCTIONALS, True), name: False}
 
 
@@ -132,9 +132,11 @@ def test_a_wrong_weight_fails_the_identity():
 
     with mock.patch.object(ulambda, "inverse_weights", weights):
         assert exact_proofs() == {"A2": True, "A3": True, "A4": False, "FS": True}
-        identities, rows = _proof_table()
+        identities, rows, corners = _proof_table()
         assert identities == {"A2": True, "A3": True, "A4": False, "FS": True}
         assert all(map(_nonnegative_on_box, rows["A4"]))
+        # q3 weighs c1 c2, which is 0 at the corner jet
+        assert corners == {"A2": True, "A3": True, "A4": True, "FS": True}
 
 
 def test_bernstein_coefficients_bound_the_polynomial():
@@ -347,11 +349,11 @@ def test_verify_bound_fs_outside_sharp_range():
 def test_argmax_index_selects_the_argmax_jet():
     # At L = 1, |A3 - 2 A2^2| = |3 c1^2 + 2 c2| <= 3|c1|^2 + 2(1 - |c1|^2) <= 3,
     # its value at the corner (index 0); |A3 - 1.25 A2^2| = 2|c2| is 0 there.
-    search = SearchConfig(samples=2 * block_size() + 500, seed=8, strategy="boundary-biased")
+    search = SearchConfig(samples=2 * BLOCK + 500, seed=8, strategy="boundary-biased")
     at_two, past_one = scan_lambda(["FS"], [1.0], [2.0, 1.25], search)
     assert at_two.argmax_index == 0 and at_two.argmax_jet == corner_jet(1.0)
     assert past_one.argmax_index > 0
-    block, k = divmod(past_one.argmax_index - 1, block_size())  # the corner is index 0
+    block, k = divmod(past_one.argmax_index - 1, BLOCK)  # the corner is index 0
     c1, c2, c3 = sample_block_arrays(1.0, search.seed, block, search.strategy)
     assert past_one.argmax_jet == SchwarzJet(complex(c1[k]), complex(c2[k]), complex(c3[k]))
 
@@ -377,7 +379,7 @@ def test_the_fs_corner_is_below_the_bound_where_sharpness_is_not_claimed(lam):
     # or 5 for the complex mu here, so the bound is rational
     for mu in (QComplex(F(1) + F(1, 10**9)), QComplex(F(2)), QComplex(F(7, 2)),
                QComplex(F(2, 5), F(-4, 5)), QComplex(F(8, 5), F(4, 5)), QComplex(F(-2), F(-4))):
-        assert not FUNCTIONALS["FS"].sharp_at(mu.to_complex())
+        assert not FUNCTIONALS["FS"].sharp_at(complex(mu))
         value = FUNCTIONALS["FS"].value(*inverse_coeffs(lam, corner_jet(lam)), mu)
         bound = functional_bound("FS", lam, mu)
         assert isinstance(bound, F) and value.abs2() < bound ** 2
@@ -507,7 +509,7 @@ def test_workers_never_outnumber_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(verifier, "_forked", lambda evaluate, blocks, workers:
                         recorded.append(workers) or map(evaluate, blocks))
     monkeypatch.setenv("COEFFFORGE_THREADS", str(10 ** 6))
-    cfg = SearchConfig(samples=1 + 5 * block_size(), seed=3)
+    cfg = SearchConfig(samples=1 + 5 * BLOCK, seed=3)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     scan_lambda(["A2"], [0.5], search=cfg)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -560,7 +562,7 @@ def test_thousands_of_blocks_come_back_once_each_in_order(forks):
 
 def test_a_search_on_three_workers_forks_three_children(monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    cfg = SearchConfig(samples=1 + 7 * block_size() + 5, seed=11)
+    cfg = SearchConfig(samples=1 + 7 * BLOCK + 5, seed=11)
     args = (["A2", "A4", "FS"], [0.3, 1.0], [0.5, 1.5], cfg)
     monkeypatch.setenv("COEFFFORGE_THREADS", "1")
     sequential = reports_to_csv(scan_lambda(*args))
@@ -587,7 +589,7 @@ def test_the_search_keeps_its_heap_on_glibc(monkeypatch):
 @pytest.mark.parametrize("libc", ["unknown name", "rejected name", "no confstr"])
 def test_off_glibc_the_heap_is_left_alone_and_the_scan_is_unchanged(monkeypatch, libc):
     import ctypes
-    args = (["A4", "FS"], [0.3, 1.0], [0.5, 1.5], SearchConfig(samples=2 * block_size() + 3))
+    args = (["A4", "FS"], [0.3, 1.0], [0.5, 1.5], SearchConfig(samples=2 * BLOCK + 3))
     expected = reports_to_csv(scan_lambda(*args))
 
     def confstr(name):
@@ -615,7 +617,7 @@ def test_results_independent_of_workers(monkeypatch):
 def test_floors_leave_a_grid_scan_unchanged(monkeypatch):
     # ranked FS tasks on a two-L grid, skipped where the corner's value bounds
     # a block (an infinite margin skips nothing), with one and two workers
-    search = SearchConfig(samples=2 * block_size() + 7, seed=17)
+    search = SearchConfig(samples=2 * BLOCK + 7, seed=17)
     args = (["A4", "FS"], [1.0, 0.3], [-1.0, 0.0, 0.5, 1.0, 1.2, 1.5, 3.0], search)
     for threads in ("1", "2"):
         monkeypatch.setenv("COEFFFORGE_THREADS", threads)
@@ -632,7 +634,7 @@ def test_floors_leave_a_grid_scan_unchanged(monkeypatch):
 def test_csv_identical_for_every_block_partition(seed, grid, blocks, offset, strategy):
     # index 0 is the corner, so 1 + k*8192 samples fill exactly k blocks; for
     # mu > 1 the Fekete-Szego maxima come from the random blocks, not the corner
-    search = SearchConfig(samples=1 + blocks * block_size() + offset, seed=seed,
+    search = SearchConfig(samples=1 + blocks * BLOCK + offset, seed=seed,
                           strategy=strategy)
     functionals, mus = ["A2", "A3", "A4", "FS"], [1.5, 2.0, 3.0]
     csvs = set()
@@ -669,7 +671,7 @@ _MU = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e3, -1e3]),
 
 @settings(max_examples=40, deadline=None)
 @given(lam=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 32 - 1),
-       strategy=st.sampled_from(STRATEGIES), take=st.integers(1, block_size()),
+       strategy=st.sampled_from(STRATEGIES), take=st.integers(1, BLOCK),
        mus=st.lists(_MU, min_size=1, max_size=40),
        extra=st.sets(st.sampled_from(["A2", "A3", "A4"])))
 def test_block_evaluator_matches_the_per_task_loop(lam, seed, strategy, take, mus, extra):
@@ -695,7 +697,7 @@ def test_ranking_covers_every_mu_of_a_sampled_block(strategy, lam):
 
 def _duplicated(coeffs, period):
     """Each of the first `period` jets repeated through the block: exact ties."""
-    return tuple(np.resize(a[:period], block_size()) for a in coeffs)
+    return tuple(np.resize(a[:period], BLOCK) for a in coeffs)
 
 
 def _near_ties(seed):
@@ -704,7 +706,7 @@ def _near_ties(seed):
     rng = np.random.default_rng(seed)
 
     def nudge(z):
-        scale = 1 + rng.integers(-8, 9, (2, block_size())) * 2.0 ** -53
+        scale = 1 + rng.integers(-8, 9, (2, BLOCK)) * 2.0 ** -53
         return z.real * scale[0] + 1j * z.imag * scale[1]
     return tuple(nudge(a[7]) for a in _block(1.0, seed, "uniform"))
 
@@ -713,7 +715,7 @@ def _aligned(seed):
     """One jet repeated, with A3 = 1.5 P: then A3 - mu P = (1.5 - mu) P, and
     the block bound's triangle inequality is an equality for real mu < 1.5,
     so only its rounding margin keeps the bound above the computed values."""
-    A2, _, A4 = (np.resize(a[7:8], block_size()) for a in _block(1.0, seed, "uniform"))
+    A2, _, A4 = (np.resize(a[7:8], BLOCK) for a in _block(1.0, seed, "uniform"))
     return A2, 1.5 * (A2 * A2), A4
 
 
@@ -748,7 +750,7 @@ def _floored_like_the_oracle(tasks, coeffs, lam):
 
 @settings(max_examples=40, deadline=None)
 @given(lam=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 32 - 1),
-       strategy=st.sampled_from(STRATEGIES), take=st.integers(1, block_size()),
+       strategy=st.sampled_from(STRATEGIES), take=st.integers(1, BLOCK),
        mus=st.lists(_MU, min_size=1, max_size=40),
        extra=st.sets(st.sampled_from(["A2", "A3", "A4"])))
 def test_floors_drop_only_tasks_the_block_cannot_lift(lam, seed, strategy, take, mus, extra):
@@ -776,7 +778,7 @@ _ADVERSARIAL_BLOCKS = pytest.mark.parametrize("coeffs", [
     _near_ties(2),
     tuple(a * 2.0 ** -520 for a in _near_ties(3)),  # squares are subnormal
     tuple(a * 2.0 ** 252 for a in _near_ties(4)),  # mu^2 |P|^2 overflows
-    tuple(np.zeros(block_size(), complex) for _ in range(3)),
+    tuple(np.zeros(BLOCK, complex) for _ in range(3)),
     tuple(np.concatenate([np.zeros(50, complex), a[50:]]) for a in _block(0.5, 2, "uniform")),
     _aligned(5),
 ], ids=["one-jet", "period-7", "period-100", "near-ties-1", "near-ties-2", "near-ties-tiny",
